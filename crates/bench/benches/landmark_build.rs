@@ -6,7 +6,10 @@
 //! `BENCH_landmark.json` in the workspace root records the dense-vs-sparse
 //! build at `n = 4096` plus the sparse-only point at `n = 131072` — the
 //! graph on which the dense builder cannot run at all (its distance matrix
-//! alone is 64 GiB).
+//! alone is 64 GiB).  Both builders run on
+//! `graphkit::par::default_threads(n)` workers (the dense one in its
+//! all-pairs BFS, the sparse one in its landmark and cluster phases); each
+//! entry records that count as `threads`.
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -47,6 +50,7 @@ struct Entry {
     secs: f64,
     avg_cluster: f64,
     landmarks: usize,
+    threads: usize,
 }
 
 fn run_entry(name: &'static str, g: &Graph, build: impl Fn(&Graph) -> LandmarkRouting) -> Entry {
@@ -60,6 +64,7 @@ fn run_entry(name: &'static str, g: &Graph, build: impl Fn(&Graph) -> LandmarkRo
         secs,
         avg_cluster: r.average_cluster_size(),
         landmarks: r.landmarks().len(),
+        threads: graphkit::par::default_threads(g.num_nodes()),
     }
 }
 
@@ -91,20 +96,21 @@ fn bench_snapshot(_c: &mut Criterion) {
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(
             concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"edges\": {}, \"secs\": {:.3}, ",
-                "\"landmarks\": {}, \"avg_cluster\": {:.1}}}{}\n"
+                "    {{\"name\": \"{}\", \"n\": {}, \"edges\": {}, \"threads\": {}, ",
+                "\"secs\": {:.3}, \"landmarks\": {}, \"avg_cluster\": {:.1}}}{}\n"
             ),
             e.name,
             e.n,
             e.edges,
+            e.threads,
             e.secs,
             e.landmarks,
             e.avg_cluster,
             if i + 1 == entries.len() { "" } else { "," }
         ));
         println!(
-            "snapshot: {:<14} n={:<7} edges={:<8} {:>8.3}s  landmarks {:<4} avg cluster {:.1}",
-            e.name, e.n, e.edges, e.secs, e.landmarks, e.avg_cluster
+            "snapshot: {:<14} n={:<7} edges={:<8} threads={} {:>8.3}s  landmarks {:<4} avg cluster {:.1}",
+            e.name, e.n, e.edges, e.threads, e.secs, e.landmarks, e.avg_cluster
         );
     }
     json.push_str(&format!(

@@ -254,15 +254,7 @@ impl DistanceMatrix {
     /// and is capped by the number of sources.  Falls back to the sequential
     /// code for small graphs where thread startup would dominate.
     pub fn all_pairs(g: &Graph) -> Self {
-        let n = g.num_nodes();
-        let threads = std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        if n < 256 {
-            return Self::all_pairs_with_threads(g, 1);
-        }
-        Self::all_pairs_with_threads(g, threads)
+        Self::all_pairs_with_threads(g, crate::par::default_threads(g.num_nodes()))
     }
 
     /// Computes all-pairs distances with an explicit worker count

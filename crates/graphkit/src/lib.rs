@@ -30,7 +30,10 @@
 //! * link-failure overlays ([`failure`]): deterministically sampled
 //!   [`FailureSet`]s and the masked [`GraphView`] every BFS core accepts via
 //!   the [`Adjacency`] abstraction — dead links are skipped on the fly, the
-//!   CSR (and with it the port labeling) is never rebuilt.
+//!   CSR (and with it the port labeling) is never rebuilt,
+//! * one deterministic parallel primitive ([`par::map_fold_ordered`]): items
+//!   mapped on worker threads, results folded in index order on the caller,
+//!   so what the fold builds is bit-identical at every thread count.
 //!
 //! Nodes are `0`-based [`NodeId`]s internally; the paper's `1`-based labels are
 //! only used when formatting reports.  Ports are `0`-based positions into the
@@ -55,6 +58,7 @@ pub mod failure;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod par;
 pub mod properties;
 pub mod rng;
 pub mod traversal;

@@ -47,42 +47,61 @@ impl TableRouting {
     /// rule.
     ///
     /// Construction streams [`DistanceBlock`]s instead of materializing a
-    /// dense [`DistanceMatrix`]: BFS rows are computed for one block of
+    /// dense [`DistanceMatrix`]: BFS rows are computed for one block of 64
     /// destinations at a time (distances from `v` equal distances *to* `v`
-    /// by symmetry) and each row fills one column of the table before the
-    /// block buffer is recycled.  Peak transient memory is
-    /// `O(block_rows · n)` on top of the table itself; the result is
-    /// bit-identical to [`TableRouting::from_distances`] over the dense
-    /// matrix (pinned by a test).
+    /// by symmetry) and turned into the block's ports towards those
+    /// destinations for every router.  The blocks are independent, so they
+    /// are computed on [`graphkit::par::default_threads`] workers and copied
+    /// into the table by [`graphkit::par::map_fold_ordered`]'s in-order fold;
+    /// each entry depends only on the graph, its destination's BFS row and
+    /// the tie rule, so the table is identical at every thread count.  Peak
+    /// transient memory is `O(block_rows · n)` per worker on top of the
+    /// table itself; the result is bit-identical to
+    /// [`TableRouting::from_distances`] over the dense matrix (pinned by a
+    /// test).
     pub fn shortest_paths(g: &Graph, tie: TieBreak) -> Self {
+        Self::shortest_paths_with_threads(g, tie, graphkit::par::default_threads(g.num_nodes()))
+    }
+
+    fn shortest_paths_with_threads(g: &Graph, tie: TieBreak, threads: usize) -> Self {
+        const BLOCK_ROWS: usize = 64;
         let n = g.num_nodes();
         let mut next_port = vec![vec![NO_PORT; n]; n];
-        let mut scratch = BfsScratch::with_capacity(n);
-        let mut block = DistanceBlock::new();
-        const BLOCK_ROWS: usize = 64;
-        let mut v0 = 0usize;
-        while v0 < n {
-            let rows = BLOCK_ROWS.min(n - v0);
-            block.recompute(g, v0, rows, &mut scratch);
-            // Routers outer, block destinations inner: writes into
-            // `next_port[u]` stay sequential while the block's BFS rows stay
-            // cache-resident, instead of striding one scattered column per
-            // destination across all n row allocations.
-            for (u, row_u) in next_port.iter_mut().enumerate() {
-                for v in v0..v0 + rows {
-                    if u == v {
-                        continue;
+        graphkit::par::map_fold_ordered(
+            n.div_ceil(BLOCK_ROWS),
+            threads,
+            || (BfsScratch::with_capacity(n), DistanceBlock::new()),
+            |(scratch, block), b, ports: &mut Vec<Port>| {
+                let v0 = b * BLOCK_ROWS;
+                let rows = BLOCK_ROWS.min(n - v0);
+                block.recompute(g, v0, rows, scratch);
+                // Router-major, `rows` ports per router: the fold then copies
+                // one contiguous run into each `next_port[u]`.
+                ports.clear();
+                ports.resize(n * rows, NO_PORT);
+                for (u, out) in ports.chunks_exact_mut(rows).enumerate() {
+                    for (j, slot) in out.iter_mut().enumerate() {
+                        let v = v0 + j;
+                        if u == v {
+                            continue;
+                        }
+                        let row = block.row(v);
+                        let duv = row.dist(u);
+                        if duv == INFINITY {
+                            continue;
+                        }
+                        *slot = Self::pick_port_with(g, |x| row.dist(x), u, v, duv, tie);
                     }
-                    let row = block.row(v);
-                    let duv = row.dist(u);
-                    if duv == INFINITY {
-                        continue;
-                    }
-                    row_u[v] = Self::pick_port_with(g, |x| row.dist(x), u, v, duv, tie);
                 }
-            }
-            v0 += rows;
-        }
+            },
+            |b, ports| {
+                let v0 = b * BLOCK_ROWS;
+                let rows = ports.len() / n;
+                for (row_u, src) in next_port.iter_mut().zip(ports.chunks_exact(rows)) {
+                    row_u[v0..v0 + rows].copy_from_slice(src);
+                }
+            },
+        );
         TableRouting {
             next_port,
             name: format!("routing-tables({tie:?})"),
@@ -364,6 +383,36 @@ mod tests {
                 let streamed = TableRouting::shortest_paths(&g, tie);
                 let dense = TableRouting::from_distances(&g, &dm, tie);
                 assert_eq!(streamed, dense, "n = {}, {tie:?}", g.num_nodes());
+            }
+        }
+    }
+
+    /// The parallel build folds blocks in destination order, so the table
+    /// must not depend on the worker count — pinned for every tie rule, on
+    /// graphs whose size is not a multiple of the 64-row block, one of them
+    /// disconnected (unreachable entries stay unset).
+    #[test]
+    fn shortest_paths_are_identical_at_every_thread_count() {
+        for g in [
+            generators::random_connected(300, 0.03, 5),
+            generators::path(130).disjoint_union(&generators::cycle(40)),
+        ] {
+            for tie in [
+                TieBreak::LowestPort,
+                TieBreak::LowestNeighbor,
+                TieBreak::HighestNeighbor,
+                TieBreak::Seeded(21),
+            ] {
+                let serial = TableRouting::shortest_paths_with_threads(&g, tie, 1);
+                for threads in [2, 3] {
+                    let par = TableRouting::shortest_paths_with_threads(&g, tie, threads);
+                    assert_eq!(
+                        par,
+                        serial,
+                        "n = {}, {tie:?}, threads={threads}",
+                        g.num_nodes()
+                    );
+                }
             }
         }
     }

@@ -67,11 +67,28 @@
 //! port-order BFS reports the first shortest-path port, exactly as the dense
 //! scans do.  This is what lets the scheme join the `n ≥ 10^5` trafficlab
 //! scenarios at stretch `< 3`.
+//!
+//! The connectivity check and the multi-source BFS run on the calling
+//! thread; the three heavy phases run on [`graphkit::par::default_threads`]
+//! workers through [`graphkit::par::map_fold_ordered`]:
+//!
+//! * one item per landmark computes its BFS column and toward ports; the
+//!   fold copies the column into `toward_dist` and scatters the ports into
+//!   the row-major `toward_landmark`;
+//! * under the strict rule, one item per landmark harvests its handoff list;
+//!   the fold appends it to one flat list;
+//! * one item per block of 64 consecutive routers runs their pruned BFS and
+//!   sorts each cluster; the fold appends the block to the cluster CSR.
+//!
+//! Every item is a pure function of the view, the config and the tables of
+//! earlier phases, and the fold consumes items in index order — the order
+//! the serial loops used — so the instance is **bit-identical at every
+//! thread count** (pinned by a test at 1, 2 and 3 threads).
 
 use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
 use graphkit::traversal::bfs_distances_into;
 use graphkit::{
-    bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, Adjacency, BfsScratch,
+    bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, par, Adjacency, BfsScratch,
     BoundedBfsScratch, Dist, DistanceMatrix, FailureSet, Graph, GraphView, NodeId, Port,
     Xoshiro256, INFINITY,
 };
@@ -83,6 +100,50 @@ use std::collections::VecDeque;
 /// Sentinel in the flat toward-landmark table: "this router *is* the
 /// landmark" (no port exists; a valid header never asks for it).
 const NO_PORT: u32 = u32::MAX;
+
+/// Routers per cluster-phase work item of the parallel build.  Small, so
+/// the few result buffers in flight stay small: they are allocated on the
+/// worker threads, whose allocator arenas keep the memory after the build.
+const CLUSTER_BLOCK: usize = 64;
+
+/// Routers whose clusters size the one up-front reservation of the cluster
+/// arrays.
+const RESERVE_SAMPLE: usize = 4 * CLUSTER_BLOCK;
+
+/// One landmark's column of the build: `d(·, ℓ)` and the port towards `ℓ`.
+#[derive(Default)]
+struct LandmarkColumn {
+    dist: Vec<Dist>,
+    port: Vec<u32>,
+}
+
+/// The clusters of one block of `CLUSTER_BLOCK` consecutive routers, laid
+/// out like the final CSR: `sizes[j]` members for the block's `j`-th router,
+/// concatenated in router order, each router's slice sorted by target.
+#[derive(Default)]
+struct ClusterBlock {
+    sizes: Vec<u32>,
+    targets: Vec<u32>,
+    dists: Vec<Dist>,
+    ports: Vec<u32>,
+}
+
+impl ClusterBlock {
+    fn clear(&mut self) {
+        self.sizes.clear();
+        self.targets.clear();
+        self.dists.clear();
+        self.ports.clear();
+    }
+
+    /// Appends the next router's (sorted) cluster.
+    fn push(&mut self, members: &[(u32, Dist, u32)]) {
+        self.sizes.push(members.len() as u32);
+        self.targets.extend(members.iter().map(|&(v, _, _)| v));
+        self.dists.extend(members.iter().map(|&(_, d, _)| d));
+        self.ports.extend(members.iter().map(|&(_, _, p)| p));
+    }
+}
 
 /// The seed the registry's default landmark spec builds with (kept from the
 /// pre-spec registry so existing scenario reports stay bit-identical).
@@ -262,6 +323,12 @@ impl LandmarkRouting {
     /// bit-identical to `build_on_view` of the masked view.  Panics when the
     /// view is disconnected.
     pub fn build_on_view(view: GraphView<'_>, cfg: &LandmarkConfig) -> Self {
+        Self::build_on_view_threads(view, cfg, par::default_threads(view.num_nodes()))
+    }
+
+    /// [`LandmarkRouting::build_on_view`] on an explicit worker count; the
+    /// result does not depend on `threads` (see the module docs).
+    fn build_on_view_threads(view: GraphView<'_>, cfg: &LandmarkConfig, threads: usize) -> Self {
         let n = view.num_nodes();
         assert!(n >= 1);
         if let Err(e) = cfg.validate() {
@@ -295,44 +362,66 @@ impl LandmarkRouting {
         );
         let home: Vec<NodeId> = origin.iter().map(|&o| o as usize).collect();
 
-        // Distance and port towards every landmark: one BFS per landmark
-        // (straight into the column of `toward_dist`), then a scan of every
-        // live arc — O(k (n + m)) total.
+        // Distance and port towards every landmark: one BFS per landmark plus
+        // a scan of every live arc — O(k (n + m)) total.  A worker fills one
+        // column; the fold copies it into `toward_dist` and scatters its
+        // ports into the row-major `toward_landmark`.
         let mut toward_dist = vec![0 as Dist; n * k];
         let mut toward_landmark = vec![NO_PORT; n * k];
-        for (i, &l) in landmarks.iter().enumerate() {
-            let col = &mut toward_dist[i * n..(i + 1) * n];
-            bfs_distances_into(view, l, &mut scratch, col);
-            for w in 0..n {
-                if w == l {
-                    continue;
+        par::map_fold_ordered(
+            k,
+            threads,
+            || BfsScratch::with_capacity(n),
+            |scratch, i, col: &mut LandmarkColumn| {
+                let l = landmarks[i];
+                col.dist.resize(n, 0);
+                col.port.resize(n, NO_PORT);
+                bfs_distances_into(view, l, scratch, &mut col.dist);
+                for w in 0..n {
+                    col.port[w] = if w == l {
+                        NO_PORT
+                    } else {
+                        min_tight_port(view, &col.dist, w, col.dist[w])
+                            .expect("connected graph: some neighbour is closer to the landmark")
+                    };
                 }
-                let dwl = col[w];
-                let port = min_tight_port(view, col, w, dwl)
-                    .expect("connected graph: some neighbour is closer to the landmark");
-                toward_landmark[w * k + i] = port;
-            }
-        }
-
-        let mut bounded = BoundedBfsScratch::with_capacity(n);
+            },
+            |i, col| {
+                toward_dist[i * n..(i + 1) * n].copy_from_slice(&col.dist);
+                for (w, &port) in col.port.iter().enumerate() {
+                    toward_landmark[w * k + i] = port;
+                }
+            },
+        );
 
         // Strict rule only: the handoff table of each landmark, harvested by
         // one pruned BFS per landmark with the *inclusive* bound — its visit
         // set `{ v : d(ℓ, v) <= d(v, L) }` contains the whole home set of
         // `ℓ` (members have d(ℓ, v) = d(v, L) exactly), and the reported
         // first-hop ports are provably the dense "first shortest-path port"
-        // scan.
-        let mut handoff: Vec<Vec<(u32, Dist, u32)>> = Vec::new();
+        // scan.  Stored flat: landmark `i`'s list is
+        // `handoff[handoff_offsets[i]..handoff_offsets[i + 1]]`.
+        let mut handoff: Vec<(u32, Dist, u32)> = Vec::new();
+        let mut handoff_offsets = vec![0usize];
         if cfg.cluster_rule == ClusterRule::Strict {
-            handoff = vec![Vec::new(); k];
-            for (i, &l) in landmarks.iter().enumerate() {
-                let list = &mut handoff[i];
-                bfs_bounded_into(view, l, &dist_to_set, &mut bounded, |v, d, p| {
-                    if home[v] == l {
-                        list.push((v as u32, d, p as u32));
-                    }
-                });
-            }
+            par::map_fold_ordered(
+                k,
+                threads,
+                || BoundedBfsScratch::with_capacity(n),
+                |bounded, i, list: &mut Vec<(u32, Dist, u32)>| {
+                    let l = landmarks[i];
+                    list.clear();
+                    bfs_bounded_into(view, l, &dist_to_set, bounded, |v, d, p| {
+                        if home[v] == l {
+                            list.push((v as u32, d, p as u32));
+                        }
+                    });
+                },
+                |_, list| {
+                    handoff.extend_from_slice(list);
+                    handoff_offsets.push(handoff.len());
+                },
+            );
         }
 
         // Clusters by pruned BFS.  Inclusive: S(w) = { v != w : d(w, v) <=
@@ -345,32 +434,61 @@ impl LandmarkRouting {
             ClusterRule::Inclusive => dist_to_set.clone(),
             ClusterRule::Strict => dist_to_set.iter().map(|&d| d.saturating_sub(1)).collect(),
         };
-        let mut members: Vec<(u32, Dist, u32)> = Vec::new();
+        let blocks = n.div_ceil(CLUSTER_BLOCK);
         let mut direct_offsets = vec![0u32; n + 1];
         let mut direct_targets: Vec<u32> = Vec::new();
         let mut direct_dists: Vec<Dist> = Vec::new();
         let mut direct_ports: Vec<u32> = Vec::new();
-        for w in 0..n {
-            members.clear();
-            bfs_bounded_into(view, w, &bound, &mut bounded, |v, d, p| {
-                members.push((v as u32, d, p as u32));
-            });
-            if let Some(&i) = landmark_index.get(&w) {
-                if cfg.cluster_rule == ClusterRule::Strict {
-                    // The handoff set { v : home[v] = w } is disjoint from
-                    // the strict cluster (its members sit exactly at
-                    // d(w, v) = d(v, L)), so this is a merge, not a dedup.
-                    members.extend_from_slice(&handoff[i]);
+        par::map_fold_ordered(
+            blocks,
+            threads,
+            || (BoundedBfsScratch::with_capacity(n), Vec::new()),
+            |(bounded, members), b, block: &mut ClusterBlock| {
+                block.clear();
+                for w in b * CLUSTER_BLOCK..((b + 1) * CLUSTER_BLOCK).min(n) {
+                    members.clear();
+                    bfs_bounded_into(view, w, &bound, bounded, |v, d, p| {
+                        members.push((v as u32, d, p as u32));
+                    });
+                    if cfg.cluster_rule == ClusterRule::Strict {
+                        if let Some(&i) = landmark_index.get(&w) {
+                            // The handoff set { v : home[v] = w } is disjoint
+                            // from the strict cluster (its members sit exactly
+                            // at d(w, v) = d(v, L)), so this is a merge, not a
+                            // dedup.
+                            members.extend_from_slice(
+                                &handoff[handoff_offsets[i]..handoff_offsets[i + 1]],
+                            );
+                        }
+                    }
+                    members.sort_unstable_by_key(|&(v, _, _)| v);
+                    block.push(members);
                 }
-            }
-            members.sort_unstable();
-            direct_offsets[w + 1] = direct_offsets[w] + members.len() as u32;
-            for &(v, d, p) in &members {
-                direct_targets.push(v);
-                direct_dists.push(d);
-                direct_ports.push(p);
-            }
-        }
+            },
+            |b, block| {
+                let w0 = b * CLUSTER_BLOCK;
+                let folded = w0 + block.sizes.len();
+                if folded == RESERVE_SAMPLE {
+                    // Reserve once, extrapolated from the first routers,
+                    // rather than letting the fold grow the arrays by
+                    // doubling: each growth step copies the whole prefix,
+                    // and with worker threads alive those copies raised the
+                    // peak resident memory of back-to-back builds by a fifth.
+                    let len = direct_targets.len() + block.targets.len();
+                    let estimate = len * n / folded;
+                    let extra = estimate + estimate / 4 - direct_targets.len();
+                    direct_targets.reserve_exact(extra);
+                    direct_dists.reserve_exact(extra);
+                    direct_ports.reserve_exact(extra);
+                }
+                for (j, &size) in block.sizes.iter().enumerate() {
+                    direct_offsets[w0 + j + 1] = direct_offsets[w0 + j] + size;
+                }
+                direct_targets.extend_from_slice(&block.targets);
+                direct_dists.extend_from_slice(&block.dists);
+                direct_ports.extend_from_slice(&block.ports);
+            },
+        );
 
         LandmarkRouting {
             landmarks,
@@ -1603,6 +1721,34 @@ mod tests {
                     let sparse = LandmarkRouting::build_with(&g, &cfg);
                     let dense = LandmarkRouting::build_dense_with(&g, &cfg);
                     assert_eq!(sparse, dense, "n = {}, {cfg:?}", g.num_nodes());
+                }
+            }
+        }
+    }
+
+    /// The parallel build folds landmarks and cluster blocks in index order,
+    /// so the instance must not depend on the worker count.  Pinned for both
+    /// rules on the full view and on a 10%-failed view, with `n` past the
+    /// reservation sample and not a multiple of the cluster block.
+    #[test]
+    fn build_is_identical_at_every_thread_count() {
+        let g = generators::random_connected(600, 0.015, 31);
+        let failures = (1..)
+            .map(|seed| FailureSet::sample(&g, 0.1, seed))
+            .find(|f| graphkit::traversal::is_connected(GraphView::masked(&g, f)))
+            .unwrap();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &failures)] {
+            for cfg in [
+                LandmarkConfig {
+                    seed: 5,
+                    ..LandmarkConfig::default()
+                },
+                strict(5),
+            ] {
+                let serial = LandmarkRouting::build_on_view_threads(view, &cfg, 1);
+                for threads in [2, 3] {
+                    let par = LandmarkRouting::build_on_view_threads(view, &cfg, threads);
+                    assert!(par == serial, "{cfg:?}, threads={threads}");
                 }
             }
         }
