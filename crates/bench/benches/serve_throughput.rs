@@ -6,7 +6,9 @@
 //! that scales to large graphs (tree, landmark, e-cube, dimension-order),
 //! per-message and batched msgs/s over the same uniform query stream at
 //! `n = 4096`, the speedup ratio, and one landmark point at `n = 131072`
-//! where table-per-node schemes cannot even build.
+//! where table-per-node schemes cannot even build.  A second list sweeps
+//! the landmark scheme over graph families at one thread (see
+//! [`landmark_family_sweep`]).
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -17,7 +19,7 @@ use routeschemes::spec::SchemeSpec;
 use routeschemes::{GraphHints, SchemeKind};
 use routeserve::{serve, ServeConfig, ServeStats};
 use routing_bench::quick_criterion;
-use trafficlab::{Workload, WorkloadPlan};
+use trafficlab::{GraphSpec, Workload, WorkloadPlan};
 
 fn serve_graph(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
@@ -91,6 +93,48 @@ fn run_entry(
         per_message,
         batched,
     }
+}
+
+/// Graph families of the landmark sweep, as `GraphSpec` strings.
+const SWEEP_GRAPHS: [&str; 5] = [
+    "regular?n=32768&d=8",
+    "ba?n=32768&m=4",
+    "powerlaw?n=32768",
+    "grid?rows=181&cols=181",
+    "theorem1?n=4096",
+];
+
+/// Queries per sweep point.
+const SWEEP_MESSAGES: u64 = 200_000;
+
+/// Batched landmark serving on one thread across graph families.  A hop's
+/// cluster lookup starts from an interpolation guess, which assumes a
+/// cluster's member ids spread evenly over their range.  Preferential
+/// attachment (id = arrival order, so low ids are the hubs), power-law
+/// degrees, the grid (id = row-major position) and the Theorem 1 instance
+/// (ids grouped by level) all give ids structure; the random regular graph
+/// is the control.  One thread, so each number is the routing kernel's.
+/// Each point is reproduced by `routeserve --graph <spec> --scheme landmark
+/// --workload 'uniform?messages=200000&seed=1' --threads 1`.
+fn landmark_family_sweep() -> Vec<(&'static str, usize, ServeStats)> {
+    let scheme = SchemeSpec::default_for(SchemeKind::Landmark);
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::batched()
+    };
+    SWEEP_GRAPHS
+        .iter()
+        .map(|&spec| {
+            let built = GraphSpec::parse(spec).expect("valid graph spec").build();
+            let inst = scheme
+                .build(&built.graph, &built.hints)
+                .expect("landmark builds");
+            let n = built.graph.num_nodes();
+            let plan = uniform_plan(n, SWEEP_MESSAGES);
+            let stats = serve(GraphView::full(&built.graph), &*inst.routing, &plan, &cfg).unwrap();
+            (spec, n, stats)
+        })
+        .collect()
 }
 
 /// Hand-timed snapshot written to `BENCH_serve.json`.
@@ -182,6 +226,31 @@ fn bench_snapshot(_c: &mut Criterion) {
             e.per_message.messages_per_sec(),
             e.batched.messages_per_sec(),
             e.speedup()
+        );
+    }
+    json.push_str("  ],\n  \"landmark_families\": [\n");
+    let sweep = landmark_family_sweep();
+    for (i, (graph, n, stats)) in sweep.iter().enumerate() {
+        json.push_str(&format!(
+            concat!(
+                "    {{\"graph\": \"{}\", \"scheme\": \"landmark\", \"n\": {}, ",
+                "\"messages\": {}, \"threads\": {}, \"msgs_per_sec\": {:.0}, ",
+                "\"delivery_rate\": {:.6}}}{}\n"
+            ),
+            graph,
+            n,
+            stats.outcomes.attempted(),
+            stats.threads,
+            stats.messages_per_sec(),
+            stats.delivery_rate(),
+            if i + 1 == sweep.len() { "" } else { "," }
+        ));
+        println!(
+            "landmark sweep: {:<24} n={:<6} {:>10.0} msgs/s  delivery {:.4}",
+            graph,
+            n,
+            stats.messages_per_sec(),
+            stats.delivery_rate()
         );
     }
     json.push_str("  ]\n}\n");

@@ -31,7 +31,7 @@ use routeschemes::spec::{vocabulary, SchemeSpec};
 use routeserve::{parse_queries, serve, ServeConfig, ServeMode, ServeStats};
 use std::io::Read;
 use std::process::ExitCode;
-use trafficlab::{GraphSpec, WorkloadPlan, WorkloadSpec};
+use trafficlab::{json_escape, GraphSpec, WorkloadPlan, WorkloadSpec};
 
 fn usage() {
     eprintln!(
@@ -321,10 +321,6 @@ fn render_table(runs: &[ServeStats]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(
     args: &Args,
     stream_label: &str,
@@ -392,4 +388,123 @@ fn render_json(
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Minimal JSON grammar check: one value, then only whitespace.
+    fn is_valid_json(text: &str) -> bool {
+        fn ws(b: &[u8], mut i: usize) -> usize {
+            while i < b.len() && matches!(b[i], b' ' | b'\n' | b'\r' | b'\t') {
+                i += 1;
+            }
+            i
+        }
+        fn string(b: &[u8], mut i: usize) -> Option<usize> {
+            i += 1;
+            while i < b.len() {
+                match b[i] {
+                    b'"' => return Some(i + 1),
+                    b'\\' => match b.get(i + 1)? {
+                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => i += 2,
+                        b'u' if b.get(i + 2..i + 6)?.iter().all(u8::is_ascii_hexdigit) => i += 6,
+                        _ => return None,
+                    },
+                    c if c < 0x20 => return None,
+                    _ => i += 1,
+                }
+            }
+            None
+        }
+        fn value(b: &[u8], i: usize) -> Option<usize> {
+            let i = ws(b, i);
+            match *b.get(i)? {
+                b'"' => string(b, i),
+                open @ (b'{' | b'[') => {
+                    let close = if open == b'{' { b'}' } else { b']' };
+                    let mut i = ws(b, i + 1);
+                    if b.get(i) == Some(&close) {
+                        return Some(i + 1);
+                    }
+                    loop {
+                        if open == b'{' {
+                            i = ws(b, i);
+                            if b.get(i) != Some(&b'"') {
+                                return None;
+                            }
+                            i = ws(b, string(b, i)?);
+                            if b.get(i) != Some(&b':') {
+                                return None;
+                            }
+                            i += 1;
+                        }
+                        i = ws(b, value(b, i)?);
+                        match b.get(i)? {
+                            b',' => i += 1,
+                            &c if c == close => return Some(i + 1),
+                            _ => return None,
+                        }
+                    }
+                }
+                _ => {
+                    let end = (i..b.len())
+                        .find(|&j| !(b[j].is_ascii_alphanumeric() || b"+-.".contains(&b[j])))
+                        .unwrap_or(b.len());
+                    let word = std::str::from_utf8(&b[i..end]).ok()?;
+                    (matches!(word, "true" | "false" | "null") || word.parse::<f64>().is_ok())
+                        .then_some(end)
+                }
+            }
+        }
+        let b = text.as_bytes();
+        value(b, 0).is_some_and(|end| ws(b, end) == b.len())
+    }
+
+    #[test]
+    fn validator_rejects_raw_control_characters() {
+        assert!(is_valid_json("{\"a\": [1, 2.5e3, \"x\\ty\", null]}"));
+        assert!(!is_valid_json("{\"a\": \"x\ty\"}"));
+        assert!(!is_valid_json("{\"a\": \"x\ny\"}"));
+        assert!(!is_valid_json("{\"a\" 1}"));
+    }
+
+    /// Tabs and newlines in the echoed graph, scheme and stream strings
+    /// must come out escaped, so `--json` stays parseable.
+    #[test]
+    fn json_report_escapes_control_characters() {
+        let graph = "random?n=64&deg=4\t";
+        let built = GraphSpec::parse("random?n=64&deg=4").unwrap().build();
+        let instance = SchemeSpec::parse("landmark")
+            .unwrap()
+            .build(&built.graph, &built.hints)
+            .unwrap();
+        let plan = WorkloadSpec::parse("uniform?messages=500")
+            .unwrap()
+            .compile(64);
+        let stats = serve(
+            GraphView::full(&built.graph),
+            &*instance.routing,
+            &plan,
+            &ServeConfig::batched(),
+        )
+        .unwrap();
+        let args = Args {
+            graph: graph.to_string(),
+            scheme: "landmark\n".to_string(),
+            workload: None,
+            queries: None,
+            batch: 0,
+            threads: 0,
+            hop_limit: 0,
+            compare: false,
+            per_message: false,
+            json: Some("-".to_string()),
+        };
+        let json = render_json(&args, "queries:a\tb\nc", 64, 0.0, &[stats]);
+        assert!(is_valid_json(&json), "{json}");
+        assert!(json.contains("\"random?n=64&deg=4\\t\""), "{json}");
+        assert!(json.contains("\"landmark\\n\""), "{json}");
+    }
 }
