@@ -1,12 +1,10 @@
-//! Serving-path bench: the lock-step batch kernel against the per-message
-//! baseline, as the `routeserve` front door runs them.
+//! Serving-path bench: the `routeserve` front door's msgs/s per scheme.
 //!
 //! Criterion-style timings on a moderate graph, plus a hand-timed snapshot
 //! written to `BENCH_serve.json` in the workspace root: for every scheme
 //! that scales to large graphs (tree, landmark, e-cube, dimension-order),
-//! per-message and batched msgs/s over the same uniform query stream at
-//! `n = 4096`, the speedup ratio, and one landmark point at `n = 131072`
-//! where table-per-node schemes cannot even build.  A second list sweeps
+//! msgs/s over a uniform query stream at `n = 4096`, and one landmark point
+//! at `n = 131072` where table-per-node schemes cannot even build.  A second list sweeps
 //! the landmark scheme over graph families at one thread (see
 //! [`landmark_family_sweep`]).
 
@@ -29,48 +27,31 @@ fn uniform_plan(n: usize, messages: u64) -> WorkloadPlan {
     Workload::Uniform { messages, seed: 1 }.compile(n)
 }
 
-fn bench_kernels(c: &mut Criterion) {
+fn bench_serve(c: &mut Criterion) {
     let n = 1024usize;
     let g = serve_graph(n);
     let inst = SchemeSpec::default_for(SchemeKind::SpanningTree)
         .build(&g, &GraphHints::none())
         .unwrap();
     let plan = uniform_plan(n, 50_000);
+    let cfg = ServeConfig::batched();
     let mut group = c.benchmark_group("routeserve/uniform-50k-tree");
-    for (name, cfg) in [
-        ("per-message", ServeConfig::per_message()),
-        ("batched", ServeConfig::batched()),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, n), &(), |b, ()| {
-            b.iter(|| {
-                serve(GraphView::full(&g), &*inst.routing, &plan, &cfg)
-                    .unwrap()
-                    .outcomes
-                    .delivered
-            });
+    group.bench_with_input(BenchmarkId::new("serve", n), &(), |b, ()| {
+        b.iter(|| {
+            serve(GraphView::full(&g), &*inst.routing, &plan, &cfg)
+                .unwrap()
+                .outcomes
+                .delivered
         });
-    }
+    });
     group.finish();
 }
 
-/// One snapshot entry: both kernels over the same stream.
+/// One snapshot entry: one scheme served over one uniform stream.
 struct Entry {
     name: String,
     n: usize,
-    messages: u64,
-    per_message: ServeStats,
-    batched: ServeStats,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        let base = self.per_message.messages_per_sec();
-        if base > 0.0 {
-            self.batched.messages_per_sec() / base
-        } else {
-            0.0
-        }
-    }
+    stats: ServeStats,
 }
 
 fn run_entry(
@@ -83,16 +64,14 @@ fn run_entry(
     let inst = spec.build(g, hints).expect("scheme builds");
     let n = g.num_nodes();
     let plan = uniform_plan(n, messages);
-    let view = GraphView::full(g);
-    let per_message = serve(view, &*inst.routing, &plan, &ServeConfig::per_message()).unwrap();
-    let batched = serve(view, &*inst.routing, &plan, &ServeConfig::batched()).unwrap();
-    Entry {
-        name,
-        n,
-        messages: plan.messages(),
-        per_message,
-        batched,
-    }
+    let stats = serve(
+        GraphView::full(g),
+        &*inst.routing,
+        &plan,
+        &ServeConfig::batched(),
+    )
+    .unwrap();
+    Entry { name, n, stats }
 }
 
 /// Graph families of the landmark sweep, as `GraphSpec` strings.
@@ -107,7 +86,7 @@ const SWEEP_GRAPHS: [&str; 5] = [
 /// Queries per sweep point.
 const SWEEP_MESSAGES: u64 = 200_000;
 
-/// Batched landmark serving on one thread across graph families.  A hop's
+/// Landmark serving on one thread across graph families.  A hop's
 /// cluster lookup starts from an interpolation guess, which assumes a
 /// cluster's member ids spread evenly over their range.  Preferential
 /// attachment (id = arrival order, so low ids are the hubs), power-law
@@ -142,7 +121,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     let mut entries = Vec::new();
 
     // Every scheme the registry marks as scaling to large graphs, at the
-    // n = 4096 acceptance point (>= 10^6 msgs/s batched), each on the graph
+    // n = 4096 acceptance point (>= 10^6 msgs/s), each on the graph
     // family it is defined for.  Tree-interval routing serves from a
     // balanced tree: on a random graph its DFS spanning tree is hundreds of
     // levels deep, and hop count — not kernel cost — caps msgs/s there.
@@ -204,28 +183,24 @@ fn bench_snapshot(_c: &mut Criterion) {
         json.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"n\": {}, \"messages\": {}, ",
-                "\"per_message_msgs_per_sec\": {:.0}, \"batched_msgs_per_sec\": {:.0}, ",
-                "\"speedup\": {:.3}, \"delivery_rate\": {:.6}, ",
-                "\"batched_p50_us\": {:.2}, \"batched_p99_us\": {:.2}}}{}\n"
+                "\"msgs_per_sec\": {:.0}, \"delivery_rate\": {:.6}, ",
+                "\"chunk_p50_us\": {:.2}, \"chunk_p99_us\": {:.2}}}{}\n"
             ),
             e.name,
             e.n,
-            e.messages,
-            e.per_message.messages_per_sec(),
-            e.batched.messages_per_sec(),
-            e.speedup(),
-            e.batched.delivery_rate(),
-            e.batched.p50_us,
-            e.batched.p99_us,
+            e.stats.outcomes.attempted(),
+            e.stats.messages_per_sec(),
+            e.stats.delivery_rate(),
+            e.stats.chunk_p50_us,
+            e.stats.chunk_p99_us,
             if i + 1 == entries.len() { "" } else { "," }
         ));
         println!(
-            "snapshot: {:<28} n={:<7} {:>10.0} msgs/s per-message  {:>10.0} msgs/s batched  ({:.2}x)",
+            "snapshot: {:<28} n={:<7} {:>10.0} msgs/s  delivery {:.4}",
             e.name,
             e.n,
-            e.per_message.messages_per_sec(),
-            e.batched.messages_per_sec(),
-            e.speedup()
+            e.stats.messages_per_sec(),
+            e.stats.delivery_rate()
         );
     }
     json.push_str("  ],\n  \"landmark_families\": [\n");
@@ -268,6 +243,6 @@ fn bench_snapshot(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_kernels, bench_snapshot
+    targets = bench_serve, bench_snapshot
 }
 criterion_main!(benches);

@@ -45,8 +45,9 @@ pub trait RoutingFunction: std::any::Any {
     /// In-place variant of [`RoutingFunction::init`]: writes `I(u, v)` into a
     /// caller-owned header whose payload capacity is reused across messages.
     /// The default delegates to `init`; schemes override it to make header
-    /// encoding allocation-free in batched sweeps.  Overrides must produce a
-    /// header equal to `init(source, dest)`.
+    /// encoding allocation-free in the routing loop
+    /// ([`crate::simulate::walk`]).  Overrides must produce a header equal to
+    /// `init(source, dest)`.
     fn init_into(&self, source: NodeId, dest: NodeId, header: &mut Header) {
         *header = self.init(source, dest);
     }
@@ -206,5 +207,34 @@ mod tests {
         let h = Header::with_data(2, vec![4]);
         assert_eq!(d.next_header(0, &h), h);
         assert_eq!(d.name(), "unnamed routing function");
+    }
+
+    #[test]
+    fn in_place_header_defaults_agree_with_the_allocating_pair() {
+        struct Rewriter;
+        impl RoutingFunction for Rewriter {
+            fn init(&self, source: NodeId, dest: NodeId) -> Header {
+                Header::with_data(dest, vec![source as u64])
+            }
+            fn port(&self, node: NodeId, h: &Header) -> Action {
+                if node == h.dest {
+                    Action::Deliver
+                } else {
+                    Action::Forward(0)
+                }
+            }
+            fn next_header(&self, node: NodeId, h: &Header) -> Header {
+                let mut data = h.data.clone();
+                data.push(node as u64);
+                Header::with_data(h.dest, data)
+            }
+        }
+        let r = Rewriter;
+        let mut h = Header::to_dest(99);
+        r.init_into(3, 7, &mut h);
+        assert_eq!(h, r.init(3, 7));
+        let expected = r.next_header(4, &h);
+        r.next_header_into(4, &mut h);
+        assert_eq!(h, expected);
     }
 }

@@ -40,6 +40,12 @@ impl Header {
     pub fn size_bits(&self) -> u64 {
         64 + 64 * self.data.len() as u64
     }
+
+    /// Bytes held by this header buffer, inline part plus payload capacity
+    /// (for peak-memory accounting of a reused routing header).
+    pub fn bytes(&self) -> u64 {
+        (std::mem::size_of::<Header>() + self.data.capacity() * 8) as u64
+    }
 }
 
 #[cfg(test)]

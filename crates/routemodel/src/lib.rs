@@ -13,13 +13,13 @@
 //!
 //! Derived quantities provided by this crate:
 //!
-//! * [`simulate::route`] runs `R` on a source/destination pair and returns the
-//!   routing path (or a routing error: loop, wrong delivery, dead end);
-//!   [`simulate::route_block_into`] is the batched, allocation-free variant
-//!   that drives one source to many destinations (the entry point of the
-//!   `trafficlab` sharded workload engine), and [`batch::route_batch_into`]
-//!   the lock-step batch kernel that retires the per-hop header clone while
-//!   staying bit-identical to the per-message path;
+//! * [`simulate::walk`] is the one routing loop: it routes one message with a
+//!   caller-owned header rewritten in place, returns its
+//!   [`DeliveryOutcome`] and hop count, and records the path only when asked
+//!   to — the stretch sweeps, the `trafficlab` workload engine and the
+//!   `routeserve` server all route through it, allocation-free once warm;
+//!   [`simulate::route`] is its strict form, returning the routing path (or
+//!   a routing error: loop, wrong delivery, dead end) for one pair;
 //! * [`stretch`] computes the **stretch factor**
 //!   `s(R, G) = max_{x≠y} d_R(x, y) / d_G(x, y)` — dense sweeps here, and a
 //!   public [`StretchAccumulator`] so block-streamed engines can reproduce
@@ -40,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod coding;
 pub mod error;
 pub mod function;
@@ -51,14 +50,11 @@ pub mod simulate;
 pub mod stretch;
 pub mod table;
 
-pub use batch::{route_batch_into, BatchScratch};
 pub use error::RoutingError;
 pub use function::{Action, RoutingFunction};
 pub use header::Header;
 pub use memory::{MemoryReport, PortMap};
-pub use simulate::{
-    default_hop_limit, route, route_block_into, route_with_limit_into, DeliveryOutcome, RouteTrace,
-};
+pub use simulate::{default_hop_limit, route, walk, DeliveryOutcome, RouteTrace};
 pub use stretch::{
     stretch_factor, stretch_factor_with_threads, stretch_over_pairs, stretch_sampled,
     stretch_sampled_with_threads, verify_stretch, StretchAccumulator, StretchReport,

@@ -1,15 +1,14 @@
 //! Executing a routing function on a graph.
 //!
-//! [`route`] replays the paper's definition step by step: start with the
-//! header `I(u, v)`, repeatedly apply the port function `P` and the header
-//! function `H`, and record the traversed path.  A hop budget (default
-//! `4 n + 16`, scaled by the caller when needed) guards against
-//! non-terminating routing functions, which are reported as
-//! [`RoutingError::Loop`].
-//!
-//! Sweep loops (all-pairs stretch, route-length matrices) should use
-//! [`route_with_limit_into`], which records the trace into a caller-owned
-//! [`RouteTrace`] buffer so that routing `n²` pairs costs zero allocations
+//! [`walk`] is the one routing loop: it replays the paper's definition for
+//! one message — start with the header `I(u, v)`, repeatedly apply the port
+//! function `P` and the header function `H` — rewriting a caller-owned
+//! [`Header`] in place, and records the path into a [`RouteTrace`] only when
+//! the caller asks for one.  A hop budget (default `4 n + 16`, scaled by the
+//! caller when needed) guards against non-terminating routing functions.
+//! [`route`] is its strict, trace-recording form for one pair; the stretch
+//! sweeps, the `trafficlab` engine and the `routeserve` server call [`walk`]
+//! directly with warm buffers, so routing `n²` pairs costs zero allocations
 //! per pair.
 //!
 //! Every entry point accepts anything convertible to a [`GraphView`]: a
@@ -21,6 +20,7 @@
 
 use crate::error::RoutingError;
 use crate::function::{Action, RoutingFunction};
+use crate::header::Header;
 use graphkit::{Graph, GraphView, NodeId, Port};
 
 /// The fate of one routed message.
@@ -109,9 +109,14 @@ pub struct RouteTrace {
 }
 
 impl RouteTrace {
-    /// An empty trace buffer, ready to be passed to [`route_with_limit_into`].
+    /// An empty trace buffer, ready to be passed to [`walk`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes currently held (for peak-memory accounting).
+    pub fn bytes(&self) -> u64 {
+        ((self.path.capacity() + self.ports.capacity()) * std::mem::size_of::<usize>()) as u64
     }
 
     /// Number of edges traversed.
@@ -137,69 +142,52 @@ pub fn default_hop_limit(n: usize) -> usize {
     4 * n + 16
 }
 
-/// Simulates routing one message from `source` to `dest` under `r`, in
-/// strict mode: any non-delivery is returned as the matching
-/// [`RoutingError`].  `source == dest` yields an empty trace without
-/// consulting the routing function.
-pub fn route<'a, R: RoutingFunction + ?Sized>(
-    g: impl Into<GraphView<'a>>,
-    r: &R,
-    source: NodeId,
-    dest: NodeId,
-) -> Result<RouteTrace, RoutingError> {
-    let g = g.into();
-    route_with_limit(g, r, source, dest, default_hop_limit(g.num_nodes()))
-}
-
-/// Like [`route`], with an explicit hop budget.
-pub fn route_with_limit<'a, R: RoutingFunction + ?Sized>(
-    g: impl Into<GraphView<'a>>,
-    r: &R,
-    source: NodeId,
-    dest: NodeId,
-    hop_limit: usize,
-) -> Result<RouteTrace, RoutingError> {
-    let mut trace = RouteTrace::new();
-    match route_with_limit_into(g, r, source, dest, hop_limit, &mut trace)?.into_error(source, dest)
-    {
-        None => Ok(trace),
-        Some(e) => Err(e),
-    }
-}
-
-/// Like [`route_with_limit`], but recording into a caller-provided trace
-/// buffer whose capacity is reused across calls — the allocation-free
-/// workhorse behind the stretch sweeps.
+/// Routes one message from `source` to `dest` under `r`: the crate's one
+/// routing loop, behind every sweep, engine and server.
 ///
-/// The buffer is cleared first.  The returned [`DeliveryOutcome`] tells the
-/// message's fate; on a non-delivered outcome the buffer holds the partial
-/// trace walked so far.  The only `Err` is a model violation
-/// ([`RoutingError::PortOutOfRange`]) — loops, wrong deliveries and dead
-/// links are outcomes, so degraded-network sweeps keep going.
-pub fn route_with_limit_into<'a, R: RoutingFunction + ?Sized>(
+/// The header `I(source, dest)` is encoded once into the caller-owned
+/// `header` with [`RoutingFunction::init_into`], then `P` decides each hop
+/// and `H` rewrites the header in place with
+/// [`RoutingFunction::next_header_into`], so a warm caller allocates nothing
+/// per message.  When `trace` is given it is cleared and receives the
+/// visited vertices and ports taken; on a non-delivered outcome it holds the
+/// partial walk.  `source == dest` is delivered over zero hops without
+/// consulting the routing function.
+///
+/// Returns the message's fate and the hops walked.  The only `Err` is a
+/// model violation ([`RoutingError::PortOutOfRange`]): loops, wrong
+/// deliveries and dead links are outcomes, so degraded-network sweeps keep
+/// going.
+pub fn walk<'a, R: RoutingFunction + ?Sized>(
     g: impl Into<GraphView<'a>>,
     r: &R,
     source: NodeId,
     dest: NodeId,
     hop_limit: usize,
-    trace: &mut RouteTrace,
-) -> Result<DeliveryOutcome, RoutingError> {
+    header: &mut Header,
+    mut trace: Option<&mut RouteTrace>,
+) -> Result<(DeliveryOutcome, usize), RoutingError> {
     let g = g.into();
-    trace.path.clear();
-    trace.ports.clear();
-    trace.path.push(source);
-    if source == dest {
-        return Ok(DeliveryOutcome::Delivered);
+    if let Some(t) = trace.as_deref_mut() {
+        t.path.clear();
+        t.ports.clear();
+        t.path.push(source);
     }
+    if source == dest {
+        return Ok((DeliveryOutcome::Delivered, 0));
+    }
+    r.init_into(source, dest, header);
     let mut node = source;
-    let mut header = r.init(source, dest);
+    let mut hops = 0usize;
     loop {
-        match r.port(node, &header) {
+        match r.port(node, header) {
             Action::Deliver => {
-                if node == dest {
-                    return Ok(DeliveryOutcome::Delivered);
-                }
-                return Ok(DeliveryOutcome::WrongDelivery { delivered_at: node });
+                let outcome = if node == dest {
+                    DeliveryOutcome::Delivered
+                } else {
+                    DeliveryOutcome::WrongDelivery { delivered_at: node }
+                };
+                return Ok((outcome, hops));
             }
             Action::Forward(p) => {
                 let deg = g.degree(node);
@@ -211,55 +199,59 @@ pub fn route_with_limit_into<'a, R: RoutingFunction + ?Sized>(
                     });
                 }
                 let Some(next) = g.live_target(node, p) else {
-                    return Ok(DeliveryOutcome::LinkDown { at: node, port: p });
+                    return Ok((DeliveryOutcome::LinkDown { at: node, port: p }, hops));
                 };
-                header = r.next_header(node, &header);
+                r.next_header_into(node, header);
+                if let Some(t) = trace.as_deref_mut() {
+                    t.path.push(next);
+                    t.ports.push(p);
+                }
                 node = next;
-                trace.path.push(node);
-                trace.ports.push(p);
-                if trace.ports.len() > hop_limit {
-                    return Ok(DeliveryOutcome::HopLimit {
-                        hops: trace.ports.len(),
-                    });
+                hops += 1;
+                if hops > hop_limit {
+                    return Ok((DeliveryOutcome::HopLimit { hops }, hops));
                 }
             }
         }
     }
 }
 
-/// Routes one source to a **batch** of destinations, invoking `on_route` with
-/// each completed trace — the batched entry point behind the sharded
-/// workload engine (`trafficlab`).
-///
-/// Destinations equal to `source` are skipped (a message to yourself routes
-/// over zero edges and carries no information).  The trace buffer is reused
-/// across the whole batch, so the batch performs zero allocations once `buf`
-/// has warmed up.  Every destination is attempted: the callback receives the
-/// per-message [`DeliveryOutcome`] and the batch only aborts on a model
-/// violation ([`RoutingError::PortOutOfRange`]), so one looping or dropped
-/// message no longer poisons the rest of the block.
-///
-/// The callback receives the destination, the trace (borrowed — copy out
-/// what you need; the next iteration overwrites it) and the outcome.
-pub fn route_block_into<'a, R: RoutingFunction + ?Sized>(
+/// Simulates routing one message from `source` to `dest` under `r`, in
+/// strict mode: the trace of a delivered message, or the [`RoutingError`]
+/// matching any non-delivery.  `source == dest` yields an empty trace without
+/// consulting the routing function.
+pub fn route<'a, R: RoutingFunction + ?Sized>(
     g: impl Into<GraphView<'a>>,
     r: &R,
     source: NodeId,
-    dests: &[u32],
-    hop_limit: usize,
-    buf: &mut RouteTrace,
-    mut on_route: impl FnMut(NodeId, &RouteTrace, DeliveryOutcome),
-) -> Result<(), RoutingError> {
+    dest: NodeId,
+) -> Result<RouteTrace, RoutingError> {
     let g = g.into();
-    for &t in dests {
-        let t = t as usize;
-        if t == source {
-            continue;
-        }
-        let outcome = route_with_limit_into(g, r, source, t, hop_limit, buf)?;
-        on_route(t, buf, outcome);
+    let mut trace = RouteTrace::new();
+    let mut header = Header::to_dest(dest);
+    let limit = default_hop_limit(g.num_nodes());
+    let (outcome, _) = walk(g, r, source, dest, limit, &mut header, Some(&mut trace))?;
+    match outcome.into_error(source, dest) {
+        None => Ok(trace),
+        Some(e) => Err(e),
     }
-    Ok(())
+}
+
+/// Strict-mode hop count of one message, for the sweeps that only need route
+/// lengths: any non-delivery becomes the matching [`RoutingError`].
+pub(crate) fn strict_hops<R: RoutingFunction + ?Sized>(
+    g: &Graph,
+    r: &R,
+    source: NodeId,
+    dest: NodeId,
+    hop_limit: usize,
+    header: &mut Header,
+) -> Result<u32, RoutingError> {
+    let (outcome, hops) = walk(g, r, source, dest, hop_limit, header, None)?;
+    match outcome.into_error(source, dest) {
+        None => Ok(hops as u32),
+        Some(e) => Err(e),
+    }
 }
 
 /// Routes every ordered pair of distinct vertices and returns the matrix of
@@ -270,17 +262,12 @@ pub fn all_pairs_route_lengths<R: RoutingFunction + ?Sized>(
 ) -> Result<Vec<Vec<u32>>, RoutingError> {
     let n = g.num_nodes();
     let limit = default_hop_limit(n);
-    let mut trace = RouteTrace::new();
+    let mut header = Header::to_dest(0);
     let mut out = vec![vec![0u32; n]; n];
     for s in 0..n {
         for t in 0..n {
             if s != t {
-                if let Some(e) =
-                    route_with_limit_into(g, r, s, t, limit, &mut trace)?.into_error(s, t)
-                {
-                    return Err(e);
-                }
-                out[s][t] = trace.len() as u32;
+                out[s][t] = strict_hops(g, r, s, t, limit, &mut header)?;
             }
         }
     }
@@ -307,8 +294,7 @@ pub fn first_port<R: RoutingFunction + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::{dest_address_routing, Action};
-    use crate::header::Header;
+    use crate::function::dest_address_routing;
     use graphkit::generators;
 
     /// Greedy clockwise routing on a cycle: always take port toward the
@@ -360,13 +346,19 @@ mod tests {
     fn reused_trace_buffer_matches_fresh_routes() {
         let (g, r) = clockwise_on_cycle(9);
         let limit = default_hop_limit(9);
+        let mut header = Header::to_dest(0);
         let mut buf = RouteTrace::new();
         for s in 0..9usize {
             for t in 0..9usize {
-                let outcome = route_with_limit_into(&g, &r, s, t, limit, &mut buf).unwrap();
+                let (outcome, hops) =
+                    walk(&g, &r, s, t, limit, &mut header, Some(&mut buf)).unwrap();
                 assert!(outcome.is_delivered());
                 let fresh = route(&g, &r, s, t).unwrap();
                 assert_eq!(buf, fresh, "pair ({s},{t})");
+                assert_eq!(hops, fresh.len(), "pair ({s},{t})");
+                // Without a trace the walk reports the same fate and length.
+                let traceless = walk(&g, &r, s, t, limit, &mut header, None).unwrap();
+                assert_eq!(traceless, (outcome, hops), "pair ({s},{t})");
             }
         }
     }
@@ -414,75 +406,32 @@ mod tests {
             }) => {}
             other => panic!("expected port error, got {other:?}"),
         }
+        // A port that does not exist is a defect of the routing function,
+        // not a property of the run: the kernel errors, trace or no trace.
+        let mut header = Header::to_dest(0);
+        let err = walk(&g, &r, 0, 2, default_hop_limit(3), &mut header, None).unwrap_err();
+        assert!(matches!(err, RoutingError::PortOutOfRange { port: 5, .. }));
     }
 
     #[test]
-    fn route_block_matches_individual_routes() {
-        let (g, r) = clockwise_on_cycle(8);
-        let limit = default_hop_limit(8);
-        let mut buf = RouteTrace::new();
-        let dests: Vec<u32> = vec![3, 0, 5, 7, 1]; // includes the source itself
-        let mut seen = Vec::new();
-        route_block_into(&g, &r, 3, &dests, limit, &mut buf, |t, trace, outcome| {
-            assert!(outcome.is_delivered());
-            seen.push((t, trace.len()));
-        })
-        .unwrap();
-        // Destination 3 == source is skipped; the rest arrive in batch order.
-        let expected: Vec<(usize, usize)> = [0usize, 5, 7, 1]
-            .iter()
-            .map(|&t| (t, route(&g, &r, 3, t).unwrap().len()))
-            .collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn route_block_reports_outcomes_without_aborting() {
-        // A looping function no longer poisons the batch: every destination
-        // is attempted and reported with its own outcome.
+    fn hop_limit_is_an_outcome_not_an_abort() {
+        // A looping function exhausts the budget on the hop that exceeds it,
+        // with or without a trace, and the strict API turns that into a loop
+        // error.
         let g = generators::cycle(6);
         let r = dest_address_routing("loopy", |_node, _h: &Header| Action::Forward(0));
+        let mut header = Header::to_dest(0);
         let mut buf = RouteTrace::new();
-        let mut outcomes = Vec::new();
-        route_block_into(
-            &g,
-            &r,
-            0,
-            &[1, 2],
-            default_hop_limit(6),
-            &mut buf,
-            |t, _, outcome| outcomes.push((t, outcome)),
-        )
-        .unwrap();
-        assert_eq!(outcomes.len(), 2);
-        for &(t, outcome) in &outcomes {
-            assert!(
-                matches!(outcome, DeliveryOutcome::HopLimit { hops } if hops > 0),
-                "destination {t}: {outcome:?}"
+        for limit in [1usize, 2, 7, 24] {
+            let traced = walk(&g, &r, 0, 2, limit, &mut header, Some(&mut buf)).unwrap();
+            assert_eq!(
+                traced,
+                (DeliveryOutcome::HopLimit { hops: limit + 1 }, limit + 1)
             );
+            assert_eq!(buf.len(), limit + 1, "partial trace up to the budget");
+            let traceless = walk(&g, &r, 0, 2, limit, &mut header, None).unwrap();
+            assert_eq!(traceless, traced, "limit {limit}");
         }
-    }
-
-    #[test]
-    fn route_block_still_aborts_on_model_violations() {
-        // A port that does not exist is a defect of the routing function, not
-        // a property of the run: it stays a hard error.
-        let g = generators::path(3);
-        let r = dest_address_routing("bad-port", |_node, _h: &Header| Action::Forward(5));
-        let mut buf = RouteTrace::new();
-        let mut calls = 0usize;
-        let err = route_block_into(
-            &g,
-            &r,
-            0,
-            &[1, 2],
-            default_hop_limit(3),
-            &mut buf,
-            |_, _, _| calls += 1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RoutingError::PortOutOfRange { port: 5, .. }));
-        assert_eq!(calls, 0);
     }
 
     #[test]
@@ -494,11 +443,13 @@ mod tests {
         let (g, r) = clockwise_on_cycle(6);
         let f = FailureSet::from_edges(&g, &[(2, 3)]);
         let view = GraphView::masked(&g, &f);
+        let mut header = Header::to_dest(0);
         let mut buf = RouteTrace::new();
-        let outcome =
-            route_with_limit_into(view, &r, 0, 3, default_hop_limit(6), &mut buf).unwrap();
+        let limit = default_hop_limit(6);
+        let (outcome, hops) = walk(view, &r, 0, 3, limit, &mut header, Some(&mut buf)).unwrap();
         let p = g.port_to(2, 3).unwrap();
         assert_eq!(outcome, DeliveryOutcome::LinkDown { at: 2, port: p });
+        assert_eq!(hops, 2);
         assert_eq!(buf.path, vec![0, 1, 2], "partial trace up to the drop");
         // Strict mode translates the same run into a typed error.
         match route(view, &r, 0, 3) {
@@ -545,9 +496,12 @@ mod tests {
     #[test]
     fn custom_hop_limit_respected() {
         let (g, r) = clockwise_on_cycle(10);
-        // 0 -> 9 clockwise needs 9 hops; a limit of 3 must trigger the loop error.
-        match route_with_limit(&g, &r, 0, 9, 3) {
-            Err(RoutingError::Loop { hops, .. }) => assert!(hops > 3),
+        // 0 -> 9 clockwise needs 9 hops; a limit of 3 must end the walk as
+        // a hop-limit outcome, which strict mode reports as a loop.
+        let mut header = Header::to_dest(0);
+        let (outcome, _) = walk(&g, &r, 0, 9, 3, &mut header, None).unwrap();
+        match outcome.into_error(0, 9) {
+            Some(RoutingError::Loop { hops, .. }) => assert!(hops > 3),
             other => panic!("expected loop error, got {other:?}"),
         }
     }

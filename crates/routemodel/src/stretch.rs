@@ -11,8 +11,9 @@
 //!
 //! [`stretch_factor`] routes all `n (n − 1)` ordered pairs, fanning the
 //! source vertices out over the available cores with `std::thread::scope`
-//! (mirroring `graphkit::distance`).  Every worker reuses one [`RouteTrace`]
-//! buffer, so the sweep allocates nothing per pair.  Per-source partial
+//! (mirroring `graphkit::distance`).  Every worker routes through
+//! [`crate::simulate::walk`] with one reused [`Header`], so the sweep
+//! allocates nothing per pair.  Per-source partial
 //! results are folded **in source order**, so the report — `max`, the
 //! argmax pair, the running `f64` average, everything — is bit-identical
 //! regardless of the worker count; [`stretch_factor_with_threads`] pins the
@@ -28,7 +29,8 @@
 
 use crate::error::RoutingError;
 use crate::function::RoutingFunction;
-use crate::simulate::{default_hop_limit, route_with_limit_into, RouteTrace};
+use crate::header::Header;
+use crate::simulate::{default_hop_limit, strict_hops};
 use graphkit::{DistanceMatrix, Graph, NodeId};
 
 /// Summary of the stretch behaviour of a routing function.
@@ -129,7 +131,7 @@ fn accumulate_source<R: RoutingFunction + ?Sized>(
     r: &R,
     s: NodeId,
     hop_limit: usize,
-    buf: &mut RouteTrace,
+    header: &mut Header,
 ) -> Result<StretchAccumulator, RoutingError> {
     let mut acc = StretchAccumulator::default();
     for t in 0..g.num_nodes() {
@@ -138,10 +140,8 @@ fn accumulate_source<R: RoutingFunction + ?Sized>(
         }
         // Strict mode: a pristine-graph sweep treats any non-delivery as the
         // matching routing error.
-        if let Some(e) = route_with_limit_into(g, r, s, t, hop_limit, buf)?.into_error(s, t) {
-            return Err(e);
-        }
-        acc.record(s, t, buf.len() as u32, dm.dist(s, t));
+        let len = strict_hops(g, r, s, t, hop_limit, header)?;
+        acc.record(s, t, len, dm.dist(s, t));
     }
     Ok(acc)
 }
@@ -193,9 +193,9 @@ pub fn stretch_factor_with_threads<R: RoutingFunction + Sync + ?Sized>(
     let threads = threads.clamp(1, n.max(1));
     let mut partials: Vec<Option<Result<StretchAccumulator, RoutingError>>> = Vec::new();
     if threads == 1 {
-        let mut buf = RouteTrace::new();
+        let mut header = Header::to_dest(0);
         for s in 0..n {
-            partials.push(Some(accumulate_source(g, dm, r, s, hop_limit, &mut buf)));
+            partials.push(Some(accumulate_source(g, dm, r, s, hop_limit, &mut header)));
         }
     } else {
         partials.resize_with(n, || None);
@@ -204,9 +204,16 @@ pub fn stretch_factor_with_threads<R: RoutingFunction + Sync + ?Sized>(
             for (t, block) in partials.chunks_mut(chunk).enumerate() {
                 let start = t * chunk;
                 scope.spawn(move || {
-                    let mut buf = RouteTrace::new();
+                    let mut header = Header::to_dest(0);
                     for (i, slot) in block.iter_mut().enumerate() {
-                        *slot = Some(accumulate_source(g, dm, r, start + i, hop_limit, &mut buf));
+                        *slot = Some(accumulate_source(
+                            g,
+                            dm,
+                            r,
+                            start + i,
+                            hop_limit,
+                            &mut header,
+                        ));
                     }
                 });
             }
@@ -256,16 +263,14 @@ pub fn stretch_sampled_with_threads<R: RoutingFunction + Sync + ?Sized>(
     let n = g.num_nodes();
     let pairs = sampled_pairs(n, k, seed);
     let hop_limit = default_hop_limit(n);
-    let accumulate_block = |block: &[(NodeId, NodeId)], buf: &mut RouteTrace| {
+    let accumulate_block = |block: &[(NodeId, NodeId)], header: &mut Header| {
         let mut acc = StretchAccumulator::default();
         for &(s, t) in block {
             if s == t || !dm.reachable(s, t) {
                 continue;
             }
-            if let Some(e) = route_with_limit_into(g, r, s, t, hop_limit, buf)?.into_error(s, t) {
-                return Err(e);
-            }
-            acc.record(s, t, buf.len() as u32, dm.dist(s, t));
+            let len = strict_hops(g, r, s, t, hop_limit, header)?;
+            acc.record(s, t, len, dm.dist(s, t));
         }
         Ok(acc)
     };
@@ -274,9 +279,9 @@ pub fn stretch_sampled_with_threads<R: RoutingFunction + Sync + ?Sized>(
     let threads = threads.clamp(1, blocks.len().max(1));
     let mut partials: Vec<Option<Result<StretchAccumulator, RoutingError>>> = Vec::new();
     if threads == 1 {
-        let mut buf = RouteTrace::new();
+        let mut header = Header::to_dest(0);
         for block in &blocks {
-            partials.push(Some(accumulate_block(block, &mut buf)));
+            partials.push(Some(accumulate_block(block, &mut header)));
         }
     } else {
         partials.resize_with(blocks.len(), || None);
@@ -288,9 +293,9 @@ pub fn stretch_sampled_with_threads<R: RoutingFunction + Sync + ?Sized>(
                 .zip(blocks.chunks(per_worker))
             {
                 scope.spawn(move || {
-                    let mut buf = RouteTrace::new();
+                    let mut header = Header::to_dest(0);
                     for (slot, block) in slots.iter_mut().zip(worker_blocks) {
-                        *slot = Some(accumulate_block(block, &mut buf));
+                        *slot = Some(accumulate_block(block, &mut header));
                     }
                 });
             }
@@ -308,16 +313,14 @@ pub fn stretch_over_pairs<R: RoutingFunction + ?Sized>(
     pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
 ) -> Result<StretchReport, RoutingError> {
     let hop_limit = default_hop_limit(g.num_nodes());
-    let mut buf = RouteTrace::new();
+    let mut header = Header::to_dest(0);
     let mut acc = StretchAccumulator::default();
     for (s, t) in pairs {
         if s == t || !dm.reachable(s, t) {
             continue;
         }
-        if let Some(e) = route_with_limit_into(g, r, s, t, hop_limit, &mut buf)?.into_error(s, t) {
-            return Err(e);
-        }
-        acc.record(s, t, buf.len() as u32, dm.dist(s, t));
+        let len = strict_hops(g, r, s, t, hop_limit, &mut header)?;
+        acc.record(s, t, len, dm.dist(s, t));
     }
     Ok(acc.into_report())
 }
@@ -331,18 +334,13 @@ pub fn verify_stretch<R: RoutingFunction + ?Sized>(
     bound: f64,
 ) -> Result<(), RoutingError> {
     let hop_limit = default_hop_limit(g.num_nodes());
-    let mut buf = RouteTrace::new();
+    let mut header = Header::to_dest(0);
     for s in 0..g.num_nodes() {
         for t in 0..g.num_nodes() {
             if s == t || !dm.reachable(s, t) {
                 continue;
             }
-            if let Some(e) =
-                route_with_limit_into(g, r, s, t, hop_limit, &mut buf)?.into_error(s, t)
-            {
-                return Err(e);
-            }
-            let len = buf.len() as u32;
+            let len = strict_hops(g, r, s, t, hop_limit, &mut header)?;
             let d = dm.dist(s, t);
             if f64::from(len) > bound * f64::from(d) + 1e-9 {
                 return Err(RoutingError::StretchExceeded {

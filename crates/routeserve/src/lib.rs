@@ -12,65 +12,71 @@
 //! * [`serve`] drives a compiled [`WorkloadPlan`] (an explicit query stream
 //!   or a synthetic `WorkloadSpec` load) through a scheme's routing function
 //!   and reports [`ServeStats`]: sustained msgs/s, delivery-outcome buckets
-//!   and batch-latency percentiles.  No BFS, no stretch — the serving path
-//!   measures the *scheme*, not the graph.
-//! * [`ServeMode`] selects the kernel: [`ServeMode::PerMessage`] walks each
-//!   query to completion via `route_with_limit_into` (the baseline the paper
-//!   model defines), [`ServeMode::Batched`] advances whole batches in
-//!   lock-step via [`routemodel::route_batch_into`] — identical outcomes
-//!   (see `tests/batch_identity.rs` at the workspace root for the
-//!   bit-identity matrix), amortized header encoding and sorted table
-//!   accesses.
+//!   and chunk wall-time percentiles.  No BFS, no stretch — the serving path
+//!   measures the *scheme*, not the graph.  Every query runs through
+//!   [`routemodel::walk`], the model's one routing loop, without a trace.
 //! * [`parse_queries`] reads the `src dst` line format accepted on
 //!   stdin/file by the `routeserve` binary.
 //!
 //! Work is sharded across `std::thread::scope` workers in chunks of at most
-//! `batch` same-source queries; each worker owns one scratch
-//! ([`routemodel::BatchScratch`] or a `RouteTrace`) so a warmed-up worker
-//! routes with zero allocations per message in batched mode.  Outcome
-//! counters merge by integer addition, so the counts are independent of
-//! thread count and chunk scheduling; wall-clock numbers (`secs`,
-//! percentiles) are measurements and vary run to run.
+//! `batch` same-source queries; each worker owns one reused
+//! [`routemodel::Header`], so a warmed-up worker routes with zero
+//! allocations per message.  Outcome counters merge by integer addition, so
+//! the counts are independent of chunk size, thread count and chunk
+//! scheduling; wall-clock numbers (`secs`, percentiles) are measurements
+//! and vary run to run.
 
 #![forbid(unsafe_code)]
 
 use graphkit::GraphView;
-use routemodel::{
-    route_batch_into, route_with_limit_into, BatchScratch, RouteTrace, RoutingError,
-    RoutingFunction,
-};
+use routemodel::{walk, Header, RoutingError, RoutingFunction};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use trafficlab::{OutcomeCounts, SourceDests, WorkloadPlan};
 
-/// Which routing kernel answers the queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One query at a time through `route_with_limit_into` — the reference
-    /// per-message loop.
-    PerMessage,
-    /// Lock-step batches through [`route_batch_into`].
-    Batched,
+/// Why a serving run could not complete.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServeError {
+    /// The plan was compiled for a graph with a different vertex count.
+    PlanMismatch {
+        /// Vertex count the plan was compiled for.
+        plan_nodes: usize,
+        /// Vertex count of the graph being served.
+        graph_nodes: usize,
+    },
+    /// A routing-model violation (`RoutingError::PortOutOfRange`).
+    Routing(RoutingError),
 }
 
-impl ServeMode {
-    /// Stable name used in tables and JSON.
-    pub fn name(&self) -> &'static str {
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeMode::PerMessage => "per-message",
-            ServeMode::Batched => "batched",
+            ServeError::PlanMismatch {
+                plan_nodes,
+                graph_nodes,
+            } => write!(
+                f,
+                "plan compiled for {plan_nodes} nodes, graph has {graph_nodes}"
+            ),
+            ServeError::Routing(e) => write!(f, "routing-model violation: {e}"),
         }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<RoutingError> for ServeError {
+    fn from(e: RoutingError) -> Self {
+        ServeError::Routing(e)
     }
 }
 
 /// Knobs of one serving run.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Kernel selection.
-    pub mode: ServeMode,
-    /// Maximum queries per chunk (and per batch-kernel call); `0` uses 4096.
-    /// Both modes chunk identically so their latency samples are comparable.
+    /// Maximum same-source queries per chunk (the unit of work sharing and
+    /// of the wall-time samples); `0` uses 4096.
     pub batch: usize,
     /// Worker count; `0` uses `std::thread::available_parallelism`.
     pub threads: usize,
@@ -79,21 +85,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Batched serving with all defaults.
+    /// The default configuration: every knob at `0`, meaning its default.
     pub fn batched() -> Self {
         ServeConfig {
-            mode: ServeMode::Batched,
             batch: 0,
             threads: 0,
             hop_limit: 0,
-        }
-    }
-
-    /// Per-message serving with all defaults.
-    pub fn per_message() -> Self {
-        ServeConfig {
-            mode: ServeMode::PerMessage,
-            ..Self::batched()
         }
     }
 
@@ -128,9 +125,7 @@ impl ServeConfig {
 /// What one serving run measured.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
-    /// The kernel that ran.
-    pub mode: ServeMode,
-    /// Effective chunk/batch size.
+    /// Effective chunk size.
     pub batch: usize,
     /// Effective worker count.
     pub threads: usize,
@@ -140,14 +135,14 @@ pub struct ServeStats {
     pub outcomes: OutcomeCounts,
     /// Wall-clock seconds of the routing phase.
     pub secs: f64,
-    /// Query latency percentiles in microseconds.  A query's latency is the
-    /// wall time of the chunk it rode in (queries in a chunk complete
-    /// together), weighted by chunk size.
-    pub p50_us: f64,
+    /// Chunk wall-time percentiles in microseconds: the wall time of a whole
+    /// chunk of up to `batch` queries, weighted by the queries it carried.
+    /// This is not the latency of one query.
+    pub chunk_p50_us: f64,
     /// 90th percentile, same definition.
-    pub p90_us: f64,
+    pub chunk_p90_us: f64,
     /// 99th percentile, same definition.
-    pub p99_us: f64,
+    pub chunk_p99_us: f64,
 }
 
 impl ServeStats {
@@ -176,27 +171,29 @@ struct Chunk {
 }
 
 /// What each worker folds into the shared accumulator: outcome counts,
-/// `(chunk wall-time µs, messages)` latency samples, and the first routing
-/// error (if any).
+/// `(chunk wall-time µs, messages)` samples, and the first routing error
+/// (if any).
 type WorkerMerge = (OutcomeCounts, Vec<(f64, u64)>, Option<RoutingError>);
 
 /// Serves every query of `plan` through `r` over `g` and reports what was
-/// measured.  Outcome counts are identical for both [`ServeMode`]s and any
-/// thread count; the only error is a routing-model violation
-/// (`RoutingError::PortOutOfRange`), reported from whichever chunk hit it.
+/// measured.  Outcome counts are identical for any chunk size and thread
+/// count.  Errors: a plan compiled for another vertex count
+/// ([`ServeError::PlanMismatch`], checked before any work), or a
+/// routing-model violation (`RoutingError::PortOutOfRange`), reported from
+/// whichever chunk hit it.
 pub fn serve(
     g: GraphView<'_>,
     r: &(dyn RoutingFunction + Send + Sync),
     plan: &WorkloadPlan,
     cfg: &ServeConfig,
-) -> Result<ServeStats, RoutingError> {
+) -> Result<ServeStats, ServeError> {
     let n = g.num_nodes();
-    assert_eq!(
-        plan.num_nodes(),
-        n,
-        "plan compiled for {} nodes, graph has {n}",
-        plan.num_nodes()
-    );
+    if plan.num_nodes() != n {
+        return Err(ServeError::PlanMismatch {
+            plan_nodes: plan.num_nodes(),
+            graph_nodes: n,
+        });
+    }
     let batch = cfg.effective_batch();
     let hop_limit = cfg.effective_hop_limit(n);
 
@@ -228,11 +225,9 @@ pub fn serve(
         for _ in 0..threads {
             scope.spawn(|| {
                 let mut outcomes = OutcomeCounts::default();
-                // (chunk wall-time µs, messages in chunk) latency samples.
+                // (chunk wall-time µs, messages in chunk) samples.
                 let mut samples: Vec<(f64, u64)> = Vec::new();
-                let mut batch_scratch = BatchScratch::new();
-                let mut trace = RouteTrace::new();
-                let mut dest_buf: Vec<u32> = Vec::new();
+                let mut header = Header::to_dest(0);
                 let mut failure: Option<RoutingError> = None;
 
                 loop {
@@ -240,53 +235,22 @@ pub fn serve(
                     let Some(chunk) = chunks.get(i) else { break };
                     let s = chunk.source as usize;
                     let (start, count) = (chunk.start as usize, chunk.count as usize);
-                    let dests: &[u32] = match plan.dests(s) {
-                        SourceDests::List(list) => &list[start..start + count],
-                        SourceDests::AllOthers => {
-                            // Destinations of `s` are 0..n with `s` skipped.
-                            dest_buf.clear();
-                            dest_buf.extend((start..start + count).map(|i| {
-                                if i < s {
-                                    i as u32
-                                } else {
-                                    i as u32 + 1
-                                }
-                            }));
-                            &dest_buf
-                        }
+                    let mut route_one = |t: usize| -> Result<(), RoutingError> {
+                        let (outcome, _) = walk(g, r, s, t, hop_limit, &mut header, None)?;
+                        outcomes.record(outcome);
+                        Ok(())
                     };
 
                     let t = Instant::now();
-                    let result = match cfg.mode {
-                        ServeMode::Batched => route_batch_into(
-                            g,
-                            r,
-                            s,
-                            dests,
-                            hop_limit,
-                            &mut batch_scratch,
-                            false,
-                            |_, _, outcome| outcomes.record(outcome),
-                            |_, _| {},
-                        ),
-                        ServeMode::PerMessage => {
-                            let mut out = Ok(());
-                            for &t in dests {
-                                if t as usize == s {
-                                    continue;
-                                }
-                                match route_with_limit_into(
-                                    g, r, s, t as usize, hop_limit, &mut trace,
-                                ) {
-                                    Ok(outcome) => outcomes.record(outcome),
-                                    Err(e) => {
-                                        out = Err(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            out
-                        }
+                    let result = match plan.dests(s) {
+                        SourceDests::List(list) => list[start..start + count]
+                            .iter()
+                            .filter(|&&t| t as usize != s)
+                            .try_for_each(|&t| route_one(t as usize)),
+                        // Destinations of `s` are 0..n with `s` skipped.
+                        SourceDests::AllOthers => (start..start + count)
+                            .map(|i| if i < s { i } else { i + 1 })
+                            .try_for_each(route_one),
                     };
                     let elapsed_us = t.elapsed().as_secs_f64() * 1e6;
                     samples.push((elapsed_us, count as u64));
@@ -309,23 +273,17 @@ pub fn serve(
 
     let (outcomes, mut samples, failure) = merged.into_inner().unwrap();
     if let Some(e) = failure {
-        return Err(e);
+        return Err(e.into());
     }
-    let (p50_us, p90_us, p99_us) = (
-        weighted_percentile(&mut samples, 0.50),
-        weighted_percentile(&mut samples, 0.90),
-        weighted_percentile(&mut samples, 0.99),
-    );
     Ok(ServeStats {
-        mode: cfg.mode,
         batch,
         threads,
         hop_limit,
         outcomes,
         secs,
-        p50_us,
-        p90_us,
-        p99_us,
+        chunk_p50_us: weighted_percentile(&mut samples, 0.50),
+        chunk_p90_us: weighted_percentile(&mut samples, 0.90),
+        chunk_p99_us: weighted_percentile(&mut samples, 0.99),
     })
 }
 
@@ -398,10 +356,10 @@ mod tests {
         WorkloadSpec::Uniform { messages, seed }.compile(n)
     }
 
-    /// Both kernels must bucket every query identically, for any chunk size
-    /// and thread count, on full and failure-masked views.
+    /// Every chunk size and thread count must bucket every query
+    /// identically, on full and failure-masked views.
     #[test]
-    fn kernels_agree_on_outcome_counts() {
+    fn outcome_counts_are_chunk_and_thread_invariant() {
         let g = generators::random_connected(192, 6.0 / 192.0, 0xBEEF);
         let plan = plan_uniform(192, 4000, 7);
         let failures = FailureSet::sample(&g, 0.1, 0xF411);
@@ -413,33 +371,53 @@ mod tests {
             let inst = spec.build(&g, &GraphHints::none()).unwrap();
             for view in [GraphView::full(&g), GraphView::masked(&g, &failures)] {
                 let mut counts = Vec::new();
-                for (mode, batch, threads) in [
-                    (ServeMode::PerMessage, 0, 1),
-                    (ServeMode::Batched, 1, 1),
-                    (ServeMode::Batched, 64, 1),
-                    (ServeMode::Batched, 0, 4),
-                    (ServeMode::PerMessage, 256, 4),
-                ] {
-                    let cfg = ServeConfig {
-                        mode,
-                        batch,
-                        threads,
-                        hop_limit: 0,
-                    };
-                    let stats = serve(view, &*inst.routing, &plan, &cfg).unwrap();
-                    assert_eq!(stats.outcomes.attempted(), plan.messages());
-                    counts.push(stats.outcomes);
+                for batch in [0usize, 1, 7, 64, 4096] {
+                    for threads in [1usize, 2, 4] {
+                        let cfg = ServeConfig {
+                            batch,
+                            threads,
+                            hop_limit: 0,
+                        };
+                        let stats = serve(view, &*inst.routing, &plan, &cfg).unwrap();
+                        assert_eq!(stats.outcomes.attempted(), plan.messages());
+                        counts.push(((batch, threads), stats.outcomes));
+                    }
                 }
-                for c in &counts[1..] {
+                for (cfg, c) in &counts[1..] {
                     assert_eq!(
                         c,
-                        &counts[0],
-                        "{} outcome counts diverged across kernels",
+                        &counts[0].1,
+                        "{}: outcome counts at (batch, threads) = {cfg:?} diverged",
                         spec.spec_string()
                     );
                 }
             }
         }
+    }
+
+    /// A plan compiled for another graph is a typed error, not a panic.
+    #[test]
+    fn mismatched_plan_is_a_typed_error() {
+        let g = generators::cycle(8);
+        let inst = SchemeSpec::default_for(SchemeKind::SpanningTree)
+            .build(&g, &GraphHints::none())
+            .unwrap();
+        let plan = plan_uniform(9, 10, 1);
+        let err = serve(
+            GraphView::full(&g),
+            &*inst.routing,
+            &plan,
+            &ServeConfig::batched(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::PlanMismatch {
+                plan_nodes: 9,
+                graph_nodes: 8
+            }
+        );
+        assert_eq!(err.to_string(), "plan compiled for 9 nodes, graph has 8");
     }
 
     /// The all-pairs plan exercises the `AllOthers` destination
@@ -459,7 +437,9 @@ mod tests {
         assert_eq!(stats.outcomes.delivered, 64 * 63);
         assert_eq!(stats.delivery_rate(), 1.0);
         assert!(stats.messages_per_sec() > 0.0);
-        assert!(stats.p50_us <= stats.p90_us && stats.p90_us <= stats.p99_us);
+        assert!(
+            stats.chunk_p50_us <= stats.chunk_p90_us && stats.chunk_p90_us <= stats.chunk_p99_us
+        );
     }
 
     #[test]
@@ -479,7 +459,7 @@ mod tests {
         assert_eq!(stats.outcomes.attempted(), 0);
         assert_eq!(stats.delivery_rate(), 1.0);
         assert_eq!(stats.messages_per_sec(), 0.0);
-        assert_eq!(stats.p99_us, 0.0);
+        assert_eq!(stats.chunk_p99_us, 0.0);
     }
 
     #[test]

@@ -3,24 +3,17 @@
 //! ```text
 //! routeserve --graph <spec> --scheme <spec>
 //!            [--workload <spec> | --queries <path|->]
-//!            [--batch B] [--threads T] [--hop-limit H]
-//!            [--compare] [--per-message] [--json path|-]
+//!            [--batch B] [--threads T] [--hop-limit H] [--json path|-]
 //! ```
 //!
 //! Builds the scheme from its `SchemeSpec` string on the graph of the
 //! `GraphSpec` string, then serves the query stream: either a synthetic
 //! `WorkloadSpec` load (`--workload uniform?messages=1e6`) or explicit
 //! `src dst` lines from a file or stdin (`--queries -`).  Reports sustained
-//! msgs/s, delivery buckets and chunk-latency percentiles as a table, and as
-//! JSON with `--json` (`'-'` moves the table to stderr so stdout stays
-//! parseable).
-//!
-//! `--compare` runs the per-message baseline and the lock-step batch kernel
-//! over the same stream and prints both rows plus the speedup ratio; CI
-//! gates on that JSON (delivery 1.0, batched >= per-message).  Exit status
-//! is non-zero on spec/build/IO errors, on a routing-model violation, and —
-//! under `--compare` — when the batched kernel fails to at least match the
-//! baseline.
+//! msgs/s, delivery buckets and chunk wall-time percentiles as a table, and
+//! as JSON with `--json` (`'-'` moves the table to stderr so stdout stays
+//! parseable).  Exit status is non-zero on spec/build/IO errors and on a
+//! routing-model violation.
 
 // Binaries are the console front door; printing is their contract.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -28,7 +21,7 @@
 use graphkit::GraphView;
 use routemodel::DeliveryOutcome;
 use routeschemes::spec::{vocabulary, SchemeSpec};
-use routeserve::{parse_queries, serve, ServeConfig, ServeMode, ServeStats};
+use routeserve::{parse_queries, serve, ServeConfig, ServeStats};
 use std::io::Read;
 use std::process::ExitCode;
 use trafficlab::{json_escape, GraphSpec, WorkloadPlan, WorkloadSpec};
@@ -37,8 +30,7 @@ fn usage() {
     eprintln!(
         "usage: routeserve --graph <spec> --scheme <spec> \
          [--workload <spec> | --queries <path|->] \
-         [--batch B] [--threads T] [--hop-limit H] \
-         [--compare] [--per-message] [--json path|-]"
+         [--batch B] [--threads T] [--hop-limit H] [--json path|-]"
     );
     eprintln!("spec vocabularies:");
     eprintln!("{}", vocabulary());
@@ -54,8 +46,6 @@ struct Args {
     batch: usize,
     threads: usize,
     hop_limit: usize,
-    compare: bool,
-    per_message: bool,
     json: Option<String>,
 }
 
@@ -68,8 +58,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         batch: 0,
         threads: 0,
         hop_limit: 0,
-        compare: false,
-        per_message: false,
         json: None,
     };
     let mut i = 0;
@@ -102,8 +90,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--hop-limit needs an integer".to_string())?;
             }
-            "--compare" => args.compare = true,
-            "--per-message" => args.per_message = true,
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
@@ -113,9 +99,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.workload.is_some() && args.queries.is_some() {
         return Err("--workload and --queries are mutually exclusive".to_string());
-    }
-    if args.compare && args.per_message {
-        return Err("--compare already runs the per-message baseline".to_string());
     }
     Ok(args)
 }
@@ -218,51 +201,34 @@ fn main() -> ExitCode {
         build_secs
     );
 
-    let modes: &[ServeMode] = if args.compare {
-        &[ServeMode::PerMessage, ServeMode::Batched]
-    } else if args.per_message {
-        &[ServeMode::PerMessage]
-    } else {
-        &[ServeMode::Batched]
+    let cfg = ServeConfig {
+        batch: args.batch,
+        threads: args.threads,
+        hop_limit: args.hop_limit,
+    };
+    let stats = match serve(
+        GraphView::full(&built.graph),
+        &*instance.routing,
+        &plan,
+        &cfg,
+    ) {
+        Ok(stats) => stats,
+        Err(e) => {
+            eprintln!("cannot serve: {e}");
+            return ExitCode::FAILURE;
+        }
     };
 
-    let view = GraphView::full(&built.graph);
-    let mut runs: Vec<ServeStats> = Vec::new();
-    for &mode in modes {
-        let cfg = ServeConfig {
-            mode,
-            batch: args.batch,
-            threads: args.threads,
-            hop_limit: args.hop_limit,
-        };
-        match serve(view, &*instance.routing, &plan, &cfg) {
-            Ok(stats) => runs.push(stats),
-            Err(e) => {
-                eprintln!("routing-model violation in {} mode: {e}", mode.name());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let table = render_table(&runs);
+    let table = render_table(&stats);
     let json_to_stdout = args.json.as_deref() == Some("-");
     if json_to_stdout {
         eprintln!("{table}");
     } else {
         println!("{table}");
     }
-    if args.compare {
-        let speedup = speedup_ratio(&runs);
-        let line = format!("batched/per-message speedup: {speedup:.2}x");
-        if json_to_stdout {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    }
 
     if let Some(path) = &args.json {
-        let json = render_json(&args, &stream_label, n, build_secs, &runs);
+        let json = render_json(&args, &stream_label, n, build_secs, &stats);
         if json_to_stdout {
             println!("{json}");
         } else if let Err(e) = std::fs::write(path, &json) {
@@ -273,52 +239,30 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.compare && speedup_ratio(&runs) < 1.0 {
-        eprintln!("FAILURE: batched kernel slower than the per-message baseline");
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }
 
-fn speedup_ratio(runs: &[ServeStats]) -> f64 {
-    let per = runs
-        .iter()
-        .find(|r| r.mode == ServeMode::PerMessage)
-        .map(|r| r.messages_per_sec())
-        .unwrap_or(0.0);
-    let batched = runs
-        .iter()
-        .find(|r| r.mode == ServeMode::Batched)
-        .map(|r| r.messages_per_sec())
-        .unwrap_or(0.0);
-    if per > 0.0 {
-        batched / per
-    } else {
-        0.0
-    }
-}
-
-fn render_table(runs: &[ServeStats]) -> String {
-    let mut out = format!(
-        "{:<12} {:>7} {:>3} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9}\n",
-        "mode", "batch", "thr", "messages", "msgs/s", "delivery", "p50_us", "p90_us", "p99_us"
-    );
-    for r in runs {
-        out.push_str(&format!(
-            "{:<12} {:>7} {:>3} {:>10} {:>12.0} {:>9.4} {:>9.1} {:>9.1} {:>9.1}\n",
-            r.mode.name(),
-            r.batch,
-            r.threads,
-            r.outcomes.attempted(),
-            r.messages_per_sec(),
-            r.delivery_rate(),
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-        ));
-    }
-    out.pop();
-    out
+fn render_table(r: &ServeStats) -> String {
+    format!(
+        "{:>7} {:>3} {:>10} {:>12} {:>9} {:>12} {:>12} {:>12}\n\
+         {:>7} {:>3} {:>10} {:>12.0} {:>9.4} {:>12.1} {:>12.1} {:>12.1}",
+        "batch",
+        "thr",
+        "messages",
+        "msgs/s",
+        "delivery",
+        "chunk_p50_us",
+        "chunk_p90_us",
+        "chunk_p99_us",
+        r.batch,
+        r.threads,
+        r.outcomes.attempted(),
+        r.messages_per_sec(),
+        r.delivery_rate(),
+        r.chunk_p50_us,
+        r.chunk_p90_us,
+        r.chunk_p99_us,
+    )
 }
 
 fn render_json(
@@ -326,7 +270,7 @@ fn render_json(
     stream_label: &str,
     n: usize,
     build_secs: f64,
-    runs: &[ServeStats],
+    r: &ServeStats,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"graph\": \"{}\",\n", json_escape(&args.graph)));
@@ -340,53 +284,38 @@ fn render_json(
     ));
     out.push_str(&format!("  \"n\": {n},\n"));
     out.push_str(&format!("  \"build_secs\": {build_secs:.6},\n"));
-    if runs.len() == 2 {
-        out.push_str(&format!("  \"speedup\": {:.6},\n", speedup_ratio(runs)));
-    }
-    out.push_str("  \"modes\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"mode\": \"{}\",\n", r.mode.name()));
-        out.push_str(&format!("      \"batch\": {},\n", r.batch));
-        out.push_str(&format!("      \"threads\": {},\n", r.threads));
-        out.push_str(&format!("      \"hop_limit\": {},\n", r.hop_limit));
-        out.push_str(&format!(
-            "      \"messages\": {},\n",
-            r.outcomes.attempted()
-        ));
-        // Outcome keys come from the model's code vocabulary, not string
-        // literals, so they cannot drift from `DeliveryOutcome::code()`.
-        out.push_str("      \"outcomes\": {");
-        for (j, code) in DeliveryOutcome::ALL_CODES.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let count = r
-                .outcomes
-                .by_code(code)
-                .expect("every model code has a bucket");
-            out.push_str(&format!("\"{code}\": {count}"));
+    out.push_str("  \"run\": {\n");
+    out.push_str(&format!("    \"batch\": {},\n", r.batch));
+    out.push_str(&format!("    \"threads\": {},\n", r.threads));
+    out.push_str(&format!("    \"hop_limit\": {},\n", r.hop_limit));
+    out.push_str(&format!("    \"messages\": {},\n", r.outcomes.attempted()));
+    // Outcome keys come from the model's code vocabulary, not string
+    // literals, so they cannot drift from `DeliveryOutcome::code()`.
+    out.push_str("    \"outcomes\": {");
+    for (j, code) in DeliveryOutcome::ALL_CODES.iter().enumerate() {
+        if j > 0 {
+            out.push_str(", ");
         }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "      \"delivery_rate\": {:.6},\n",
-            r.delivery_rate()
-        ));
-        out.push_str(&format!("      \"secs\": {:.6},\n", r.secs));
-        out.push_str(&format!(
-            "      \"msgs_per_sec\": {:.1},\n",
-            r.messages_per_sec()
-        ));
-        out.push_str(&format!("      \"p50_us\": {:.2},\n", r.p50_us));
-        out.push_str(&format!("      \"p90_us\": {:.2},\n", r.p90_us));
-        out.push_str(&format!("      \"p99_us\": {:.2}\n", r.p99_us));
-        out.push_str(if i + 1 == runs.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        let count = r
+            .outcomes
+            .by_code(code)
+            .expect("every model code has a bucket");
+        out.push_str(&format!("\"{code}\": {count}"));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("},\n");
+    out.push_str(&format!(
+        "    \"delivery_rate\": {:.6},\n",
+        r.delivery_rate()
+    ));
+    out.push_str(&format!("    \"secs\": {:.6},\n", r.secs));
+    out.push_str(&format!(
+        "    \"msgs_per_sec\": {:.1},\n",
+        r.messages_per_sec()
+    ));
+    out.push_str(&format!("    \"chunk_p50_us\": {:.2},\n", r.chunk_p50_us));
+    out.push_str(&format!("    \"chunk_p90_us\": {:.2},\n", r.chunk_p90_us));
+    out.push_str(&format!("    \"chunk_p99_us\": {:.2}\n", r.chunk_p99_us));
+    out.push_str("  }\n}\n");
     out
 }
 
@@ -498,11 +427,9 @@ mod tests {
             batch: 0,
             threads: 0,
             hop_limit: 0,
-            compare: false,
-            per_message: false,
             json: Some("-".to_string()),
         };
-        let json = render_json(&args, "queries:a\tb\nc", 64, 0.0, &[stats]);
+        let json = render_json(&args, "queries:a\tb\nc", 64, 0.0, &stats);
         assert!(is_valid_json(&json), "{json}");
         assert!(json.contains("\"random?n=64&deg=4\\t\""), "{json}");
         assert!(json.contains("\"landmark\\n\""), "{json}");

@@ -8,10 +8,12 @@
 //!    block);
 //! 2. blocks are handed out to `std::thread::scope` workers in contiguous
 //!    chunks; every worker owns one [`BfsScratch`], one reusable
-//!    [`DistanceBlock`] of block-local BFS rows, one [`BatchScratch`] for the
-//!    lock-step batch kernel and its own metric counters — after warm-up the
-//!    inner loop performs **zero allocations per message**, and peak memory
-//!    is `O(workers · block_rows · n)` instead of the dense matrix's `n²`;
+//!    [`DistanceBlock`] of block-local BFS rows, one [`Header`] and one
+//!    [`RouteTrace`] for the routing loop [`routemodel::walk`] (the trace
+//!    only when congestion is tracked) and its own metric counters — after
+//!    warm-up the inner loop performs **zero allocations per message**, and
+//!    peak memory is `O(workers · block_rows · n)` instead of the dense
+//!    matrix's `n²`;
 //! 3. stretch is accumulated into **one [`StretchAccumulator`] per source**
 //!    and the per-source partials are folded in source order, so for the
 //!    all-pairs workload the resulting [`StretchReport`] is **bit-identical**
@@ -27,8 +29,8 @@ use crate::metrics::{CongestionCounters, CongestionReport, LengthHistogram};
 use crate::workload::{SourceDests, WorkloadPlan};
 use graphkit::{BfsScratch, DistanceBlock, GraphView, INFINITY};
 use routemodel::{
-    default_hop_limit, route_batch_into, BatchScratch, DeliveryOutcome, RoutingError,
-    RoutingFunction, StretchAccumulator, StretchReport,
+    default_hop_limit, walk, DeliveryOutcome, Header, RouteTrace, RoutingError, RoutingFunction,
+    StretchAccumulator, StretchReport,
 };
 use std::time::Instant;
 
@@ -165,8 +167,8 @@ pub struct WorkloadReport {
     /// Blocks whose BFS rows fit the narrow `u8` representation.
     pub narrow_blocks: usize,
     /// Peak-memory proxy: bytes of the workload plan plus, per worker, the
-    /// largest distance block, the batch-routing scratch, the metric
-    /// counters and the BFS scratch.  This is what replaces the dense
+    /// largest distance block, the routing header and trace buffers, the
+    /// metric counters and the BFS scratch.  This is what replaces the dense
     /// matrix's `4 n²` bytes.
     pub peak_tracked_bytes: u64,
     /// Wall-clock seconds the engine spent on this run (block BFS plus
@@ -380,8 +382,8 @@ fn run_blocks<R: RoutingFunction + Sync + ?Sized>(
     let n = view.num_nodes();
     let mut scratch = BfsScratch::with_capacity(n);
     let mut rows = DistanceBlock::new();
-    let mut batch = BatchScratch::new();
-    let mut routable: Vec<u32> = Vec::new();
+    let mut header = Header::to_dest(0);
+    let mut trace = RouteTrace::new();
     let mut out = WorkerOut {
         congestion: cfg
             .track_congestion
@@ -402,71 +404,47 @@ fn run_blocks<R: RoutingFunction + Sync + ?Sized>(
         for rank in b.rank_lo..b.rank_hi {
             let s = active[rank] as usize;
             let row = rows.row(s);
-            // Keep only reachable destinations, preserving plan order (the
-            // dense sweep skips the same pairs at the same positions).
-            routable.clear();
-            match plan.dests(s) {
-                SourceDests::AllOthers => {
-                    for t in 0..n {
-                        if t == s {
-                            continue;
-                        }
-                        if row.dist(t) == INFINITY {
-                            out.skipped += 1;
-                        } else {
-                            routable.push(t as u32);
-                        }
-                    }
-                }
-                SourceDests::List(list) => {
-                    for &t in list {
-                        if t as usize == s {
-                            continue;
-                        }
-                        if row.dist(t as usize) == INFINITY {
-                            out.skipped += 1;
-                        } else {
-                            routable.push(t);
-                        }
-                    }
-                }
-            }
             let mut acc = StretchAccumulator::new();
-            let lengths = &mut out.lengths;
-            let congestion = &mut out.congestion;
-            let outcomes = &mut out.outcomes;
-            let result = route_batch_into(
-                view,
-                r,
-                s,
-                &routable,
-                hop_limit,
-                &mut batch,
-                congestion.is_some(),
-                |t, hops, outcome| {
-                    outcomes.record(outcome);
-                    // Metrics cover delivered messages only: a dropped
-                    // message has no meaningful length or stretch, and its
-                    // partial trace would skew the congestion picture.
-                    if !outcome.is_delivered() {
-                        return;
+            // Destinations are routed in plan order, skipping the pairs the
+            // dense sweep skips at the same positions, so the order-sensitive
+            // f64 stretch fold matches it bit for bit.
+            let mut route_one = |t: usize| -> Result<(), RoutingError> {
+                if t == s {
+                    return Ok(());
+                }
+                let dist = row.dist(t);
+                if dist == INFINITY {
+                    out.skipped += 1;
+                    return Ok(());
+                }
+                let tracked = out.congestion.is_some().then_some(&mut trace);
+                let (outcome, hops) = walk(view, r, s, t, hop_limit, &mut header, tracked)?;
+                out.outcomes.record(outcome);
+                // Metrics cover delivered messages only: a dropped message
+                // has no meaningful length or stretch, and its partial trace
+                // would skew the congestion picture.
+                if outcome.is_delivered() {
+                    acc.record(s, t, hops as u32, dist);
+                    out.lengths.record(hops);
+                    if let Some(c) = &mut out.congestion {
+                        for (&u, &p) in trace.path.iter().zip(&trace.ports) {
+                            c.record_hop(u, p);
+                        }
                     }
-                    acc.record(s, t, hops, row.dist(t));
-                    lengths.record(hops as usize);
-                },
-                |u, p| {
-                    if let Some(c) = congestion {
-                        c.record_hop(u, p);
-                    }
-                },
-            );
+                }
+                Ok(())
+            };
+            let result = match plan.dests(s) {
+                SourceDests::AllOthers => (0..n).try_for_each(&mut route_one),
+                SourceDests::List(list) => list.iter().try_for_each(|&t| route_one(t as usize)),
+            };
             slots[slot_idx] = Some(result.map(|()| acc));
             slot_idx += 1;
         }
     }
-    // The batch scratch lives for the worker's whole run; fold it into the
-    // same per-worker peak term as the largest distance block.
-    out.max_block_bytes += batch.bytes();
+    // The routing buffers live for the worker's whole run; fold them into
+    // the same per-worker peak term as the largest distance block.
+    out.max_block_bytes += header.bytes() + trace.bytes();
     out
 }
 

@@ -23,9 +23,11 @@
 //!   `all-pairs`, `uniform`, `zipf?messages=1e6&s=1.2`, `permutations`,
 //!   `broadcast`, `sampled-sources`, the adversarial `bisection` /
 //!   `worstperm` patterns, and the Theorem 1 `constrained-probes`;
-//! * [`engine`] — the batched parallel executor and its [`WorkloadReport`];
-//!   it routes over a `graphkit::GraphView` (dead links masked), bucketing
-//!   per-message fates in [`engine::OutcomeCounts`] instead of aborting;
+//! * [`engine`] — the parallel executor and its [`WorkloadReport`]; it
+//!   routes each message through `routemodel::walk`, the model's one
+//!   routing loop, over a `graphkit::GraphView` (dead links masked),
+//!   bucketing per-message fates in [`engine::OutcomeCounts`] instead of
+//!   aborting;
 //! * [`churn`] — the failure/repair axis ([`ChurnSpec`]): round-structured
 //!   fail → measure degraded → repair → measure recovered execution, the
 //!   resilience rows of a scenario report;

@@ -1,9 +1,10 @@
 //! Allocation discipline, pinned by a counting global allocator.
 //!
-//! The workload engine and the static checker both promise *warm* hot loops
-//! that never touch the heap: `route_batch_into` reuses its `BatchScratch`
-//! across batches, and `Checker::check_dest` reuses its epoch-stamped arrays
-//! across destinations.  Those promises are load-bearing — the throughput
+//! The routing kernel and the static checker both promise *warm* hot loops
+//! that never touch the heap: `routemodel::walk` rewrites one reused header
+//! in place (and, when a trace is asked for, one reused `RouteTrace`), and
+//! `Checker::check_dest` reuses its epoch-stamped arrays across
+//! destinations.  Those promises are load-bearing — the throughput
 //! and sweep numbers in CI assume them — so this test counts every
 //! `alloc`/`realloc` crossing the global allocator and fails if a warm
 //! iteration performs even one.
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphkit::{generators, GraphView};
 use routecheck::Checker;
-use routemodel::{default_hop_limit, route_batch_into, BatchScratch};
+use routemodel::{default_hop_limit, walk, Header, RouteTrace};
 use routeschemes::{GraphHints, SchemeKind};
 
 /// Pass-through to the system allocator that counts every allocation.
@@ -64,49 +65,41 @@ fn warm_hot_loops_do_not_allocate() {
         .expect("table scheme builds on any connected graph");
     let r = &*inst.routing;
 
-    // --- route_batch_into: zero allocations per message once warm -------
-    let dests: Vec<u32> = (0..n as u32).collect();
+    // --- walk: zero allocations per message once warm, with and without
+    // a trace (the engine's congestion path and the serving path) ----------
     let hop_limit = default_hop_limit(n);
-    let mut scratch = BatchScratch::new();
+    let mut header = Header::to_dest(0);
+    let mut trace = RouteTrace::new();
     let mut sink = 0u64;
-    let run_batch = |scratch: &mut BatchScratch, sink: &mut u64, source: usize| {
-        route_batch_into(
-            view,
-            r,
-            source,
-            &dests,
-            hop_limit,
-            scratch,
-            true,
-            |_, hops, outcome| {
-                assert!(outcome.is_delivered(), "table routing must deliver");
-                *sink += u64::from(hops);
-            },
-            |node, port| {
-                std::hint::black_box((node, port));
-            },
-        )
-        .expect("batch routing cannot fail on a live view");
+    let mut run_source = |source: usize, traced: bool, sink: &mut u64| {
+        for t in (0..n).filter(|&t| t != source) {
+            let tr = traced.then_some(&mut trace);
+            let (outcome, hops) = walk(view, r, source, t, hop_limit, &mut header, tr)
+                .expect("routing cannot fail on a live view");
+            assert!(outcome.is_delivered(), "table routing must deliver");
+            *sink += hops as u64;
+        }
     };
 
-    // Warm-up: buffers (headers, cursors, hop log) grow to steady state.
-    for s in 0..8 {
-        run_batch(&mut scratch, &mut sink, s);
+    for traced in [true, false] {
+        // Warm-up: the header payload and the trace grow to steady state.
+        for s in 0..8 {
+            run_source(s, traced, &mut sink);
+        }
+        let before = allocations();
+        let mut messages = 0u64;
+        for s in 8..40 {
+            run_source(s, traced, &mut sink);
+            messages += (n - 1) as u64;
+        }
+        let walk_allocs = allocations() - before;
+        assert!(messages > 8_000, "the measured window must be non-trivial");
+        assert_eq!(
+            walk_allocs, 0,
+            "warm walk (trace: {traced}) allocated {walk_allocs} times across \
+             {messages} messages; the steady state must be allocation-free"
+        );
     }
-
-    let before = allocations();
-    let mut messages = 0u64;
-    for s in 8..40 {
-        run_batch(&mut scratch, &mut sink, s);
-        messages += (n - 1) as u64;
-    }
-    let batch_allocs = allocations() - before;
-    assert!(messages > 8_000, "the measured window must be non-trivial");
-    assert_eq!(
-        batch_allocs, 0,
-        "warm route_batch_into allocated {batch_allocs} times across \
-         {messages} messages; the steady state must be allocation-free"
-    );
 
     // --- Checker::check_dest: zero allocations per destination once warm
     let mut checker = Checker::new();
