@@ -1,129 +1,24 @@
-//! CSR pipeline bench: the tentpole measurement of the graph-core rewrite.
-//!
-//! Times the two hot paths every table/figure/bench in this repository rests
-//! on — all-pairs BFS distances and the exact/sampled stretch sweep — under
-//! two implementations:
-//!
-//! * **naive**: a faithful reimplementation of the pre-CSR pipeline —
-//!   pointer-chasing `Vec<Vec<usize>>` adjacency, one fresh
-//!   `VecDeque`/`Vec` allocation set per BFS source, an up-front
-//!   `Vec` of all `n (n − 1)` ordered pairs, and a freshly allocated route
-//!   trace per routed pair;
-//! * **csr**: the current `graphkit`/`routemodel` pipeline (flat CSR slices,
-//!   reusable BFS scratch, per-worker route buffers).
+//! CSR pipeline bench: all-pairs BFS distances and the exact/sampled stretch
+//! sweep, the two hot paths every table/figure/bench in this repository
+//! rests on.  Both run on `graphkit::par::map_fold_ordered` at
+//! `graphkit::par::default_threads` workers: flat CSR slices, one reusable
+//! BFS scratch and routing header per worker, results folded in source
+//! order.
 //!
 //! Besides the criterion-style console output, running this bench writes a
-//! machine-readable snapshot to `BENCH_csr.json` in the workspace root so the
-//! speedups are tracked over time.  The headline figure is the combined
-//! "all-pairs distances + exact stretch" pipeline at n = 1024, which must
-//! stay ≥ 2× faster than the naive baseline.
+//! machine-readable snapshot to `BENCH_csr.json` in the workspace root
+//! (best-of-N wall time per stage), so the two layers can be compared
+//! before and after a change on one machine.
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, DistanceMatrix, Graph};
-use routemodel::stretch::{sampled_pairs, stretch_factor, stretch_sampled};
-use routemodel::{Action, RoutingFunction, TableRouting, TieBreak};
+use routemodel::stretch::{stretch_factor, stretch_sampled};
+use routemodel::{TableRouting, TieBreak};
 use routing_bench::quick_criterion;
-use std::collections::VecDeque;
 use std::time::Instant;
-
-const INFINITY: u32 = u32::MAX;
-
-/// The pre-CSR adjacency representation: one heap vector per vertex.
-struct NaiveGraph {
-    adj: Vec<Vec<usize>>,
-}
-
-impl NaiveGraph {
-    fn from_graph(g: &Graph) -> Self {
-        NaiveGraph {
-            adj: (0..g.num_nodes())
-                .map(|u| g.neighbors(u).iter().map(|&v| v as usize).collect())
-                .collect(),
-        }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.adj.len()
-    }
-}
-
-/// The seed's BFS: fresh `dist` vector and `VecDeque` per source.
-fn naive_bfs_distances(g: &NaiveGraph, source: usize) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut dist = vec![INFINITY; n];
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u];
-        for &v in &g.adj[u] {
-            if dist[v] == INFINITY {
-                dist[v] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-fn naive_all_pairs(g: &NaiveGraph) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut data = vec![INFINITY; n * n];
-    for u in 0..n {
-        let row = naive_bfs_distances(g, u);
-        data[u * n..(u + 1) * n].copy_from_slice(&row);
-    }
-    data
-}
-
-/// The seed's stretch sweep: materialize every ordered pair, then route each
-/// with freshly allocated path/port vectors.
-fn naive_stretch(g: &NaiveGraph, dist: &[u32], r: &TableRouting, pairs: &[(usize, usize)]) -> f64 {
-    let n = g.num_nodes();
-    let hop_limit = 4 * n + 16;
-    let mut max_stretch = 1.0f64;
-    for &(s, t) in pairs {
-        if s == t || dist[s * n + t] == INFINITY {
-            continue;
-        }
-        let mut path = vec![s];
-        let mut ports = Vec::new();
-        let mut node = s;
-        let mut header = r.init(s, t);
-        loop {
-            match r.port(node, &header) {
-                Action::Deliver => break,
-                Action::Forward(p) => {
-                    header = r.next_header(node, &header);
-                    node = g.adj[node][p];
-                    path.push(node);
-                    ports.push(p);
-                    if ports.len() > hop_limit {
-                        break;
-                    }
-                }
-            }
-        }
-        let stretch = ports.len() as f64 / f64::from(dist[s * n + t]);
-        max_stretch = max_stretch.max(stretch);
-    }
-    max_stretch
-}
-
-fn all_ordered_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(n * (n - 1));
-    for s in 0..n {
-        for t in 0..n {
-            if s != t {
-                out.push((s, t));
-            }
-        }
-    }
-    out
-}
 
 fn workload(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
@@ -133,10 +28,6 @@ fn bench_all_pairs(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr-pipeline/all-pairs-distances");
     for &n in &[256usize, 1024, 4096] {
         let g = workload(n);
-        let naive = NaiveGraph::from_graph(&g);
-        group.bench_with_input(BenchmarkId::new("naive", n), &naive, |b, naive| {
-            b.iter(|| naive_all_pairs(naive)[1]);
-        });
         group.bench_with_input(BenchmarkId::new("csr", n), &g, |b, g| {
             b.iter(|| DistanceMatrix::all_pairs(g).dist(0, 1));
         });
@@ -148,16 +39,8 @@ fn bench_exact_stretch(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr-pipeline/exact-stretch");
     for &n in &[256usize, 1024] {
         let g = workload(n);
-        let naive = NaiveGraph::from_graph(&g);
         let dm = DistanceMatrix::all_pairs(&g);
         let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-        let flat: Vec<u32> = (0..n).flat_map(|u| dm.row(u).to_vec()).collect();
-        group.bench_with_input(BenchmarkId::new("naive", n), &(), |b, ()| {
-            b.iter(|| {
-                let pairs = all_ordered_pairs(n);
-                naive_stretch(&naive, &flat, &table, &pairs)
-            });
-        });
         group.bench_with_input(BenchmarkId::new("csr", n), &(), |b, ()| {
             b.iter(|| stretch_factor(&g, &dm, &table).unwrap().max_stretch);
         });
@@ -169,28 +52,19 @@ fn bench_sampled_stretch(c: &mut Criterion) {
     let n = 4096usize;
     let k = 30_000usize;
     let g = workload(n);
-    let naive = NaiveGraph::from_graph(&g);
     let dm = DistanceMatrix::all_pairs(&g);
     let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-    let flat: Vec<u32> = (0..n).flat_map(|u| dm.row(u).to_vec()).collect();
     let mut group = c.benchmark_group("csr-pipeline/sampled-stretch-30k-n4096");
-    group.bench_with_input(BenchmarkId::new("naive", n), &(), |b, ()| {
-        b.iter(|| {
-            let pairs = sampled_pairs(n, k, 9);
-            naive_stretch(&naive, &flat, &table, &pairs)
-        });
-    });
     group.bench_with_input(BenchmarkId::new("csr", n), &(), |b, ()| {
         b.iter(|| stretch_sampled(&g, &dm, &table, k, 9).unwrap().max_stretch);
     });
     group.finish();
 }
 
-/// One snapshot entry: naive vs CSR wall time for one pipeline stage.
+/// One snapshot entry: best-of-N wall time of one pipeline stage.
 struct Entry {
-    name: String,
+    name: &'static str,
     n: usize,
-    naive_ms: f64,
     csr_ms: f64,
 }
 
@@ -205,83 +79,51 @@ fn time_best_of<F: FnMut()>(runs: usize, mut f: F) -> f64 {
     best
 }
 
-/// Hand-timed snapshot written to `BENCH_csr.json`; the headline entry is the
-/// combined APSP + exact-stretch pipeline at n = 1024.
+/// Hand-timed snapshot written to `BENCH_csr.json`: all-pairs distances at
+/// n = 256, 1024, 4096 and the combined "all-pairs distances + tables +
+/// exact stretch" pipeline at n = 256, 1024.
 fn bench_snapshot(_c: &mut Criterion) {
     let mut entries = Vec::new();
     for &(n, runs) in &[(256usize, 5usize), (1024, 3), (4096, 2)] {
         let g = workload(n);
-        let naive = NaiveGraph::from_graph(&g);
-        let naive_ms = time_best_of(runs, || {
-            std::hint::black_box(naive_all_pairs(&naive));
-        });
         let csr_ms = time_best_of(runs, || {
             std::hint::black_box(DistanceMatrix::all_pairs(&g));
         });
         entries.push(Entry {
-            name: "all-pairs-distances".into(),
+            name: "all-pairs-distances",
             n,
-            naive_ms,
             csr_ms,
         });
     }
     for &(n, runs) in &[(256usize, 5usize), (1024, 3)] {
         let g = workload(n);
-        let naive = NaiveGraph::from_graph(&g);
-        let naive_ms = time_best_of(runs, || {
-            // the full naive pipeline: APSP, pair materialization, routing
-            let dist = naive_all_pairs(&naive);
-            let dm = DistanceMatrix::all_pairs(&g);
-            let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-            let pairs = all_ordered_pairs(n);
-            std::hint::black_box(naive_stretch(&naive, &dist, &table, &pairs));
-        });
         let csr_ms = time_best_of(runs, || {
             let dm = DistanceMatrix::all_pairs(&g);
             let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
             std::hint::black_box(stretch_factor(&g, &dm, &table).unwrap());
         });
         entries.push(Entry {
-            name: "apsp-plus-exact-stretch".into(),
+            name: "apsp-plus-exact-stretch",
             n,
-            naive_ms,
             csr_ms,
         });
     }
 
     let mut json = String::from("{\n  \"bench\": \"csr_pipeline\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
-        let speedup = e.naive_ms / e.csr_ms;
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"naive_ms\": {:.3}, \"csr_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"n\": {}, \"csr_ms\": {:.3}}}{}\n",
             e.name,
             e.n,
-            e.naive_ms,
             e.csr_ms,
-            speedup,
             if i + 1 == entries.len() { "" } else { "," }
         ));
         println!(
-            "snapshot: {:<28} n={:<5} naive {:>10.2} ms  csr {:>10.2} ms  speedup {:>5.2}x",
-            e.name, e.n, e.naive_ms, e.csr_ms, speedup
+            "snapshot: {:<28} n={:<5} csr {:>10.2} ms",
+            e.name, e.n, e.csr_ms
         );
     }
     json.push_str("  ]\n}\n");
-
-    let headline = entries
-        .iter()
-        .find(|e| e.name == "apsp-plus-exact-stretch" && e.n == 1024)
-        .expect("headline entry present");
-    let headline_speedup = headline.naive_ms / headline.csr_ms;
-    println!(
-        "headline (apsp+exact-stretch, n=1024): {:.2}x {}",
-        headline_speedup,
-        if headline_speedup >= 2.0 {
-            "(>= 2x target met)"
-        } else {
-            "(BELOW the 2x target)"
-        }
-    );
 
     // workspace root = two levels above this crate's manifest dir
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

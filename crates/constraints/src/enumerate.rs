@@ -8,38 +8,35 @@
 //! counting bound of Lemma 1 against exact class counts.
 //!
 //! The `d^{pq}` matrix indices are swept in parallel: the index space is cut
-//! into one contiguous range per worker (`std::thread::scope`, mirroring the
-//! `stretch_factor` fold pattern), every worker canonicalizes its range with
-//! its own scratch counter into a worker-local set, and the per-worker sets
-//! are folded in worker order.  Set union is order-insensitive, so the result
-//! is identical for every worker count — which the tests pin.
+//! into 64 contiguous ranges (a split that depends only on `d^{pq}`),
+//! each range is canonicalized into a set on a
+//! [`graphkit::par::map_fold_ordered`] worker with its own scratch counter,
+//! and the fold unions the sets.  Set union is order-insensitive, so the
+//! result is identical for every worker count — which the tests pin.
 
 use crate::canonical::canonical_form;
 use crate::matrix::ConstraintMatrix;
+use graphkit::par;
 use std::collections::BTreeSet;
 
 /// Largest `d^{pq}` the exhaustive sweep accepts.
 const MAX_ENUMERATION: u128 = 20_000_000;
 
-/// Below this many matrices per worker, extra threads cost more than they
-/// save (thread startup ≈ thousands of canonicalizations).
-const MIN_MATRICES_PER_WORKER: u64 = 1 << 14;
+/// Number of index ranges the sweep is cut into (fewer when there are fewer
+/// matrices): enough to balance the workers, few enough that each range
+/// amortizes its set and its handoff to the fold.
+const RANGES: u64 = 64;
 
 /// Enumerates the canonical representatives of all `≡`-classes of `p × q`
 /// matrices with entries in `{1..=d}`, in increasing index order,
-/// parallelising over contiguous ranges of matrix indices (worker count from
-/// `std::thread::available_parallelism`).
+/// parallelising over contiguous ranges of matrix indices on
+/// [`par::default_threads`] workers.
 ///
 /// The search iterates over all `d^{pq}` matrices, so it is only meant for
 /// the small parameters of the paper's worked examples (`d^{pq} ≤ ~10^7`).
 pub fn enumerate_canonical_matrices(p: usize, q: usize, d: u32) -> Vec<ConstraintMatrix> {
-    let threads = std::thread::available_parallelism()
-        .map(|x| x.get())
-        .unwrap_or(1);
-    // Don't spin up workers that would each see only a handful of matrices.
     let total = u128::from(d).saturating_pow((p * q) as u32);
-    let cap = (total / u128::from(MIN_MATRICES_PER_WORKER)).max(1);
-    let threads = threads.min(cap.min(usize::MAX as u128) as usize);
+    let threads = par::default_threads(total.min(usize::MAX as u128) as usize);
     enumerate_canonical_matrices_with_threads(p, q, d, threads)
 }
 
@@ -62,31 +59,18 @@ pub fn enumerate_canonical_matrices_with_threads(
         "enumeration of {total} matrices is too large; use counting::lemma1_lower_bound_log2"
     );
     let total = total as u64;
-    let threads = threads.clamp(1, total.max(1) as usize);
-    if threads == 1 {
-        let classes = enumerate_range(p, q, d, 0, total);
-        return classes.into_iter().collect();
-    }
-    let per_worker = total.div_ceil(threads as u64);
-    let mut partials: Vec<BTreeSet<ConstraintMatrix>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t as u64 * per_worker;
-                let hi = (lo + per_worker).min(total);
-                scope.spawn(move || enumerate_range(p, q, d, lo, hi))
-            })
-            .collect();
-        // Fold in worker order (deterministic; union is order-insensitive
-        // anyway, so every thread count yields the same set).
-        for h in handles {
-            partials.push(h.join().expect("enumeration worker panicked"));
-        }
-    });
-    let mut classes = partials.pop().unwrap_or_default();
-    for partial in partials {
-        classes.extend(partial);
-    }
+    let per_range = total.div_ceil(RANGES).max(1);
+    let mut classes = BTreeSet::new();
+    par::map_fold_ordered(
+        total.div_ceil(per_range) as usize,
+        threads,
+        || (),
+        |(), i, range: &mut BTreeSet<ConstraintMatrix>| {
+            let lo = i as u64 * per_range;
+            *range = enumerate_range(p, q, d, lo, (lo + per_range).min(total));
+        },
+        |_, range| classes.append(range),
+    );
     classes.into_iter().collect()
 }
 

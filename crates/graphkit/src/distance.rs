@@ -7,8 +7,8 @@
 //!
 //! * [`DistanceMatrix`] — the dense `n × n` buffer, computed with one BFS per
 //!   source, fanning the sources out over the available CPU cores with
-//!   `std::thread::scope`.  Convenient up to a few thousand vertices; at
-//!   `n ≳ 50_000` the `n²` buffer alone is tens of gigabytes.
+//!   [`crate::par::map_fold_ordered`].  Convenient up to a few thousand
+//!   vertices; at `n ≳ 50_000` the `n²` buffer alone is tens of gigabytes.
 //! * [`DistanceBlock`] — a contiguous **block of source rows**
 //!   `[start, start + rows)`, the unit of the sharded evaluation pipeline
 //!   (`trafficlab` and the block-streamed stretch sweeps): consumers walk the
@@ -19,10 +19,9 @@
 //!   traffic of the sweep, and fall back to wide `u32` rows otherwise —
 //!   behind the same [`DistanceBlock::dist`] / [`DistanceRow`] accessors.
 //!
-//! Each worker owns one [`BfsScratch`] and writes every source's distances
-//! straight into its rows of the output buffer, so both sweeps perform a
-//! constant number of allocations regardless of `n` (and
-//! [`DistanceBlock::recompute`] recycles block buffers across blocks).
+//! Each worker owns one [`BfsScratch`] and BFSes into recycled row buffers,
+//! so both sweeps perform a constant number of allocations regardless of `n`
+//! (and [`DistanceBlock::recompute`] recycles block buffers across blocks).
 
 use crate::failure::Adjacency;
 use crate::graph::{Graph, NodeId};
@@ -233,6 +232,11 @@ impl Default for DistanceBlock {
     }
 }
 
+/// Source rows per work item of [`DistanceMatrix::all_pairs_with_threads`]:
+/// enough BFS work to amortize the item's handoff to the fold, even on
+/// graphs of a few hundred vertices.
+const ROWS_PER_ITEM: usize = 16;
+
 /// A dense `n × n` matrix of hop distances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
@@ -248,49 +252,35 @@ impl DistanceMatrix {
         Self::all_pairs_with_threads(g, 1)
     }
 
-    /// Computes all-pairs distances, parallelising over source vertices.
-    ///
-    /// The number of worker threads defaults to `std::thread::available_parallelism`
-    /// and is capped by the number of sources.  Falls back to the sequential
-    /// code for small graphs where thread startup would dominate.
+    /// Computes all-pairs distances, parallelising over source vertices on
+    /// [`crate::par::default_threads`] workers (one thread below 256
+    /// vertices, where thread startup would dominate).
     pub fn all_pairs(g: &Graph) -> Self {
         Self::all_pairs_with_threads(g, crate::par::default_threads(g.num_nodes()))
     }
 
     /// Computes all-pairs distances with an explicit worker count
-    /// (`threads <= 1` runs on the calling thread).  The result does not
-    /// depend on `threads`; tests use this to exercise the parallel path on
-    /// any machine.
+    /// (`threads <= 1` runs on the calling thread).  One work item per
+    /// 16 sources: a worker BFSes them into a recycled buffer,
+    /// and the in-order fold of [`crate::par::map_fold_ordered`] appends the
+    /// rows in source order.  The result does not depend on `threads`; tests
+    /// use this to exercise the parallel path on any machine.
     pub fn all_pairs_with_threads(g: &Graph, threads: usize) -> Self {
         let n = g.num_nodes();
-        let mut data = vec![INFINITY; n * n];
-        let threads = threads.clamp(1, n.max(1));
-        if threads == 1 {
-            let mut scratch = BfsScratch::with_capacity(n);
-            for (u, row) in data.chunks_mut(n.max(1)).enumerate().take(n) {
-                bfs_distances_into(g, u, &mut scratch, row);
-            }
-            return DistanceMatrix { n, data };
-        }
-        // Split the output buffer into per-source row chunks and hand
-        // contiguous blocks of sources to each worker.
-        let chunk_rows = n.div_ceil(threads);
-        let mut chunks: Vec<&mut [Dist]> = data.chunks_mut(chunk_rows * n).collect();
-        std::thread::scope(|scope| {
-            for (t, chunk) in chunks.iter_mut().enumerate() {
-                let start = t * chunk_rows;
-                scope.spawn(move || {
-                    let mut scratch = BfsScratch::with_capacity(n);
-                    for (i, row) in chunk.chunks_mut(n).enumerate() {
-                        let u = start + i;
-                        if u >= n {
-                            break;
-                        }
-                        bfs_distances_into(g, u, &mut scratch, row);
-                    }
-                });
-            }
-        });
+        let mut data = Vec::with_capacity(n * n);
+        crate::par::map_fold_ordered(
+            n.div_ceil(ROWS_PER_ITEM),
+            threads,
+            || BfsScratch::with_capacity(n),
+            |scratch, item, rows: &mut Vec<Dist>| {
+                let sources = item * ROWS_PER_ITEM..((item + 1) * ROWS_PER_ITEM).min(n);
+                rows.resize(sources.len() * n, INFINITY);
+                for (u, row) in sources.zip(rows.chunks_exact_mut(n)) {
+                    bfs_distances_into(g, u, scratch, row);
+                }
+            },
+            |_, rows| data.extend_from_slice(rows),
+        );
         DistanceMatrix { n, data }
     }
 

@@ -1,14 +1,38 @@
 //! One deterministic parallel primitive: map items on worker threads, fold
 //! the results on the calling thread in strict index order.
 //!
-//! [`map_fold_ordered`] is the building block of the parallel table builders
-//! (the landmark scheme's landmark, handoff and cluster phases, and the
-//! shortest-path routing tables).  Workers claim item indices from one atomic
-//! cursor, so a slow item never stalls the others; each result travels over a
-//! bounded channel to the caller, whose reorder buffer releases them to
-//! `fold` as `0, 1, 2, …` — the exact sequence a plain loop would produce.
-//! Whatever `fold` builds is therefore **bit-identical at every thread
-//! count**, by construction rather than by a per-call-site argument.
+//! [`map_fold_ordered`] is the workspace's only way to run work in parallel
+//! (a `clippy.toml` `disallowed-methods` gate rejects `std::thread::scope`
+//! and `std::thread::spawn` everywhere else).  Its callers, with their work
+//! items:
+//!
+//! * the landmark scheme's build — one item per landmark (landmark and
+//!   handoff phases), one per block of routers (cluster phase);
+//! * `TableRouting::shortest_paths` — one item per block of 64 destinations;
+//! * [`crate::DistanceMatrix::all_pairs`] — one item per 16 source rows;
+//! * `routemodel`'s exact and sampled stretch sweeps — one item per run of
+//!   sources (or of 1024-pair sample blocks) carrying about 4096 pairs;
+//! * `constraints`' enumeration of canonical matrices — one item per range
+//!   of matrix indices;
+//! * the `trafficlab` engine — one item per block of BFS source rows;
+//! * `routeserve::serve` — one item per chunk of up to `batch` consecutive
+//!   queries;
+//! * `routecheck::check_routing` — one item per 16 destinations.
+//!
+//! Workers claim item indices from one atomic cursor, so a slow item never
+//! stalls the others; each result travels over a bounded channel to the
+//! caller, whose reorder buffer releases them to `fold` as `0, 1, 2, …` —
+//! the exact sequence a plain loop would produce.  Whatever `fold` builds is
+//! therefore **bit-identical at every thread count**, by construction rather
+//! than by a per-call-site argument.
+//!
+//! **Item size.** Every item costs one channel handoff and one wake-up of the
+//! caller, a few microseconds, so an item must carry well over that much
+//! work, and its size must not depend on the thread count.  Serving one item
+//! per same-source chunk (16 queries, ~5 µs) cut `routeserve` throughput on
+//! the serve-4k benchmark workload by 56%; items of up to 4096 consecutive
+//! queries cost nothing measurable.  Likewise one BFS row per item made the
+//! all-pairs matrix of a 256-vertex graph 1.7–2× slower than 16 rows.
 //!
 //! Result buffers are recycled: after `fold` consumes a result, its buffer
 //! goes back to a pool the workers draw from, and a worker may only claim an
@@ -29,13 +53,14 @@ const IN_FLIGHT_PER_THREAD: usize = 3;
 /// Channel depth per worker.
 const CHANNEL_PER_THREAD: usize = 2;
 
-/// Below this many vertices a graph build runs on the calling thread: thread
-/// start-up would dominate the work.
+/// Below this size a sweep runs on the calling thread: thread start-up would
+/// dominate the work.
 const SMALL_N: usize = 256;
 
-/// Worker count for a parallel sweep over a graph of `n` vertices:
-/// [`std::thread::available_parallelism`], or 1 when `n` is small (or the
-/// parallelism cannot be queried).
+/// Worker count for a parallel sweep of size `n` (the vertices of a graph,
+/// or the matrices of an enumeration): [`std::thread::available_parallelism`],
+/// or 1 when `n` is small (or the parallelism cannot be queried).  Every
+/// `threads = 0` default of the workspace resolves here.
 pub fn default_threads(n: usize) -> usize {
     if n < SMALL_N {
         return 1;
@@ -56,20 +81,27 @@ pub fn default_threads(n: usize) -> usize {
 /// With `threads <= 1` (or fewer than two items) this is a plain loop on the
 /// calling thread and spawns nothing.  A panic in `map` or `fold` reaches the
 /// caller with its original payload once every worker has stopped.
+///
+/// Returns every worker's scratch once all items are folded (none when
+/// `count == 0`).  Which items a worker mapped depends on scheduling, so only
+/// order-insensitive state — integer counters summed by the caller — may be
+/// read back from it; everything else belongs in `R` and the fold.
 pub fn map_fold_ordered<S, R, MakeScratch, Map, Fold>(
     count: usize,
     threads: usize,
     scratch: MakeScratch,
     map: Map,
     mut fold: Fold,
-) where
+) -> Vec<S>
+where
+    S: Send,
     R: Default + Send,
     MakeScratch: Fn() -> S + Sync,
     Map: Fn(&mut S, usize, &mut R) + Sync,
     Fold: FnMut(usize, &mut R),
 {
     if count == 0 {
-        return;
+        return Vec::new();
     }
     let threads = threads.min(count);
     if threads <= 1 {
@@ -79,12 +111,17 @@ pub fn map_fold_ordered<S, R, MakeScratch, Map, Fold>(
             map(&mut s, i, &mut r);
             fold(i, &mut r);
         }
-        return;
+        return vec![s];
     }
 
     let cap = IN_FLIGHT_PER_THREAD * threads;
     let pool = Pool::new(cap);
     let cursor = AtomicUsize::new(0);
+    let mut scratches = Vec::with_capacity(threads);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the workspace's one thread spawn: every parallel sweep runs through this primitive"
+    )]
     std::thread::scope(|scope| {
         // The channel lives inside the scope so that, should `fold` panic,
         // the receiver is dropped before the scope joins: a worker blocked
@@ -104,13 +141,14 @@ pub fn map_fold_ordered<S, R, MakeScratch, Map, Fold>(
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= count {
                             pool.put(r);
-                            return;
+                            break;
                         }
                         map(&mut s, i, &mut r);
                         if tx.send((i, r)).is_err() {
-                            return;
+                            break;
                         }
                     }
+                    s
                 })
             })
             .collect();
@@ -136,11 +174,13 @@ pub fn map_fold_ordered<S, R, MakeScratch, Map, Fold>(
             }
         }
         for worker in workers {
-            if let Err(payload) = worker.join() {
-                std::panic::resume_unwind(payload);
+            match worker.join() {
+                Ok(s) => scratches.push(s),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
+    scratches
 }
 
 /// The recycling pool of result buffers, which also throttles the workers.

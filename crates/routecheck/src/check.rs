@@ -21,7 +21,7 @@
 //!   [`SourceClass::HeaderOverflow`].
 
 use graphkit::traversal::bfs_distances_into;
-use graphkit::{BfsScratch, Dist, GraphView, NodeId, INFINITY};
+use graphkit::{par, BfsScratch, Dist, GraphView, NodeId, INFINITY};
 use routemodel::{default_hop_limit, Action, Header, RoutingFunction};
 
 /// The statically determined fate of one `(source, dest)` pair.
@@ -378,59 +378,49 @@ impl CheckReport {
     }
 }
 
-/// Sweeps every destination of the view, sharding destinations across
-/// `threads` scoped workers with contiguous chunks and per-worker
-/// [`Checker`] scratch.  The fold is in destination order — per-destination
-/// summaries do not depend on the sharding — so the report is bit-identical
-/// for every thread count.
+/// Destinations per work item of [`check_routing`]: enough sweep work to
+/// amortize the item's handoff to the fold, even on small graphs.
+const DESTS_PER_ITEM: usize = 16;
+
+/// Sweeps every destination of the view on `threads` workers with
+/// per-worker [`Checker`] scratch, in [`graphkit::par::map_fold_ordered`]
+/// items of 16 consecutive destinations.  The fold is in
+/// destination order — per-destination summaries do not depend on the
+/// scheduling — so the report is bit-identical for every thread count.
 pub fn check_routing<R: RoutingFunction + Sync + ?Sized>(
     view: GraphView<'_>,
     r: &R,
     threads: usize,
 ) -> CheckReport {
     let n = view.num_nodes();
-    let t = threads.clamp(1, n.max(1));
-    let mut chunks: Vec<(ClassCounts, Option<Counterexample>)> = Vec::with_capacity(t);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..t)
-            .map(|i| {
-                let lo = i * n / t;
-                let hi = (i + 1) * n / t;
-                scope.spawn(move || {
-                    let mut checker = Checker::new();
-                    let mut counts = ClassCounts::default();
-                    let mut cex = None;
-                    for d in lo..hi {
-                        let rep = checker.check_dest(view, r, d);
-                        counts.merge(&rep.counts);
-                        if cex.is_none() {
-                            if let Some((s, c)) = rep.first_broken {
-                                cex = Some(Counterexample {
-                                    source: s,
-                                    dest: d,
-                                    class: c,
-                                });
-                            }
-                        }
-                    }
-                    (counts, cex)
-                })
-            })
-            .collect();
-        for h in handles {
-            chunks.push(h.join().expect("sweep worker panicked"));
-        }
-    });
     let mut counts = ClassCounts::default();
     let mut counterexample = None;
-    // Chunks are contiguous destination ranges in ascending order: the first
-    // chunk with a witness holds the globally first one.
-    for (c, cex) in &chunks {
-        counts.merge(c);
-        if counterexample.is_none() {
-            counterexample = *cex;
-        }
-    }
+    par::map_fold_ordered(
+        n.div_ceil(DESTS_PER_ITEM),
+        threads,
+        Checker::new,
+        |checker, item, (item_counts, item_cex): &mut (ClassCounts, Option<Counterexample>)| {
+            *item_counts = ClassCounts::default();
+            *item_cex = None;
+            for dest in item * DESTS_PER_ITEM..((item + 1) * DESTS_PER_ITEM).min(n) {
+                let rep = checker.check_dest(view, r, dest);
+                item_counts.merge(&rep.counts);
+                if item_cex.is_none() {
+                    *item_cex = rep.first_broken.map(|(source, class)| Counterexample {
+                        source,
+                        dest,
+                        class,
+                    });
+                }
+            }
+        },
+        |_, (item_counts, item_cex)| {
+            counts.merge(item_counts);
+            if counterexample.is_none() {
+                counterexample = *item_cex;
+            }
+        },
+    );
     CheckReport {
         counts,
         counterexample,

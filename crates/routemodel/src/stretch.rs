@@ -9,16 +9,17 @@
 //!
 //! # Parallel sweep
 //!
-//! [`stretch_factor`] routes all `n (n − 1)` ordered pairs, fanning the
-//! source vertices out over the available cores with `std::thread::scope`
-//! (mirroring `graphkit::distance`).  Every worker routes through
-//! [`crate::simulate::walk`] with one reused [`Header`], so the sweep
-//! allocates nothing per pair.  Per-source partial
-//! results are folded **in source order**, so the report — `max`, the
-//! argmax pair, the running `f64` average, everything — is bit-identical
-//! regardless of the worker count; [`stretch_factor_with_threads`] pins the
-//! count explicitly (1 = run on the calling thread), which tests use to
-//! compare the parallel and sequential paths exactly.
+//! [`stretch_factor`] routes all `n (n − 1)` ordered pairs in work items of
+//! consecutive source vertices (about 4096 pairs each), run on
+//! [`graphkit::par::map_fold_ordered`] (the workspace's one parallel
+//! primitive).  Every worker routes through [`crate::simulate::walk`] with
+//! one reused [`Header`], so the sweep allocates nothing per pair.  Each item
+//! keeps one partial per source, and the primitive folds them **in source
+//! order**, so the report — `max`, the argmax pair, the running `f64`
+//! average, the first error, everything — is bit-identical regardless of the
+//! worker count; [`stretch_factor_with_threads`] pins the count explicitly
+//! (1 = run on the calling thread), which tests use to compare the parallel
+//! and sequential paths exactly.
 //!
 //! For large `n`, routing every pair is quadratic; [`stretch_sampled`]
 //! estimates the same report over a deterministic pair sample.  The sweeps in
@@ -31,7 +32,7 @@ use crate::error::RoutingError;
 use crate::function::RoutingFunction;
 use crate::header::Header;
 use crate::simulate::{default_hop_limit, strict_hops};
-use graphkit::{DistanceMatrix, Graph, NodeId};
+use graphkit::{par, DistanceMatrix, Graph, NodeId};
 
 /// Summary of the stretch behaviour of a routing function.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,21 +147,60 @@ fn accumulate_source<R: RoutingFunction + ?Sized>(
     Ok(acc)
 }
 
-/// Folds per-slice partials in order; on errors, the one for the earliest
-/// slice wins (matching what a sequential sweep would hit first).
-fn fold_accums(
-    partials: Vec<Option<Result<StretchAccumulator, RoutingError>>>,
-) -> Result<StretchReport, RoutingError> {
+/// Routed pairs per work item of the parallel sweeps: enough routing work to
+/// amortize the item's handoff to the fold (see [`graphkit::par`]).
+const ITEM_PAIRS: usize = 4096;
+
+/// Computes `partial(i, header)` for every slice `i in 0..slices` on
+/// `threads` workers (one reused [`Header`] each), `per_item` consecutive
+/// slices per work item, and folds the partials in slice order through
+/// [`par::map_fold_ordered`]; on errors, the one for the earliest slice wins
+/// (matching what a sequential sweep would hit first).
+fn fold_slices<F>(
+    slices: usize,
+    per_item: usize,
+    threads: usize,
+    partial: F,
+) -> Result<StretchReport, RoutingError>
+where
+    F: Fn(usize, &mut Header) -> Result<StretchAccumulator, RoutingError> + Sync,
+{
     let mut total = StretchAccumulator::default();
-    for partial in partials.into_iter().flatten() {
-        total.merge_after(&partial?);
+    let mut first_error = None;
+    par::map_fold_ordered(
+        slices.div_ceil(per_item),
+        threads,
+        || Header::to_dest(0),
+        |header, item, (accs, error): &mut (Vec<StretchAccumulator>, Option<RoutingError>)| {
+            accs.clear();
+            *error = None;
+            for i in item * per_item..((item + 1) * per_item).min(slices) {
+                match partial(i, header) {
+                    Ok(acc) => accs.push(acc),
+                    Err(e) => {
+                        *error = Some(e);
+                        break;
+                    }
+                }
+            }
+        },
+        |_, (accs, error)| {
+            if first_error.is_none() {
+                for acc in accs.iter() {
+                    total.merge_after(acc);
+                }
+                first_error = error.take();
+            }
+        },
+    );
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(total.into_report()),
     }
-    Ok(total.into_report())
 }
 
 /// Computes the exact stretch factor by routing every ordered pair,
-/// parallelising over source vertices (worker count from
-/// `std::thread::available_parallelism`).
+/// parallelising over source vertices on [`par::default_threads`] workers.
 ///
 /// Fails with the first model violation encountered (loop, wrong delivery,
 /// out-of-range port).  Unreachable pairs are skipped, matching the paper's
@@ -170,13 +210,7 @@ pub fn stretch_factor<R: RoutingFunction + Sync + ?Sized>(
     dm: &DistanceMatrix,
     r: &R,
 ) -> Result<StretchReport, RoutingError> {
-    let n = g.num_nodes();
-    let threads = std::thread::available_parallelism()
-        .map(|x| x.get())
-        .unwrap_or(1);
-    // Under ~64 sources the per-pair work cannot amortize thread startup.
-    let threads = if n < 64 { 1 } else { threads };
-    stretch_factor_with_threads(g, dm, r, threads)
+    stretch_factor_with_threads(g, dm, r, par::default_threads(g.num_nodes()))
 }
 
 /// [`stretch_factor`] with an explicit worker count (`threads <= 1` runs on
@@ -190,36 +224,9 @@ pub fn stretch_factor_with_threads<R: RoutingFunction + Sync + ?Sized>(
 ) -> Result<StretchReport, RoutingError> {
     let n = g.num_nodes();
     let hop_limit = default_hop_limit(n);
-    let threads = threads.clamp(1, n.max(1));
-    let mut partials: Vec<Option<Result<StretchAccumulator, RoutingError>>> = Vec::new();
-    if threads == 1 {
-        let mut header = Header::to_dest(0);
-        for s in 0..n {
-            partials.push(Some(accumulate_source(g, dm, r, s, hop_limit, &mut header)));
-        }
-    } else {
-        partials.resize_with(n, || None);
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, block) in partials.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                scope.spawn(move || {
-                    let mut header = Header::to_dest(0);
-                    for (i, slot) in block.iter_mut().enumerate() {
-                        *slot = Some(accumulate_source(
-                            g,
-                            dm,
-                            r,
-                            start + i,
-                            hop_limit,
-                            &mut header,
-                        ));
-                    }
-                });
-            }
-        });
-    }
-    fold_accums(partials)
+    fold_slices(n, ITEM_PAIRS.div_ceil(n.max(1)), threads, |s, header| {
+        accumulate_source(g, dm, r, s, hop_limit, header)
+    })
 }
 
 /// Fixed accumulation-block size of the sampled sweep.  Per-pair stretches
@@ -230,8 +237,8 @@ pub fn stretch_factor_with_threads<R: RoutingFunction + Sync + ?Sized>(
 const SAMPLE_BLOCK: usize = 1024;
 
 /// Estimates the stretch report over `k` deterministically sampled ordered
-/// pairs (see [`sampled_pairs`]), routing the sample in parallel (worker
-/// count from `std::thread::available_parallelism`).
+/// pairs (see [`sampled_pairs`]), routing the sample in parallel on
+/// [`par::default_threads`] workers.
 ///
 /// The max/argmax/average are those *of the sample*: `max_stretch` is a
 /// lower bound on the true stretch factor, and the report is bit-identical
@@ -244,9 +251,7 @@ pub fn stretch_sampled<R: RoutingFunction + Sync + ?Sized>(
     k: usize,
     seed: u64,
 ) -> Result<StretchReport, RoutingError> {
-    let threads = std::thread::available_parallelism()
-        .map(|x| x.get())
-        .unwrap_or(1);
+    let threads = par::default_threads(g.num_nodes());
     stretch_sampled_with_threads(g, dm, r, k, seed, threads)
 }
 
@@ -263,45 +268,24 @@ pub fn stretch_sampled_with_threads<R: RoutingFunction + Sync + ?Sized>(
     let n = g.num_nodes();
     let pairs = sampled_pairs(n, k, seed);
     let hop_limit = default_hop_limit(n);
-    let accumulate_block = |block: &[(NodeId, NodeId)], header: &mut Header| {
-        let mut acc = StretchAccumulator::default();
-        for &(s, t) in block {
-            if s == t || !dm.reachable(s, t) {
-                continue;
-            }
-            let len = strict_hops(g, r, s, t, hop_limit, header)?;
-            acc.record(s, t, len, dm.dist(s, t));
-        }
-        Ok(acc)
-    };
     // One partial per fixed-size block, regardless of the worker count.
-    let blocks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(SAMPLE_BLOCK.max(1)).collect();
-    let threads = threads.clamp(1, blocks.len().max(1));
-    let mut partials: Vec<Option<Result<StretchAccumulator, RoutingError>>> = Vec::new();
-    if threads == 1 {
-        let mut header = Header::to_dest(0);
-        for block in &blocks {
-            partials.push(Some(accumulate_block(block, &mut header)));
-        }
-    } else {
-        partials.resize_with(blocks.len(), || None);
-        let per_worker = blocks.len().div_ceil(threads);
-        let accumulate_block = &accumulate_block;
-        std::thread::scope(|scope| {
-            for (slots, worker_blocks) in partials
-                .chunks_mut(per_worker)
-                .zip(blocks.chunks(per_worker))
-            {
-                scope.spawn(move || {
-                    let mut header = Header::to_dest(0);
-                    for (slot, block) in slots.iter_mut().zip(worker_blocks) {
-                        *slot = Some(accumulate_block(block, &mut header));
-                    }
-                });
+    let blocks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(SAMPLE_BLOCK).collect();
+    fold_slices(
+        blocks.len(),
+        ITEM_PAIRS / SAMPLE_BLOCK,
+        threads,
+        |b, header| {
+            let mut acc = StretchAccumulator::default();
+            for &(s, t) in blocks[b] {
+                if s == t || !dm.reachable(s, t) {
+                    continue;
+                }
+                let len = strict_hops(g, r, s, t, hop_limit, header)?;
+                acc.record(s, t, len, dm.dist(s, t));
             }
-        });
-    }
-    fold_accums(partials)
+            Ok(acc)
+        },
+    )
 }
 
 /// Computes the stretch over an explicit list of ordered pairs

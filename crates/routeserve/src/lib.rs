@@ -18,20 +18,20 @@
 //! * [`parse_queries`] reads the `src dst` line format accepted on
 //!   stdin/file by the `routeserve` binary.
 //!
-//! Work is sharded across `std::thread::scope` workers in chunks of at most
-//! `batch` same-source queries; each worker owns one reused
+//! The plan is cut into chunks of at most `batch` consecutive queries (a
+//! chunk may span sources), the work items of
+//! [`graphkit::par::map_fold_ordered`]; each worker owns one reused
 //! [`routemodel::Header`], so a warmed-up worker routes with zero
-//! allocations per message.  Outcome counters merge by integer addition, so
-//! the counts are independent of chunk size, thread count and chunk
-//! scheduling; wall-clock numbers (`secs`, percentiles) are measurements
-//! and vary run to run.
+//! allocations per message.  The primitive folds the chunks in plan order:
+//! outcome counts are sums, so they are independent of chunk size and
+//! thread count, and a routing-model error is the earliest chunk's.
+//! Wall-clock numbers (`secs`, percentiles) are measurements and vary run
+//! to run.
 
 #![forbid(unsafe_code)]
 
-use graphkit::GraphView;
+use graphkit::{par, GraphView};
 use routemodel::{walk, Header, RoutingError, RoutingFunction};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use trafficlab::{OutcomeCounts, SourceDests, WorkloadPlan};
 
@@ -75,10 +75,11 @@ impl From<RoutingError> for ServeError {
 /// Knobs of one serving run.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Maximum same-source queries per chunk (the unit of work sharing and
-    /// of the wall-time samples); `0` uses 4096.
+    /// Maximum queries per chunk, the unit of work sharing and of the
+    /// wall-time samples; a chunk is a contiguous run of the plan and may
+    /// span sources.  `0` uses 4096.
     pub batch: usize,
-    /// Worker count; `0` uses `std::thread::available_parallelism`.
+    /// Worker count; `0` uses [`graphkit::par::default_threads`].
     pub threads: usize,
     /// Hop budget per message; `0` uses `routemodel::default_hop_limit(n)`.
     pub hop_limit: usize,
@@ -102,11 +103,9 @@ impl ServeConfig {
         }
     }
 
-    fn effective_threads(&self, chunks: usize) -> usize {
+    fn effective_threads(&self, n: usize, chunks: usize) -> usize {
         let t = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|x| x.get())
-                .unwrap_or(1)
+            par::default_threads(n)
         } else {
             self.threads
         };
@@ -161,26 +160,22 @@ impl ServeStats {
     }
 }
 
-/// A unit of sharded work: `count` destinations of `source`, starting at
-/// offset `start` of the source's destination sequence.
-#[derive(Clone, Copy)]
-struct Chunk {
-    source: u32,
-    start: u32,
-    count: u32,
+/// What one chunk hands to the ordered fold.
+#[derive(Default)]
+struct ChunkOut {
+    outcomes: OutcomeCounts,
+    /// Wall time of the chunk in microseconds.
+    elapsed_us: f64,
+    /// The routing-model violation that ended the chunk early, if any.
+    error: Option<RoutingError>,
 }
-
-/// What each worker folds into the shared accumulator: outcome counts,
-/// `(chunk wall-time µs, messages)` samples, and the first routing error
-/// (if any).
-type WorkerMerge = (OutcomeCounts, Vec<(f64, u64)>, Option<RoutingError>);
 
 /// Serves every query of `plan` through `r` over `g` and reports what was
 /// measured.  Outcome counts are identical for any chunk size and thread
 /// count.  Errors: a plan compiled for another vertex count
 /// ([`ServeError::PlanMismatch`], checked before any work), or a
-/// routing-model violation (`RoutingError::PortOutOfRange`), reported from
-/// whichever chunk hit it.
+/// routing-model violation (`RoutingError::PortOutOfRange`) — the one the
+/// earliest query in plan order hit, at any chunk size and thread count.
 pub fn serve(
     g: GraphView<'_>,
     r: &(dyn RoutingFunction + Send + Sync),
@@ -196,82 +191,80 @@ pub fn serve(
     }
     let batch = cfg.effective_batch();
     let hop_limit = cfg.effective_hop_limit(n);
+    let dests_of = |s: usize| match plan.dests(s) {
+        SourceDests::AllOthers => n - 1,
+        SourceDests::List(list) => list.len(),
+    };
 
-    // Chunk the plan up front: same-source runs of at most `batch` queries.
-    let mut chunks: Vec<Chunk> = Vec::new();
+    // Cut the plan into chunks of `batch` consecutive queries (the last may
+    // be shorter); a chunk starts at query `start` of source `source`.
+    let mut chunk_starts: Vec<(u32, u32)> = Vec::new();
+    let mut messages = 0usize;
+    let mut room = 0usize;
     for s in 0..n {
-        let total = match plan.dests(s) {
-            SourceDests::AllOthers => n - 1,
-            SourceDests::List(list) => list.len(),
-        };
         let mut start = 0usize;
+        let total = dests_of(s);
+        messages += total;
         while start < total {
-            let count = batch.min(total - start);
-            chunks.push(Chunk {
-                source: s as u32,
-                start: start as u32,
-                count: count as u32,
-            });
-            start += count;
+            if room == 0 {
+                chunk_starts.push((s as u32, start as u32));
+                room = batch;
+            }
+            let take = room.min(total - start);
+            start += take;
+            room -= take;
         }
     }
-    let threads = cfg.effective_threads(chunks.len());
+    let threads = cfg.effective_threads(n, chunk_starts.len());
 
-    let cursor = AtomicUsize::new(0);
-    let merged: Mutex<WorkerMerge> = Mutex::new((OutcomeCounts::default(), Vec::new(), None));
-
+    let mut outcomes = OutcomeCounts::default();
+    // (chunk wall-time µs, messages in chunk) samples.
+    let mut samples: Vec<(f64, u64)> = Vec::with_capacity(chunk_starts.len());
+    let mut failure = None;
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut outcomes = OutcomeCounts::default();
-                // (chunk wall-time µs, messages in chunk) samples.
-                let mut samples: Vec<(f64, u64)> = Vec::new();
-                let mut header = Header::to_dest(0);
-                let mut failure: Option<RoutingError> = None;
-
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk) = chunks.get(i) else { break };
-                    let s = chunk.source as usize;
-                    let (start, count) = (chunk.start as usize, chunk.count as usize);
-                    let mut route_one = |t: usize| -> Result<(), RoutingError> {
-                        let (outcome, _) = walk(g, r, s, t, hop_limit, &mut header, None)?;
-                        outcomes.record(outcome);
-                        Ok(())
-                    };
-
-                    let t = Instant::now();
-                    let result = match plan.dests(s) {
-                        SourceDests::List(list) => list[start..start + count]
-                            .iter()
-                            .filter(|&&t| t as usize != s)
-                            .try_for_each(|&t| route_one(t as usize)),
-                        // Destinations of `s` are 0..n with `s` skipped.
-                        SourceDests::AllOthers => (start..start + count)
-                            .map(|i| if i < s { i } else { i + 1 })
-                            .try_for_each(route_one),
-                    };
-                    let elapsed_us = t.elapsed().as_secs_f64() * 1e6;
-                    samples.push((elapsed_us, count as u64));
-                    if let Err(e) = result {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-
-                let mut m = merged.lock().unwrap();
-                m.0.merge(&outcomes);
-                m.1.append(&mut samples);
-                if m.2.is_none() {
-                    m.2 = failure;
-                }
-            });
-        }
-    });
+    par::map_fold_ordered(
+        chunk_starts.len(),
+        threads,
+        || Header::to_dest(0),
+        |header, i, out: &mut ChunkOut| {
+            let clock = Instant::now();
+            out.outcomes = OutcomeCounts::default();
+            let mut route_one = |s: usize, t: usize| -> Result<(), RoutingError> {
+                let (outcome, _) = walk(g, r, s, t, hop_limit, header, None)?;
+                out.outcomes.record(outcome);
+                Ok(())
+            };
+            let (mut s, mut start) = (chunk_starts[i].0 as usize, chunk_starts[i].1 as usize);
+            let mut left = batch.min(messages - i * batch);
+            let mut result = Ok(());
+            while left > 0 && result.is_ok() {
+                let count = left.min(dests_of(s) - start);
+                result = match plan.dests(s) {
+                    SourceDests::List(list) => list[start..start + count]
+                        .iter()
+                        .filter(|&&t| t as usize != s)
+                        .try_for_each(|&t| route_one(s, t as usize)),
+                    // Destinations of `s` are 0..n with `s` skipped.
+                    SourceDests::AllOthers => (start..start + count)
+                        .try_for_each(|t| route_one(s, if t < s { t } else { t + 1 })),
+                };
+                left -= count;
+                s += 1;
+                start = 0;
+            }
+            out.error = result.err();
+            out.elapsed_us = clock.elapsed().as_secs_f64() * 1e6;
+        },
+        |i, out| {
+            outcomes.merge(&out.outcomes);
+            samples.push((out.elapsed_us, batch.min(messages - i * batch) as u64));
+            if failure.is_none() {
+                failure = out.error.take();
+            }
+        },
+    );
     let secs = t0.elapsed().as_secs_f64();
 
-    let (outcomes, mut samples, failure) = merged.into_inner().unwrap();
     if let Some(e) = failure {
         return Err(e.into());
     }
@@ -348,8 +341,13 @@ pub fn parse_queries(text: &str, n: usize) -> Result<Vec<(usize, usize)>, String
 mod tests {
     use super::*;
     use graphkit::{generators, FailureSet};
+    use routemodel::function::dest_address_routing;
+    use routemodel::Action;
     use routeschemes::spec::SchemeSpec;
     use routeschemes::{GraphHints, SchemeKind};
+    use std::sync::mpsc::channel;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
     use trafficlab::WorkloadSpec;
 
     fn plan_uniform(n: usize, messages: u64, seed: u64) -> WorkloadPlan {
@@ -418,6 +416,62 @@ mod tests {
             }
         );
         assert_eq!(err.to_string(), "plan compiled for 9 nodes, graph has 8");
+    }
+
+    /// A routing-model violation is reported for the earliest query in plan
+    /// order, whatever the chunk size and thread count.  Every vertex but 0
+    /// requests an out-of-range port that names itself and the destination,
+    /// so each failing query fails with its own error.  The earliest one,
+    /// 0 → 2 (0 forwards to 1, which fails), waits until some later query
+    /// has failed — or 100 ms, when no other worker can run one — so later
+    /// chunks finish failing first.
+    #[test]
+    fn errors_report_the_earliest_query() {
+        let g = generators::cycle(12);
+        let to_1 = g.port_to(0, 1).unwrap();
+        let (failed_tx, failed_rx) = channel();
+        let failed_rx = Arc::new(Mutex::new(failed_rx));
+        let waiting = Arc::clone(&failed_rx);
+        let failed_tx = Mutex::new(failed_tx);
+        let r = dest_address_routing("failing", move |node, h: &Header| {
+            if node == h.dest {
+                Action::Deliver
+            } else if node == 0 {
+                Action::Forward(to_1)
+            } else {
+                if (node, h.dest) == (1, 2) {
+                    // Released by a later failure or by the timeout alike.
+                    let _ = waiting
+                        .lock()
+                        .unwrap()
+                        .recv_timeout(Duration::from_millis(100));
+                } else {
+                    failed_tx.lock().unwrap().send(()).unwrap();
+                }
+                Action::Forward(1000 * node + h.dest)
+            }
+        });
+        let plan = WorkloadSpec::AllPairs.compile(12);
+        let earliest = ServeError::Routing(RoutingError::PortOutOfRange {
+            node: 1,
+            port: 1002,
+            degree: 2,
+        });
+        for threads in [1usize, 2, 3] {
+            for batch in [1usize, 7, 4096] {
+                while failed_rx.lock().unwrap().try_recv().is_ok() {}
+                let cfg = ServeConfig {
+                    batch,
+                    threads,
+                    hop_limit: 0,
+                };
+                assert_eq!(
+                    serve(GraphView::full(&g), &r, &plan, &cfg).unwrap_err(),
+                    earliest,
+                    "threads={threads} batch={batch}"
+                );
+            }
+        }
     }
 
     /// The all-pairs plan exercises the `AllOthers` destination

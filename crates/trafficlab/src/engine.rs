@@ -6,28 +6,31 @@
 //! 1. the sources that actually send messages are grouped into **blocks** of
 //!    consecutive vertex ids (at most [`EngineConfig::block_rows`] per
 //!    block);
-//! 2. blocks are handed out to `std::thread::scope` workers in contiguous
-//!    chunks; every worker owns one [`BfsScratch`], one reusable
-//!    [`DistanceBlock`] of block-local BFS rows, one [`Header`] and one
-//!    [`RouteTrace`] for the routing loop [`routemodel::walk`] (the trace
-//!    only when congestion is tracked) and its own metric counters — after
-//!    warm-up the inner loop performs **zero allocations per message**, and
-//!    peak memory is `O(workers · block_rows · n)` instead of the dense
-//!    matrix's `n²`;
+//! 2. blocks are the work items of [`graphkit::par::map_fold_ordered`],
+//!    drawn by workers from one shared cursor; every worker owns one
+//!    [`BfsScratch`], one reusable [`DistanceBlock`] of block-local BFS rows
+//!    and its own integer counters, and routes each block's messages through
+//!    [`routemodel::walk`] with one [`Header`] and (only when congestion is
+//!    tracked) one [`RouteTrace`] per block — the inner loop performs **zero
+//!    allocations per message**, and peak memory is
+//!    `O(workers · block_rows · n)` instead of the dense matrix's `n²`;
 //! 3. stretch is accumulated into **one [`StretchAccumulator`] per source**
-//!    and the per-source partials are folded in source order, so for the
-//!    all-pairs workload the resulting [`StretchReport`] is **bit-identical**
-//!    to `routemodel::stretch_factor` over the dense [`DistanceMatrix`] — for
-//!    every worker count and block size (the property tests pin this);
-//! 4. congestion counters and route-length histograms are merged by integer
-//!    addition, which is order-insensitive, so the whole
+//!    and the primitive folds the blocks' per-source partials in source
+//!    order, so for the all-pairs workload the resulting [`StretchReport`]
+//!    is **bit-identical** to `routemodel::stretch_factor` over the dense
+//!    [`DistanceMatrix`] — for every worker count and block size (the
+//!    property tests pin this); the first routing error and the per-block
+//!    memory needs travel through the same fold;
+//! 4. congestion counters, route-length histograms and outcome counts stay
+//!    in the worker and are merged by integer addition once the primitive
+//!    hands the workers back — order-insensitive, so the whole
 //!    [`WorkloadReport`] is deterministic.
 //!
 //! [`DistanceMatrix`]: graphkit::DistanceMatrix
 
 use crate::metrics::{CongestionCounters, CongestionReport, LengthHistogram};
 use crate::workload::{SourceDests, WorkloadPlan};
-use graphkit::{BfsScratch, DistanceBlock, GraphView, INFINITY};
+use graphkit::{par, BfsScratch, Dist, DistanceBlock, GraphView, INFINITY};
 use routemodel::{
     default_hop_limit, walk, DeliveryOutcome, Header, RouteTrace, RoutingError, RoutingFunction,
     StretchAccumulator, StretchReport,
@@ -39,7 +42,7 @@ use std::time::Instant;
 /// sparse-source workloads, so no BFS row is computed for a silent source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker count; `0` uses `std::thread::available_parallelism`.
+    /// Worker count; `0` uses [`graphkit::par::default_threads`].
     pub threads: usize,
     /// Maximum source rows per distance block; `0` picks 64.
     pub block_rows: usize,
@@ -58,15 +61,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    fn effective_threads(&self, blocks: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|x| x.get())
-                .unwrap_or(1)
+    fn effective_threads(&self, n: usize) -> usize {
+        if self.threads == 0 {
+            par::default_threads(n)
         } else {
             self.threads
-        };
-        t.clamp(1, blocks.max(1))
+        }
     }
 
     fn effective_block_rows(&self) -> usize {
@@ -167,9 +167,11 @@ pub struct WorkloadReport {
     /// Blocks whose BFS rows fit the narrow `u8` representation.
     pub narrow_blocks: usize,
     /// Peak-memory proxy: bytes of the workload plan plus, per worker, the
-    /// largest distance block, the routing header and trace buffers, the
-    /// metric counters and the BFS scratch.  This is what replaces the dense
-    /// matrix's `4 n²` bytes.
+    /// largest block's distance rows with its routing header and trace
+    /// buffers, the metric counters and the BFS scratch.  Any worker may draw
+    /// the largest block, so each is charged for it; the figure depends on
+    /// the worker count but not on which worker drew which block.  This is
+    /// what replaces the dense matrix's `4 n²` bytes.
     pub peak_tracked_bytes: u64,
     /// Wall-clock seconds the engine spent on this run (block BFS plus
     /// routing), measured inside [`run_workload`] so every report row
@@ -217,28 +219,39 @@ struct Block {
     rows: usize,
 }
 
-/// Per-worker accumulation of everything except the ordered stretch fold.
-struct WorkerOut {
+/// One worker's scratch and its order-insensitive integer counters.
+struct Worker {
+    bfs: BfsScratch,
+    rows: DistanceBlock,
     congestion: Option<CongestionCounters>,
     lengths: LengthHistogram,
     outcomes: OutcomeCounts,
     skipped: u64,
     narrow_blocks: usize,
-    max_block_bytes: u64,
 }
 
-type SourcePartial = Option<Result<StretchAccumulator, RoutingError>>;
+/// What one block hands to the ordered fold.
+#[derive(Default)]
+struct BlockOut {
+    /// One stretch partial per source of the block, in rank order.
+    sources: Vec<StretchAccumulator>,
+    /// The routing-model violation that ended the block early, if any.
+    error: Option<RoutingError>,
+    /// Bytes a fresh worker needs for this block: its distance rows, routing
+    /// header and trace.
+    bytes: u64,
+}
 
 /// Runs `plan` against routing function `r` on `g` — a plain [`Graph`] or a
 /// degraded [`GraphView`] with dead links masked out.
 ///
 /// The only hard failure is a routing-*model* violation
-/// ([`RoutingError::PortOutOfRange`]); messages that loop, drop on a dead
-/// link or surface at the wrong vertex are bucketed per outcome in
-/// [`WorkloadReport::outcomes`], and stretch/length/congestion metrics cover
-/// the delivered messages only.  Unreachable destinations (under the view's
-/// distances) are skipped and counted, matching the paper's restriction to
-/// connected graphs.
+/// ([`RoutingError::PortOutOfRange`]), reported for the earliest source that
+/// hit one; messages that loop, drop on a dead link or surface at the wrong
+/// vertex are bucketed per outcome in [`WorkloadReport::outcomes`], and
+/// stretch/length/congestion metrics cover the delivered messages only.
+/// Unreachable destinations (under the view's distances) are skipped and
+/// counted, matching the paper's restriction to connected graphs.
 pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     g: impl Into<GraphView<'a>>,
     r: &R,
@@ -281,53 +294,38 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
         }
     }
 
-    let threads = cfg.effective_threads(blocks.len());
-    let mut partials: Vec<SourcePartial> = Vec::new();
-    partials.resize_with(active.len(), || None);
-    let mut worker_outs: Vec<Option<WorkerOut>> = Vec::new();
-
-    if threads <= 1 {
-        let out = run_blocks(
-            view,
-            r,
-            plan,
-            &active,
-            &blocks,
-            &mut partials,
-            hop_limit,
-            cfg,
-        );
-        worker_outs.push(Some(out));
-    } else {
-        worker_outs.resize_with(threads, || None);
-        let per_worker = blocks.len().div_ceil(threads);
-        // Slice the per-source partials into the contiguous rank ranges the
-        // block chunks cover.
-        let mut jobs: Vec<(&[Block], &mut [SourcePartial])> = Vec::with_capacity(threads);
-        let mut rest: &mut [SourcePartial] = &mut partials;
-        for chunk in blocks.chunks(per_worker) {
-            let ranks: usize = chunk.iter().map(|b| b.rank_hi - b.rank_lo).sum();
-            let (head, tail) = rest.split_at_mut(ranks);
-            jobs.push((chunk, head));
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for ((chunk, slots), out_slot) in jobs.into_iter().zip(worker_outs.iter_mut()) {
-                let active = &active;
-                scope.spawn(move || {
-                    *out_slot = Some(run_blocks(
-                        view, r, plan, active, chunk, slots, hop_limit, cfg,
-                    ));
-                });
-            }
-        });
-    }
-
     // Ordered fold of the per-source stretch partials — the step that makes
     // the report bit-identical to the dense sweep.
     let mut total = StretchAccumulator::new();
-    for partial in partials.into_iter().flatten() {
-        total.merge_after(&partial?);
+    let mut first_error = None;
+    let mut block_bytes = 0u64;
+    let workers = par::map_fold_ordered(
+        blocks.len(),
+        cfg.effective_threads(n),
+        || Worker {
+            bfs: BfsScratch::with_capacity(n),
+            rows: DistanceBlock::new(),
+            congestion: cfg
+                .track_congestion
+                .then(|| CongestionCounters::for_graph(view.graph())),
+            lengths: LengthHistogram::new(),
+            outcomes: OutcomeCounts::default(),
+            skipped: 0,
+            narrow_blocks: 0,
+        },
+        |w, i, out| run_block(view, r, plan, &active, blocks[i], hop_limit, w, out),
+        |_, out| {
+            block_bytes = block_bytes.max(out.bytes);
+            if first_error.is_none() {
+                for acc in &out.sources {
+                    total.merge_after(acc);
+                }
+                first_error = out.error.take();
+            }
+        },
+    );
+    if let Some(e) = first_error {
+        return Err(e);
     }
 
     let mut congestion = cfg
@@ -337,20 +335,19 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     let mut outcomes = OutcomeCounts::default();
     let mut skipped = 0u64;
     let mut narrow_blocks = 0usize;
-    let mut peak = plan.bytes();
-    for out in worker_outs.into_iter().flatten() {
-        if let (Some(total_c), Some(worker_c)) = (&mut congestion, &out.congestion) {
+    for w in &workers {
+        if let (Some(total_c), Some(worker_c)) = (&mut congestion, &w.congestion) {
             total_c.merge(worker_c);
         }
-        lengths.merge(&out.lengths);
-        outcomes.merge(&out.outcomes);
-        skipped += out.skipped;
-        narrow_blocks += out.narrow_blocks;
-        peak += out.max_block_bytes
-            + out.congestion.as_ref().map_or(0, |c| c.bytes())
-            + out.lengths.bytes()
-            + 4 * n as u64; // BFS scratch queue
+        lengths.merge(&w.lengths);
+        outcomes.merge(&w.outcomes);
+        skipped += w.skipped;
+        narrow_blocks += w.narrow_blocks;
     }
+    let per_worker = block_bytes
+        + congestion.as_ref().map_or(0, |c| c.bytes())
+        + 8 * lengths.counts().len() as u64
+        + 4 * n as u64; // BFS scratch queue
 
     Ok(WorkloadReport {
         stretch: total.into_report(),
@@ -361,91 +358,88 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
         lengths,
         blocks: blocks.len(),
         narrow_blocks,
-        peak_tracked_bytes: peak,
+        peak_tracked_bytes: plan.bytes() + workers.len() as u64 * per_worker,
         run_secs: t0.elapsed().as_secs_f64(),
     })
 }
 
-/// Processes one worker's chunk of blocks, filling that chunk's per-source
-/// partial slots (in rank order).
+/// Routes one block of sources on worker `w`: BFS rows into the worker's
+/// block buffer, one stretch partial per source into `out` (stopping at the
+/// first routing-model violation), counters into the worker.
 #[allow(clippy::too_many_arguments)]
-fn run_blocks<R: RoutingFunction + Sync + ?Sized>(
+fn run_block<R: RoutingFunction + Sync + ?Sized>(
     view: GraphView<'_>,
     r: &R,
     plan: &WorkloadPlan,
     active: &[u32],
-    blocks: &[Block],
-    slots: &mut [SourcePartial],
+    b: Block,
     hop_limit: usize,
-    cfg: &EngineConfig,
-) -> WorkerOut {
+    w: &mut Worker,
+    out: &mut BlockOut,
+) {
     let n = view.num_nodes();
-    let mut scratch = BfsScratch::with_capacity(n);
-    let mut rows = DistanceBlock::new();
+    let rows = &mut w.rows;
+    rows.recompute(view, b.src_lo, b.rows, &mut w.bfs);
+    if rows.is_narrow() {
+        w.narrow_blocks += 1;
+    }
+    // Fresh per block, so their capacities depend on this block alone.
     let mut header = Header::to_dest(0);
     let mut trace = RouteTrace::new();
-    let mut out = WorkerOut {
-        congestion: cfg
-            .track_congestion
-            .then(|| CongestionCounters::for_graph(view.graph())),
-        lengths: LengthHistogram::new(),
-        outcomes: OutcomeCounts::default(),
-        skipped: 0,
-        narrow_blocks: 0,
-        max_block_bytes: 0,
-    };
-    let mut slot_idx = 0usize;
-    for b in blocks {
-        rows.recompute(view, b.src_lo, b.rows, &mut scratch);
-        if rows.is_narrow() {
-            out.narrow_blocks += 1;
-        }
-        out.max_block_bytes = out.max_block_bytes.max(rows.bytes() as u64);
-        for rank in b.rank_lo..b.rank_hi {
-            let s = active[rank] as usize;
-            let row = rows.row(s);
-            let mut acc = StretchAccumulator::new();
-            // Destinations are routed in plan order, skipping the pairs the
-            // dense sweep skips at the same positions, so the order-sensitive
-            // f64 stretch fold matches it bit for bit.
-            let mut route_one = |t: usize| -> Result<(), RoutingError> {
-                if t == s {
-                    return Ok(());
-                }
-                let dist = row.dist(t);
-                if dist == INFINITY {
-                    out.skipped += 1;
-                    return Ok(());
-                }
-                let tracked = out.congestion.is_some().then_some(&mut trace);
-                let (outcome, hops) = walk(view, r, s, t, hop_limit, &mut header, tracked)?;
-                out.outcomes.record(outcome);
-                // Metrics cover delivered messages only: a dropped message
-                // has no meaningful length or stretch, and its partial trace
-                // would skew the congestion picture.
-                if outcome.is_delivered() {
-                    acc.record(s, t, hops as u32, dist);
-                    out.lengths.record(hops);
-                    if let Some(c) = &mut out.congestion {
-                        for (&u, &p) in trace.path.iter().zip(&trace.ports) {
-                            c.record_hop(u, p);
-                        }
+    out.sources.clear();
+    out.error = None;
+    for rank in b.rank_lo..b.rank_hi {
+        let s = active[rank] as usize;
+        let row = rows.row(s);
+        let mut acc = StretchAccumulator::new();
+        // Destinations are routed in plan order, skipping the pairs the
+        // dense sweep skips at the same positions, so the order-sensitive
+        // f64 stretch fold matches it bit for bit.
+        let mut route_one = |t: usize| -> Result<(), RoutingError> {
+            if t == s {
+                return Ok(());
+            }
+            let dist = row.dist(t);
+            if dist == INFINITY {
+                w.skipped += 1;
+                return Ok(());
+            }
+            let tracked = w.congestion.is_some().then_some(&mut trace);
+            let (outcome, hops) = walk(view, r, s, t, hop_limit, &mut header, tracked)?;
+            w.outcomes.record(outcome);
+            // Metrics cover delivered messages only: a dropped message has
+            // no meaningful length or stretch, and its partial trace would
+            // skew the congestion picture.
+            if outcome.is_delivered() {
+                acc.record(s, t, hops as u32, dist);
+                w.lengths.record(hops);
+                if let Some(c) = &mut w.congestion {
+                    for (&u, &p) in trace.path.iter().zip(&trace.ports) {
+                        c.record_hop(u, p);
                     }
                 }
-                Ok(())
-            };
-            let result = match plan.dests(s) {
-                SourceDests::AllOthers => (0..n).try_for_each(&mut route_one),
-                SourceDests::List(list) => list.iter().try_for_each(|&t| route_one(t as usize)),
-            };
-            slots[slot_idx] = Some(result.map(|()| acc));
-            slot_idx += 1;
+            }
+            Ok(())
+        };
+        let result = match plan.dests(s) {
+            SourceDests::AllOthers => (0..n).try_for_each(&mut route_one),
+            SourceDests::List(list) => list.iter().try_for_each(|&t| route_one(t as usize)),
+        };
+        if let Err(e) = result {
+            out.error = Some(e);
+            break;
         }
+        out.sources.push(acc);
     }
-    // The routing buffers live for the worker's whole run; fold them into
-    // the same per-worker peak term as the largest distance block.
-    out.max_block_bytes += header.bytes() + trace.bytes();
-    out
+    // What a fresh block buffer holds: the narrow rows, plus the wide copy
+    // once the block widened.
+    let cells = (b.rows * n) as u64;
+    let row_bytes = if rows.is_narrow() {
+        cells
+    } else {
+        cells * (1 + std::mem::size_of::<Dist>() as u64)
+    };
+    out.bytes = row_bytes + header.bytes() + trace.bytes();
 }
 
 /// Convenience wrapper: the exact stretch factor over **all pairs**, computed
@@ -587,6 +581,41 @@ mod tests {
             assert_eq!(rep.congestion, base.congestion);
             assert_eq!(rep.lengths, base.lengths);
             assert_eq!(rep.routed_messages, base.routed_messages);
+        }
+    }
+
+    /// Workers draw blocks from a shared cursor, so which worker gets which
+    /// block changes from run to run.  Two blocks at opposite ends of this
+    /// plan carry routes of ~300 hops and wide (`u32`) distance rows, every
+    /// other block one-hop routes over narrow rows: they land on one worker
+    /// in some runs and on two in others, so any report field built from
+    /// per-worker state (buffer capacities, per-worker maxima) would differ
+    /// between runs.
+    #[test]
+    fn whole_report_is_reproducible_at_a_fixed_thread_count() {
+        let n = 300usize;
+        let g = generators::path(n);
+        let r = table_routing(&g);
+        let pairs = (0..n)
+            .map(|s| match s {
+                s if s < 4 => (s, n - 1),
+                s if s >= n - 4 => (s, 0),
+                s => (s, s + 1),
+            })
+            .collect();
+        let plan = WorkloadPlan::from_pairs(n, pairs);
+        let cfg = EngineConfig {
+            threads: 3,
+            block_rows: 4,
+            track_congestion: true,
+        };
+        let first = run_workload(&g, &r, &plan, &cfg).unwrap();
+        assert!(
+            first.narrow_blocks < first.blocks,
+            "the end blocks must widen"
+        );
+        for _ in 0..8 {
+            assert_eq!(run_workload(&g, &r, &plan, &cfg).unwrap(), first);
         }
     }
 

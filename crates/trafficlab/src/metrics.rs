@@ -206,11 +206,6 @@ impl LengthHistogram {
         // rather than panicking: the last non-empty bin.
         self.max_len()
     }
-
-    /// Heap bytes held (for the engine's peak-memory proxy).
-    pub fn bytes(&self) -> u64 {
-        (self.counts.capacity() * 8) as u64
-    }
 }
 
 #[cfg(test)]

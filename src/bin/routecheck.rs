@@ -156,14 +156,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let built = graph_spec.build();
+    let g = &built.graph;
     let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
+        graphkit::par::default_threads(g.num_nodes())
     } else {
         args.threads
     };
-
-    let built = graph_spec.build();
-    let g = &built.graph;
 
     // The scheme list: explicit specs, or every applicable registry default.
     let mut instances = Vec::new();

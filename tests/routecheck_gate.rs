@@ -33,7 +33,6 @@ fn builtin_scenario_schemes_are_statically_sound() {
     // Debug-mode budget: the release CLI gate in CI covers n = 1024 and
     // up; here we sweep every case that stays comfortably under that.
     const MAX_N: usize = 1100;
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     let mut seen: HashSet<(String, String)> = HashSet::new();
     let mut checked = 0usize;
@@ -57,6 +56,7 @@ fn builtin_scenario_schemes_are_statically_sound() {
                     // run_scenario too.
                     Err(_) => continue,
                 };
+                let threads = graphkit::par::default_threads(built.graph.num_nodes());
                 let report =
                     routecheck::verify_instance(&built.graph, None, &inst, &scheme_label, threads);
                 assert_eq!(
