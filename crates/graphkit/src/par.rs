@@ -8,6 +8,9 @@
 //!
 //! * the landmark scheme's build — one item per landmark (landmark and
 //!   handoff phases), one per block of routers (cluster phase);
+//! * the landmark scheme's repair — one item per landmark column, one per
+//!   vertex whose cluster bound grew (gains), one per dead edge (suspects),
+//!   and one per block of 64 routers (the in-place patch);
 //! * `TableRouting::shortest_paths` — one item per block of 64 destinations;
 //! * [`crate::DistanceMatrix::all_pairs`] — one item per 16 source rows;
 //! * `routemodel`'s exact and sampled stretch sweeps — one item per run of
@@ -33,6 +36,13 @@
 //! the serve-4k benchmark workload by 56%; items of up to 4096 consecutive
 //! queries cost nothing measurable.  Likewise one BFS row per item made the
 //! all-pairs matrix of a 256-vertex graph 1.7–2× slower than 16 rows.
+//!
+//! Too coarse an item costs as much as too fine a one when the work sits in
+//! few places.  A landmark repair's gains pass runs one ball BFS per vertex
+//! whose cluster bound grew — about 30 per repair on the 32768-vertex
+//! churn graph, and they carry all of its work.  Items of 256 such vertices
+//! leave one item and no speed-up on 2 threads (18–20 ms against 17–21 ms
+//! on one); one item per grown vertex takes 12–15 ms.
 //!
 //! Result buffers are recycled: after `fold` consumes a result, its buffer
 //! goes back to a pool the workers draw from, and a worker may only claim an

@@ -84,6 +84,26 @@
 //! earlier phases, and the fold consumes items in index order — the order
 //! the serial loops used — so the instance is **bit-identical at every
 //! thread count** (pinned by a test at 1, 2 and 3 threads).
+//!
+//! [`LandmarkRouting::repair`] runs its heavy passes the same way, after a
+//! serial connectivity check and multi-source BFS:
+//!
+//! * one item per landmark patches that landmark's contiguous column of the
+//!   column-major `toward_dist` in place (each item locks its own column,
+//!   split off up front, so no lock is ever contended) and re-derives the
+//!   ports whose inputs moved; the fold writes them into the row-major
+//!   `toward_landmark` and counts the landmarks that changed;
+//! * one item per vertex whose bound `d(v, L)` grew collects the sources
+//!   that gain it; one item per dead edge collects the suspect sources; the
+//!   folds append both lists, which are then sorted;
+//! * phase A — one item per block of 64 routers patches the block's
+//!   contiguous range of `direct_dists`/`direct_ports` in place, again
+//!   behind a lock of its own; the fold gathers the new slice lengths,
+//!   gained first hops and fresh clusters in router order.
+//!
+//! Phase B, the relocation of the patched slices, stays on the calling
+//! thread.  The repaired instance and its `RepairOutcome` are the same at
+//! every thread count (pinned at 1, 2 and 3 threads).
 
 use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
 use graphkit::traversal::bfs_distances_into;
@@ -95,6 +115,7 @@ use graphkit::{
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Sentinel in the flat toward-landmark table: "this router *is* the
 /// landmark" (no port exists; a valid header never asks for it).
@@ -141,6 +162,50 @@ impl ClusterBlock {
         self.targets.extend(members.iter().map(|&(v, _, _)| v));
         self.dists.extend(members.iter().map(|&(_, d, _)| d));
         self.ports.extend(members.iter().map(|&(_, _, p)| p));
+    }
+}
+
+/// One landmark column of the repair: whether a distance moved, and the
+/// re-derived port of every vertex whose port inputs moved, as
+/// `(vertex, port)` pairs.
+#[derive(Default)]
+struct ColumnPatch {
+    moved: bool,
+    ports: Vec<(u32, u32)>,
+}
+
+/// A worker's workspace for phase A of [`LandmarkRouting::repair`].
+#[derive(Default)]
+struct PatchScratch {
+    bounded: BoundedBfsScratch,
+    queue: VecDeque<u32>,
+    buckets: Vec<Vec<u32>>,
+    inqv: Vec<bool>,
+    fhd: Vec<bool>,
+    dirty: Vec<u32>,
+}
+
+/// Phase A's facts for one block of `CLUSTER_BLOCK` consecutive routers, in
+/// router order: each router's new slice length, the first hops of the
+/// block's gained members, and the fresh clusters of its dead-edge
+/// endpoints.
+#[derive(Default)]
+struct PatchedBlock {
+    lens: Vec<u32>,
+    gports: Vec<u32>,
+    fresh: Vec<(u32, Dist, u32)>,
+    /// `(router, start in fresh)` per dead-edge endpoint of the block.
+    fresh_at: Vec<(u32, u32)>,
+    touched: usize,
+}
+
+impl PatchedBlock {
+    fn clear(&mut self) {
+        self.lens.clear();
+        self.gports.clear();
+        self.fresh.clear();
+        self.fresh_at.clear();
+        self.touched = 0;
     }
 }
 
@@ -666,11 +731,33 @@ impl LandmarkRouting {
     /// splices gains in and compacts evictions out, moving each surviving
     /// entry at most once (phase B) — the repair never reallocates the
     /// gigabyte-scale cluster arrays a large instance carries.
+    ///
+    /// Phase A and the passes before it run on
+    /// [`graphkit::par::default_threads`] workers (see the module docs): a
+    /// source's patch reads and writes only that source's slice, so each
+    /// block of 64 routers patches its own contiguous range of
+    /// `direct_dists`/`direct_ports`, handed to it by `split_at_mut`.  Phase
+    /// B runs on the calling thread and moves surviving members in runs —
+    /// one `copy_from_slice` per stretch between gain insertion points and
+    /// evictions.
     pub fn repair(
         &mut self,
         g: &Graph,
         adapted_to: &FailureSet,
         failures: &FailureSet,
+    ) -> Result<RepairOutcome, BuildError> {
+        let threads = par::default_threads(g.num_nodes());
+        self.repair_threads(g, adapted_to, failures, threads)
+    }
+
+    /// [`LandmarkRouting::repair`] on an explicit worker count; neither the
+    /// repaired instance nor the outcome depends on `threads`.
+    fn repair_threads(
+        &mut self,
+        g: &Graph,
+        adapted_to: &FailureSet,
+        failures: &FailureSet,
+        threads: usize,
     ) -> Result<RepairOutcome, BuildError> {
         let n = g.num_nodes();
         let k = self.landmarks.len();
@@ -687,7 +774,7 @@ impl LandmarkRouting {
                 });
             }
             let cfg = self.config.clone();
-            *self = Self::build_on_view(view, &cfg);
+            *self = Self::build_on_view_threads(view, &cfg, threads);
             return Ok(RepairOutcome {
                 vertices_touched: n,
                 landmarks_rebuilt: k,
@@ -726,93 +813,116 @@ impl LandmarkRouting {
             &mut origin,
         );
 
-        // Toward-landmark columns: per column, a decremental worklist seeded
-        // at the far endpoints of dead *tight* arcs (an arc supports no
-        // shortest path otherwise), then a port re-derivation over the
-        // vertices whose formula inputs moved: the changed vertices, their
-        // live neighbours, and the dead-edge endpoints (they lost an arc).
+        // Toward-landmark columns, one item per landmark: a decremental
+        // worklist seeded at the far endpoints of dead *tight* arcs (an arc
+        // supports no shortest path otherwise) patches the landmark's own
+        // column of `toward_dist` in place, then the ports are re-derived
+        // over the vertices whose formula inputs moved: the changed
+        // vertices, their live neighbours, and the dead-edge endpoints (they
+        // lost an arc).  The fold writes those ports into the row-major
+        // `toward_landmark`.
         let mut landmarks_rebuilt = 0usize;
         {
-            let mut queue: VecDeque<u32> = VecDeque::new();
-            let mut inq = vec![false; n];
-            let mut dirty = vec![u32::MAX; n];
-            let mut rescan: Vec<u32> = Vec::new();
-            for i in 0..k {
-                let l = self.landmarks[i];
-                let epoch = i as u32;
-                let col = &mut self.toward_dist[i * n..(i + 1) * n];
-                rescan.clear();
-                for &(u, v) in &delta {
-                    let (uu, vv) = (u as usize, v as usize);
-                    let (du, dv) = (col[uu], col[vv]);
-                    let far = if dv == du + 1 {
-                        Some(vv)
-                    } else if du == dv + 1 {
-                        Some(uu)
-                    } else {
-                        None
-                    };
-                    if let Some(f) = far {
-                        if !inq[f] {
-                            inq[f] = true;
-                            queue.push_back(f as u32);
+            let columns: Vec<Mutex<&mut [Dist]>> =
+                self.toward_dist.chunks_mut(n).map(Mutex::new).collect();
+            let landmarks = &self.landmarks;
+            let toward_landmark = &mut self.toward_landmark;
+            par::map_fold_ordered(
+                k,
+                threads,
+                || {
+                    (
+                        VecDeque::new(),
+                        vec![false; n],
+                        vec![u32::MAX; n],
+                        Vec::new(),
+                    )
+                },
+                |(queue, inq, dirty, rescan), i, patch: &mut ColumnPatch| {
+                    let mut col = columns[i]
+                        .lock()
+                        .expect("one item per column: the lock is never contended");
+                    let col: &mut [Dist] = &mut col;
+                    let l = landmarks[i];
+                    let epoch = i as u32;
+                    patch.moved = false;
+                    rescan.clear();
+                    for &(u, v) in &delta {
+                        let (uu, vv) = (u as usize, v as usize);
+                        let (du, dv) = (col[uu], col[vv]);
+                        let far = if dv == du + 1 {
+                            Some(vv)
+                        } else if du == dv + 1 {
+                            Some(uu)
+                        } else {
+                            None
+                        };
+                        if let Some(f) = far {
+                            if !inq[f] {
+                                inq[f] = true;
+                                queue.push_back(f as u32);
+                            }
+                        }
+                        for e in [uu, vv] {
+                            if dirty[e] != epoch {
+                                dirty[e] = epoch;
+                                rescan.push(e as u32);
+                            }
                         }
                     }
-                    for e in [uu, vv] {
-                        if dirty[e] != epoch {
-                            dirty[e] = epoch;
-                            rescan.push(e as u32);
+                    while let Some(x) = queue.pop_front() {
+                        let xu = x as usize;
+                        inq[xu] = false;
+                        if xu == l {
+                            continue;
+                        }
+                        let mut best = INFINITY;
+                        view.for_each_live(xu, |_, z| best = best.min(col[z]));
+                        let nd = best.saturating_add(1);
+                        if nd == col[xu] {
+                            continue;
+                        }
+                        debug_assert!(nd > col[xu], "deletion-only distances cannot shrink");
+                        col[xu] = nd;
+                        patch.moved = true;
+                        if dirty[xu] != epoch {
+                            dirty[xu] = epoch;
+                            rescan.push(x);
+                        }
+                        view.for_each_live(xu, |_, z| {
+                            if dirty[z] != epoch {
+                                dirty[z] = epoch;
+                                rescan.push(z as u32);
+                            }
+                            if !inq[z] {
+                                inq[z] = true;
+                                queue.push_back(z as u32);
+                            }
+                        });
+                    }
+                    patch.ports.clear();
+                    for &w in rescan.iter() {
+                        let wu = w as usize;
+                        if wu != l {
+                            let port = min_tight_port(view, col, wu, col[wu]).expect(
+                                "connected graph: some neighbour is closer to the landmark",
+                            );
+                            patch.ports.push((w, port));
                         }
                     }
-                }
-                let mut changed_any = false;
-                while let Some(x) = queue.pop_front() {
-                    let xu = x as usize;
-                    inq[xu] = false;
-                    if xu == l {
-                        continue;
-                    }
-                    let mut best = INFINITY;
-                    view.for_each_live(xu, |_, z| best = best.min(col[z]));
-                    let nd = best.saturating_add(1);
-                    if nd == col[xu] {
-                        continue;
-                    }
-                    debug_assert!(nd > col[xu], "deletion-only distances cannot shrink");
-                    col[xu] = nd;
-                    changed_any = true;
-                    if dirty[xu] != epoch {
-                        dirty[xu] = epoch;
-                        rescan.push(x);
-                    }
-                    view.for_each_live(xu, |_, z| {
-                        if dirty[z] != epoch {
-                            dirty[z] = epoch;
-                            rescan.push(z as u32);
+                },
+                |i, patch| {
+                    let mut changed = patch.moved;
+                    for &(w, port) in &patch.ports {
+                        let slot = &mut toward_landmark[w as usize * k + i];
+                        if *slot != port {
+                            *slot = port;
+                            changed = true;
                         }
-                        if !inq[z] {
-                            inq[z] = true;
-                            queue.push_back(z as u32);
-                        }
-                    });
-                }
-                for &w in &rescan {
-                    let wu = w as usize;
-                    if wu == l {
-                        continue;
                     }
-                    let port = min_tight_port(view, col, wu, col[wu])
-                        .expect("connected graph: some neighbour is closer to the landmark");
-                    let slot = &mut self.toward_landmark[wu * k + i];
-                    if *slot != port {
-                        *slot = port;
-                        changed_any = true;
-                    }
-                }
-                if changed_any {
-                    landmarks_rebuilt += 1;
-                }
-            }
+                    landmarks_rebuilt += usize::from(changed);
+                },
+            );
         }
 
         // Clusters.  Fresh pruned BFS only for the dead-edge endpoints (their
@@ -825,58 +935,75 @@ impl LandmarkRouting {
         // its first hop needs the recurrence.  (A vertex whose bound did not
         // grow cannot be gained by anyone: non-membership means
         // `d_old(w, v) > dts[v]`, and deletions only push distances up.)
+        // One item per grown vertex: a few dozen of them carry all the work,
+        // so coarser items would leave a worker idle.
         let old_dts = std::mem::take(&mut self.dist_to_set);
-        let mut bounded = BoundedBfsScratch::with_capacity(n);
         let mut full_mark = vec![false; n];
         for &(u, v) in &delta {
             full_mark[u as usize] = true;
             full_mark[v as usize] = true;
         }
+        let (offsets, targets) = (&self.direct_offsets, &self.direct_targets);
+        let grown: Vec<usize> = (0..n).filter(|&v| new_dts[v] != old_dts[v]).collect();
         let mut gains: Vec<(u32, u32, Dist)> = Vec::new();
-        for v in 0..n {
-            if new_dts[v] != old_dts[v] {
+        par::map_fold_ordered(
+            grown.len(),
+            threads,
+            BoundedBfsScratch::default,
+            |bounded, j, found: &mut Vec<(u32, u32, Dist)>| {
+                found.clear();
+                let v = grown[j];
                 debug_assert!(new_dts[v] > old_dts[v]);
                 let (old_bound, vv) = (old_dts[v], v as u32);
-                bfs_ball_into(view, v, new_dts[v], &mut bounded, |w, d| {
+                bfs_ball_into(view, v, new_dts[v], bounded, |w, d| {
                     if d <= old_bound || full_mark[w] {
                         return;
                     }
-                    let (lo, hi) = (
-                        self.direct_offsets[w] as usize,
-                        self.direct_offsets[w + 1] as usize,
-                    );
-                    // Already stored: the distance moved but membership did
-                    // not — that is the suspect patch's business.
-                    if self.direct_targets[lo..hi].binary_search(&vv).is_err() {
-                        gains.push((w as u32, vv, d));
+                    let stored = &targets[offsets[w] as usize..offsets[w + 1] as usize];
+                    // Already stored: the distance moved but membership
+                    // did not — that is the suspect patch's business.
+                    if find_sorted(stored, vv).is_none() {
+                        found.push((w as u32, vv, d));
                     }
                 });
-            }
-        }
+            },
+            |_, found| gains.extend_from_slice(found),
+        );
         gains.sort_unstable();
 
         // Damage detection, inverted per dead edge (see the doc comment):
         // suspect sources hold both endpoints in their old cluster at
-        // consecutive distances.
+        // consecutive distances.  One item per dead edge.
         let mut suspects: Vec<(u32, u32)> = Vec::new();
-        {
-            let mut mark = vec![u32::MAX; n];
-            let mut dx = vec![0 as Dist; n];
-            for (e, &(x, y)) in delta.iter().enumerate() {
-                let (x, y) = (x as usize, y as usize);
+        par::map_fold_ordered(
+            delta.len(),
+            threads,
+            || {
+                (
+                    BoundedBfsScratch::default(),
+                    vec![u32::MAX; n],
+                    vec![0 as Dist; n],
+                )
+            },
+            |(bounded, mark, dx), e, found: &mut Vec<(u32, u32)>| {
+                found.clear();
+                let (x, y) = (delta[e].0 as usize, delta[e].1 as usize);
                 let epoch = e as u32;
-                bfs_ball_into(old_view, x, old_dts[x], &mut bounded, |w, d| {
+                bfs_ball_into(old_view, x, old_dts[x], bounded, |w, d| {
                     mark[w] = epoch;
                     dx[w] = d;
                 });
-                bfs_ball_into(old_view, y, old_dts[y], &mut bounded, |w, d| {
+                bfs_ball_into(old_view, y, old_dts[y], bounded, |w, d| {
                     if mark[w] == epoch && dx[w].abs_diff(d) == 1 && !full_mark[w] {
-                        suspects.push((w as u32, e as u32));
+                        found.push((w as u32, epoch));
                     }
                 });
-            }
-        }
+            },
+            |_, found| suspects.extend_from_slice(found),
+        );
         suspects.sort_unstable();
+        let gain_at = router_offsets(n, gains.iter().map(|&(w, _, _)| w));
+        let suspect_at = router_offsets(n, suspects.iter().map(|&(w, _)| w));
 
         // Phase A — patch in place.  Cluster membership changes only at
         // gained members (spliced during relocation) and dead members (their
@@ -885,71 +1012,92 @@ impl LandmarkRouting {
         // `direct_dists`/`direct_ports` where the slices already sit — the
         // decremental distance worklist, then the first-hop recurrence level
         // by level, both over the virtual index space "stored members ++
-        // gains of this source" — records per-source structural facts (gain
-        // ranges, death counts, fresh slices for the dead-edge endpoints),
-        // and leaves every byte move to one relocation pass (Phase B).  A
-        // dead member is marked by forcing its stored distance to
-        // `INFINITY`, which excludes it from every support scan for free.
+        // gains of this source" — records per-source structural facts (new
+        // lengths, gained first hops, fresh slices for the dead-edge
+        // endpoints), and leaves every byte move to one relocation pass
+        // (Phase B).  A dead member is marked by forcing its stored distance
+        // to `INFINITY`, which excludes it from every support scan for free.
+        //
+        // One item per block of `CLUSTER_BLOCK` routers; block `b` owns the
+        // contiguous range of `direct_dists`/`direct_ports` its routers'
+        // slices span, split off the arrays up front and locked by that item
+        // alone.  The fold collects the block's facts in router order.
+        let blocks = n.div_ceil(CLUSTER_BLOCK);
+        let block_at = |b: usize| (b * CLUSTER_BLOCK).min(n);
+        let slots: Vec<Mutex<(&mut [Dist], &mut [u32])>> = {
+            let (mut dists, mut ports) = (&mut self.direct_dists[..], &mut self.direct_ports[..]);
+            (0..blocks)
+                .map(|b| {
+                    let len = (offsets[block_at(b + 1)] - offsets[block_at(b)]) as usize;
+                    let (d, rest) = std::mem::take(&mut dists).split_at_mut(len);
+                    dists = rest;
+                    let (p, rest) = std::mem::take(&mut ports).split_at_mut(len);
+                    ports = rest;
+                    Mutex::new((d, p))
+                })
+                .collect()
+        };
         let mut vertices_touched = 0usize;
         let mut new_offsets = vec![0u32; n + 1];
-        let mut grange = vec![(0u32, 0u32); n];
-        let mut gports = vec![u32::MAX; gains.len()];
+        let mut gports: Vec<u32> = Vec::with_capacity(gains.len());
         let mut fm_start = vec![u32::MAX; n];
         let mut fm_data: Vec<(u32, Dist, u32)> = Vec::new();
-        {
-            let mut queue: VecDeque<u32> = VecDeque::new();
-            let mut buckets: Vec<Vec<u32>> = Vec::new();
-            let (mut inqv, mut fhd): (Vec<bool>, Vec<bool>) = Default::default();
-            let mut dirty: Vec<u32> = Vec::new();
-            let mut si = 0usize;
-            let mut gi = 0usize;
-            for w in 0..n {
-                let mut sj = si;
-                while sj < suspects.len() && suspects[sj].0 as usize == w {
-                    sj += 1;
-                }
-                let edges = &suspects[si..sj];
-                si = sj;
-                let mut gj = gi;
-                while gj < gains.len() && gains[gj].0 as usize == w {
-                    gj += 1;
-                }
-                grange[w] = (gi as u32, gj as u32);
-                let (g0, g1) = (gi, gj);
-                gi = gj;
-                let (lo, hi) = (
-                    self.direct_offsets[w] as usize,
-                    self.direct_offsets[w + 1] as usize,
-                );
-                let len = hi - lo;
-                if full_mark[w] {
-                    // A dead-edge endpoint: its own port structure changed,
-                    // so its cluster is recomputed from scratch into a side
-                    // buffer (there are at most two per dead link).
-                    vertices_touched += 1;
-                    fm_start[w] = fm_data.len() as u32;
-                    let at = fm_data.len();
-                    bfs_bounded_into(view, w, &new_dts, &mut bounded, |v, d, p| {
-                        fm_data.push((v as u32, d, p as u32));
-                    });
-                    fm_data[at..].sort_unstable();
-                    new_offsets[w + 1] = (fm_data.len() - at) as u32;
-                    continue;
-                }
-                let gk = g1 - g0;
-                // Dry run over the suspect arcs: detection only knows both
-                // endpoints sat in the old cluster at consecutive distances,
-                // which makes the arc *tight*, not load-bearing.  If the far
-                // endpoint of every suspect arc keeps an alternative tight
-                // support (distance intact) and the same minimal first hop,
-                // nothing in this source's stored output can move — damage
-                // would have to originate at some far endpoint — and the
-                // expensive patch is skipped.
-                let mut damaged = false;
-                if !edges.is_empty() {
-                    let tg = &self.direct_targets[lo..hi];
-                    let dd = &self.direct_dists[lo..hi];
-                    let pp = &self.direct_ports[lo..hi];
+        par::map_fold_ordered(
+            blocks,
+            threads,
+            PatchScratch::default,
+            |s, b, out: &mut PatchedBlock| {
+                let mut slot = slots[b]
+                    .lock()
+                    .expect("one item per block: the lock is never contended");
+                let (dists, ports) = &mut *slot;
+                let PatchScratch {
+                    bounded,
+                    queue,
+                    buckets,
+                    inqv,
+                    fhd,
+                    dirty,
+                } = s;
+                out.clear();
+                let base = offsets[block_at(b)] as usize;
+                let gbase = gain_at[block_at(b)] as usize;
+                out.gports
+                    .resize(gain_at[block_at(b + 1)] as usize - gbase, u32::MAX);
+                for w in block_at(b)..block_at(b + 1) {
+                    let edges = &suspects[suspect_at[w] as usize..suspect_at[w + 1] as usize];
+                    let (g0, g1) = (gain_at[w] as usize, gain_at[w + 1] as usize);
+                    let (lo, hi) = (offsets[w] as usize, offsets[w + 1] as usize);
+                    let len = hi - lo;
+                    if full_mark[w] {
+                        // A dead-edge endpoint: its own port structure
+                        // changed, so its cluster is recomputed from scratch
+                        // into a side buffer (there are at most two per dead
+                        // link).
+                        out.touched += 1;
+                        let at = out.fresh.len();
+                        bfs_bounded_into(view, w, &new_dts, bounded, |v, d, p| {
+                            out.fresh.push((v as u32, d, p as u32));
+                        });
+                        out.fresh[at..].sort_unstable();
+                        out.fresh_at.push((w as u32, at as u32));
+                        out.lens.push((out.fresh.len() - at) as u32);
+                        continue;
+                    }
+                    let gk = g1 - g0;
+                    let tg = &targets[lo..hi];
+                    let dd = &mut dists[lo - base..hi - base];
+                    let pp = &mut ports[lo - base..hi - base];
+                    // Dry run over the suspect arcs: detection only knows
+                    // both endpoints sat in the old cluster at consecutive
+                    // distances, which makes the arc *tight*, not
+                    // load-bearing.  If the far endpoint of every suspect arc
+                    // keeps an alternative tight support (distance intact)
+                    // and the same minimal first hop, nothing in this
+                    // source's stored output can move — damage would have to
+                    // originate at some far endpoint — and the expensive
+                    // patch is skipped.
+                    let mut damaged = false;
                     for &(_, e) in edges {
                         let (x, y) = delta[e as usize];
                         let (Ok(ix), Ok(iy)) = (tg.binary_search(&x), tg.binary_search(&y)) else {
@@ -1001,202 +1149,212 @@ impl LandmarkRouting {
                             break;
                         }
                     }
-                }
-                if !damaged && gk == 0 {
-                    new_offsets[w + 1] = len as u32;
-                    continue;
-                }
-                vertices_touched += 1;
-                let tg = &self.direct_targets[lo..hi];
-                let dd = &mut self.direct_dists[lo..hi];
-                let pp = &mut self.direct_ports[lo..hi];
-                let gw = &gains[g0..g1];
-                let gp = &mut gports[g0..g1];
-                let total = len + gk;
-                inqv.clear();
-                inqv.resize(total, false);
-                fhd.clear();
-                fhd.resize(total, false);
-                dirty.clear();
-                for t in 0..gk {
-                    fhd[len + t] = true;
-                    dirty.push((len + t) as u32);
-                }
-                // Seeds: far endpoints of each suspect arc (distance support
-                // lost) — which by detection are both stored members.
-                for &(_, e) in edges {
-                    let (x, y) = delta[e as usize];
-                    let (Ok(ix), Ok(iy)) = (tg.binary_search(&x), tg.binary_search(&y)) else {
-                        debug_assert!(false, "suspect edge endpoints must be stored members");
-                        continue;
-                    };
-                    let far = if dd[iy] == dd[ix] + 1 {
-                        iy
-                    } else if dd[ix] == dd[iy] + 1 {
-                        ix
-                    } else {
-                        continue;
-                    };
-                    if !fhd[far] {
-                        fhd[far] = true;
-                        dirty.push(far as u32);
-                    }
-                    if !inqv[far] {
-                        inqv[far] = true;
-                        queue.push_back(far as u32);
-                    }
-                }
-                let mut deaths = 0u32;
-                while let Some(i0) = queue.pop_front() {
-                    // Only stored members enqueue: a gained member enters at
-                    // its exact new-view distance and never moves again.
-                    let idx = i0 as usize;
-                    inqv[idx] = false;
-                    if dd[idx] == INFINITY {
+                    if !damaged && gk == 0 {
+                        out.lens.push(len as u32);
                         continue;
                     }
-                    let v = tg[idx] as usize;
-                    let mut best = INFINITY;
-                    view.for_each_live(v, |_, z| {
-                        if z == w {
-                            best = 0;
-                        } else if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                            let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
-                            best = best.min(dz);
-                        }
-                    });
-                    let nd = best.saturating_add(1);
-                    if nd <= dd[idx] {
-                        // Equal: nothing moved.  Smaller: the support scan
-                        // saw a not-yet-raised stale neighbour next to a
-                        // gained member (already at its final distance) —
-                        // deletions only push distances up, so the recompute
-                        // is a no-op, not a decrease.
-                        continue;
+                    out.touched += 1;
+                    let gw = &gains[g0..g1];
+                    let gp = &mut out.gports[g0 - gbase..g1 - gbase];
+                    let total = len + gk;
+                    inqv.clear();
+                    inqv.resize(total, false);
+                    fhd.clear();
+                    fhd.resize(total, false);
+                    dirty.clear();
+                    for t in 0..gk {
+                        fhd[len + t] = true;
+                        dirty.push((len + t) as u32);
                     }
-                    if nd > new_dts[v] {
-                        // Exceeds the bound (or the support left the stored
-                        // cluster, which implies the same): no longer a
-                        // member.
-                        dd[idx] = INFINITY;
-                        deaths += 1;
-                    } else {
-                        dd[idx] = nd;
-                        if !fhd[idx] {
-                            fhd[idx] = true;
-                            dirty.push(idx as u32);
-                        }
-                    }
-                    view.for_each_live(v, |_, z| {
-                        if z != w {
-                            if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                if iz < len && dd[iz] != INFINITY {
-                                    if !fhd[iz] {
-                                        fhd[iz] = true;
-                                        dirty.push(iz as u32);
-                                    }
-                                    if !inqv[iz] {
-                                        inqv[iz] = true;
-                                        queue.push_back(iz as u32);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                // First hops, ascending by (final) distance: fh(v) is the
-                // port of the arc w→v at distance 1, else the minimum fh
-                // over tight in-neighbours — whose own hops are final once
-                // their level has been processed.  Only the dirty members
-                // (gains, raised distances, neighbours of either) enter the
-                // buckets; the cascade extends them on demand.  Gains start
-                // at port `u32::MAX`, so their first derivation always
-                // propagates.
-                for b in buckets.iter_mut() {
-                    b.clear();
-                }
-                for &di in &dirty {
-                    let idx = di as usize;
-                    let dvi = if idx < len { dd[idx] } else { gw[idx - len].2 };
-                    if dvi == INFINITY {
-                        continue;
-                    }
-                    let du = dvi as usize;
-                    if buckets.len() <= du {
-                        buckets.resize(du + 1, Vec::new());
-                    }
-                    buckets[du].push(di);
-                }
-                let mut d = 1usize;
-                while d < buckets.len() {
-                    let mut qi = 0usize;
-                    while qi < buckets[d].len() {
-                        let idx = buckets[d][qi] as usize;
-                        qi += 1;
-                        let (v, dv) = if idx < len {
-                            (tg[idx] as usize, dd[idx])
-                        } else {
-                            (gw[idx - len].1 as usize, gw[idx - len].2)
+                    // Seeds: far endpoints of each suspect arc (distance
+                    // support lost) — which by detection are both stored
+                    // members.
+                    for &(_, e) in edges {
+                        let (x, y) = delta[e as usize];
+                        let (Ok(ix), Ok(iy)) = (tg.binary_search(&x), tg.binary_search(&y)) else {
+                            debug_assert!(false, "suspect edge endpoints must be stored members");
+                            continue;
                         };
-                        debug_assert_eq!(dv as usize, d);
-                        let mut best = u32::MAX;
-                        if dv == 1 {
-                            for p in 0..view.degree(w) {
-                                if view.live_target(w, p) == Some(v) {
-                                    best = p as u32;
-                                    break;
-                                }
-                            }
+                        let far = if dd[iy] == dd[ix] + 1 {
+                            iy
+                        } else if dd[ix] == dd[iy] + 1 {
+                            ix
                         } else {
-                            view.for_each_live(v, |_, z| {
-                                if z != w {
-                                    if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                        let (dz, pz) = if iz < len {
-                                            (dd[iz], pp[iz])
-                                        } else {
-                                            (gw[iz - len].2, gp[iz - len])
-                                        };
-                                        if dz != INFINITY && dz + 1 == dv {
-                                            best = best.min(pz);
-                                        }
-                                    }
-                                }
-                            });
+                            continue;
+                        };
+                        if !fhd[far] {
+                            fhd[far] = true;
+                            dirty.push(far as u32);
                         }
-                        debug_assert_ne!(
-                            best,
-                            u32::MAX,
-                            "a live member must have a tight in-neighbour"
-                        );
-                        let cur = if idx < len { pp[idx] } else { gp[idx - len] };
-                        if cur != best {
-                            if idx < len {
-                                pp[idx] = best;
-                            } else {
-                                gp[idx - len] = best;
-                            }
-                            view.for_each_live(v, |_, z| {
-                                if z != w {
-                                    if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                        let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
-                                        if dz != INFINITY && dz == dv + 1 && !fhd[iz] {
-                                            fhd[iz] = true;
-                                            let du = (dv + 1) as usize;
-                                            if buckets.len() <= du {
-                                                buckets.resize(du + 1, Vec::new());
-                                            }
-                                            buckets[du].push(iz as u32);
-                                        }
-                                    }
-                                }
-                            });
+                        if !inqv[far] {
+                            inqv[far] = true;
+                            queue.push_back(far as u32);
                         }
                     }
-                    d += 1;
+                    let mut deaths = 0u32;
+                    while let Some(i0) = queue.pop_front() {
+                        // Only stored members enqueue: a gained member enters
+                        // at its exact new-view distance and never moves
+                        // again.
+                        let idx = i0 as usize;
+                        inqv[idx] = false;
+                        if dd[idx] == INFINITY {
+                            continue;
+                        }
+                        let v = tg[idx] as usize;
+                        let mut best = INFINITY;
+                        view.for_each_live(v, |_, z| {
+                            if z == w {
+                                best = 0;
+                            } else if let Some(iz) = cluster_find(z as u32, tg, gw) {
+                                let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
+                                best = best.min(dz);
+                            }
+                        });
+                        let nd = best.saturating_add(1);
+                        if nd <= dd[idx] {
+                            // Equal: nothing moved.  Smaller: the support
+                            // scan saw a not-yet-raised stale neighbour next
+                            // to a gained member (already at its final
+                            // distance) — deletions only push distances up,
+                            // so the recompute is a no-op, not a decrease.
+                            continue;
+                        }
+                        if nd > new_dts[v] {
+                            // Exceeds the bound (or the support left the
+                            // stored cluster, which implies the same): no
+                            // longer a member.
+                            dd[idx] = INFINITY;
+                            deaths += 1;
+                        } else {
+                            dd[idx] = nd;
+                            if !fhd[idx] {
+                                fhd[idx] = true;
+                                dirty.push(idx as u32);
+                            }
+                        }
+                        view.for_each_live(v, |_, z| {
+                            if z != w {
+                                if let Some(iz) = cluster_find(z as u32, tg, gw) {
+                                    if iz < len && dd[iz] != INFINITY {
+                                        if !fhd[iz] {
+                                            fhd[iz] = true;
+                                            dirty.push(iz as u32);
+                                        }
+                                        if !inqv[iz] {
+                                            inqv[iz] = true;
+                                            queue.push_back(iz as u32);
+                                        }
+                                    }
+                                }
+                            }
+                        });
+                    }
+                    // First hops, ascending by (final) distance: fh(v) is the
+                    // port of the arc w→v at distance 1, else the minimum fh
+                    // over tight in-neighbours — whose own hops are final
+                    // once their level has been processed.  Only the dirty
+                    // members (gains, raised distances, neighbours of either)
+                    // enter the buckets; the cascade extends them on demand.
+                    // Gains start at port `u32::MAX`, so their first
+                    // derivation always propagates.
+                    for bucket in buckets.iter_mut() {
+                        bucket.clear();
+                    }
+                    for &di in dirty.iter() {
+                        let idx = di as usize;
+                        let dvi = if idx < len { dd[idx] } else { gw[idx - len].2 };
+                        if dvi == INFINITY {
+                            continue;
+                        }
+                        let du = dvi as usize;
+                        if buckets.len() <= du {
+                            buckets.resize(du + 1, Vec::new());
+                        }
+                        buckets[du].push(di);
+                    }
+                    let mut d = 1usize;
+                    while d < buckets.len() {
+                        let mut qi = 0usize;
+                        while qi < buckets[d].len() {
+                            let idx = buckets[d][qi] as usize;
+                            qi += 1;
+                            let (v, dv) = if idx < len {
+                                (tg[idx] as usize, dd[idx])
+                            } else {
+                                (gw[idx - len].1 as usize, gw[idx - len].2)
+                            };
+                            debug_assert_eq!(dv as usize, d);
+                            let mut best = u32::MAX;
+                            if dv == 1 {
+                                for p in 0..view.degree(w) {
+                                    if view.live_target(w, p) == Some(v) {
+                                        best = p as u32;
+                                        break;
+                                    }
+                                }
+                            } else {
+                                view.for_each_live(v, |_, z| {
+                                    if z != w {
+                                        if let Some(iz) = cluster_find(z as u32, tg, gw) {
+                                            let (dz, pz) = if iz < len {
+                                                (dd[iz], pp[iz])
+                                            } else {
+                                                (gw[iz - len].2, gp[iz - len])
+                                            };
+                                            if dz != INFINITY && dz + 1 == dv {
+                                                best = best.min(pz);
+                                            }
+                                        }
+                                    }
+                                });
+                            }
+                            debug_assert_ne!(
+                                best,
+                                u32::MAX,
+                                "a live member must have a tight in-neighbour"
+                            );
+                            let cur = if idx < len { pp[idx] } else { gp[idx - len] };
+                            if cur != best {
+                                if idx < len {
+                                    pp[idx] = best;
+                                } else {
+                                    gp[idx - len] = best;
+                                }
+                                view.for_each_live(v, |_, z| {
+                                    if z != w {
+                                        if let Some(iz) = cluster_find(z as u32, tg, gw) {
+                                            let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
+                                            if dz != INFINITY && dz == dv + 1 && !fhd[iz] {
+                                                fhd[iz] = true;
+                                                let du = (dv + 1) as usize;
+                                                if buckets.len() <= du {
+                                                    buckets.resize(du + 1, Vec::new());
+                                                }
+                                                buckets[du].push(iz as u32);
+                                            }
+                                        }
+                                    }
+                                });
+                            }
+                        }
+                        d += 1;
+                    }
+                    out.lens.push((len + gk) as u32 - deaths);
                 }
-                new_offsets[w + 1] = (len + gk) as u32 - deaths;
-            }
-        }
+            },
+            |b, out| {
+                let w0 = block_at(b);
+                new_offsets[w0 + 1..=w0 + out.lens.len()].copy_from_slice(&out.lens);
+                gports.extend_from_slice(&out.gports);
+                for &(w, at) in &out.fresh_at {
+                    fm_start[w as usize] = fm_data.len() as u32 + at;
+                }
+                fm_data.extend_from_slice(&out.fresh);
+                vertices_touched += out.touched;
+            },
+        );
+        drop(slots);
 
         // Phase B — one relocation pass.  Prefix-summing the new lengths
         // gives every slice's final position.  A slice that moves right is
@@ -1206,8 +1364,10 @@ impl LandmarkRouting {
         // the descending order has already relocated — and symmetrically for
         // left-movers.  Unchanged slices at unchanged positions cost
         // nothing; a moved-but-unedited slice is a bare `copy_within`; an
-        // edited slice bounces through a cache-sized scratch while the gains
-        // are spliced in and the dead members dropped.
+        // edited slice bounces through a cache-sized scratch, from which the
+        // surviving members move back in runs — one `copy_from_slice` per
+        // stretch between gain insertion points and dead members — with the
+        // gains written in between.
         for w in 0..n {
             new_offsets[w + 1] += new_offsets[w];
         }
@@ -1237,7 +1397,7 @@ impl LandmarkRouting {
                     return;
                 }
                 let (olo, ohi) = (direct_offsets[w] as usize, direct_offsets[w + 1] as usize);
-                let (g0, g1) = (grange[w].0 as usize, grange[w].1 as usize);
+                let (g0, g1) = (gain_at[w] as usize, gain_at[w + 1] as usize);
                 if g0 == g1 && nhi - nlo == ohi - olo {
                     if nlo != olo {
                         direct_targets.copy_within(olo..ohi, nlo);
@@ -1252,30 +1412,34 @@ impl LandmarkRouting {
                 sd.extend_from_slice(&direct_dists[olo..ohi]);
                 sp.clear();
                 sp.extend_from_slice(&direct_ports[olo..ohi]);
-                let mut wi = nlo;
-                let mut t = g0;
-                for j in 0..st.len() {
-                    if sd[j] == INFINITY {
-                        continue;
-                    }
-                    while t < g1 && gains[t].1 < st[j] {
-                        direct_targets[wi] = gains[t].1;
-                        direct_dists[wi] = gains[t].2;
-                        direct_ports[wi] = gports[t];
+                let (gw, gp) = (&gains[g0..g1], &gports[g0..g1]);
+                let (mut wi, mut j, mut t) = (nlo, 0usize, 0usize);
+                while j < st.len() || t < gw.len() {
+                    // The run of stored members up to the next gain's
+                    // insertion point or the next dead member.
+                    let stop = match gw.get(t) {
+                        Some(&(_, v, _)) => j + st[j..].partition_point(|&x| x < v),
+                        None => st.len(),
+                    };
+                    let end = sd[j..stop]
+                        .iter()
+                        .position(|&d| d == INFINITY)
+                        .map_or(stop, |r| j + r);
+                    let run = end - j;
+                    direct_targets[wi..wi + run].copy_from_slice(&st[j..end]);
+                    direct_dists[wi..wi + run].copy_from_slice(&sd[j..end]);
+                    direct_ports[wi..wi + run].copy_from_slice(&sp[j..end]);
+                    wi += run;
+                    j = end;
+                    if end < stop {
+                        j += 1;
+                    } else if t < gw.len() {
+                        direct_targets[wi] = gw[t].1;
+                        direct_dists[wi] = gw[t].2;
+                        direct_ports[wi] = gp[t];
                         wi += 1;
                         t += 1;
                     }
-                    direct_targets[wi] = st[j];
-                    direct_dists[wi] = sd[j];
-                    direct_ports[wi] = sp[j];
-                    wi += 1;
-                }
-                while t < g1 {
-                    direct_targets[wi] = gains[t].1;
-                    direct_dists[wi] = gains[t].2;
-                    direct_ports[wi] = gports[t];
-                    wi += 1;
-                    t += 1;
                 }
                 debug_assert_eq!(wi, nhi, "relocated slice must fill its range");
             };
@@ -1513,11 +1677,12 @@ fn ports_below(ports: &[u32], degree: usize) -> bool {
 /// most about `2·log₂ d` probes for a guess `d` entries off, so the worst
 /// case is about twice a plain binary search.
 ///
-/// Only the one-lookup-per-visit paths use it: the routing hop and the fault
-/// injection that mirrors it.  Repair makes many lookups into the slice it
-/// is patching, which is then cache-resident, and there the branch-free
-/// `binary_search` is faster than the guess's division and the gallop's
-/// unpredictable exits.
+/// Only the one-lookup-per-visit paths use it: the routing hop, the fault
+/// injection that mirrors it, and repair's membership probe for a gained
+/// member, which visits each source's slice once.  The repair patch makes
+/// many lookups into the slice it is patching, which is then
+/// cache-resident, and there the branch-free `binary_search` is faster than
+/// the guess's division and the gallop's unpredictable exits.
 #[inline]
 fn find_sorted(ids: &[u32], x: u32) -> Option<usize> {
     let (&first, &last) = (ids.first()?, ids.last()?);
@@ -1576,6 +1741,19 @@ fn cluster_find(z: u32, tg: &[u32], gw: &[(u32, u32, Dist)]) -> Option<usize> {
             .position(|&(_, v, _)| v == z)
             .map(|t| tg.len() + t),
     }
+}
+
+/// CSR offsets of a list sorted by router, given its routers in order: the
+/// entries of router `w` sit at `at[w]..at[w + 1]`.
+fn router_offsets(n: usize, routers: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut at = vec![0u32; n + 1];
+    for w in routers {
+        at[w as usize + 1] += 1;
+    }
+    for w in 0..n {
+        at[w + 1] += at[w];
+    }
+    at
 }
 
 /// Sorted-list difference `new \ old` over canonical dead-edge lists.
@@ -2292,6 +2470,151 @@ mod tests {
             }
         }
         assert!(exercised >= 5, "the grid must actually exercise repair");
+    }
+
+    /// The parallel repair folds every pass in index order, so neither the
+    /// instance nor the outcome may depend on the worker count.  Nested
+    /// three-round repairs at 1, 2 and 3 threads, on graphs large enough
+    /// that every pass has several items (landmarks, grown vertices, dead
+    /// edges and router blocks, the last one partial).
+    #[test]
+    fn repair_is_identical_at_every_thread_count() {
+        let mut bounds_grew = 0usize;
+        for (n, p, graph_seed) in [(300usize, 0.03f64, 5u64), (600, 0.015, 31)] {
+            let g = generators::random_connected(n, p, graph_seed);
+            let cfg = LandmarkConfig {
+                seed: 9,
+                ..LandmarkConfig::default()
+            };
+            let rounds: Vec<FailureSet> = [0.01f64, 0.02, 0.04]
+                .iter()
+                .map(|&kill| FailureSet::sample(&g, kill, 77))
+                .collect();
+            let last = GraphView::masked(&g, &rounds[2]);
+            assert!(graphkit::traversal::is_connected(last), "n={n}");
+            let base = LandmarkRouting::build_with(&g, &cfg);
+            let mut serial_outcomes = Vec::new();
+            for threads in [1usize, 2, 3] {
+                let mut r = base.clone();
+                let mut adapted = FailureSet::empty(&g);
+                let mut outcomes = Vec::new();
+                for failures in &rounds {
+                    let before = r.dist_to_set.clone();
+                    let out = r.repair_threads(&g, &adapted, failures, threads).unwrap();
+                    assert!(!out.full_rebuild);
+                    assert!(out.vertices_touched > 0 && out.landmarks_rebuilt > 0);
+                    if threads == 1 && r.dist_to_set != before {
+                        bounds_grew += 1;
+                    }
+                    let view = GraphView::masked(&g, failures);
+                    assert!(
+                        r == LandmarkRouting::build_on_view(view, &cfg),
+                        "n={n}, threads={threads}, {} dead links",
+                        failures.len()
+                    );
+                    outcomes.push(out);
+                    adapted = failures.clone();
+                }
+                if threads == 1 {
+                    serial_outcomes = outcomes;
+                } else {
+                    assert_eq!(outcomes, serial_outcomes, "n={n}, threads={threads}");
+                }
+            }
+        }
+        assert!(bounds_grew >= 2, "the gains pass must have items");
+    }
+
+    /// Repair == rebuild along random failure sequences: each step kills a
+    /// few random links (any that keep the view connected — not prefixes of
+    /// one `FailureSet::sample`) and repairs in place.  One step revives
+    /// links, so that repair falls back to a full rebuild, and incremental
+    /// steps continue from the rebuilt instance.  Every step is pinned
+    /// against `build_on_view`, and the whole sequence is identical at 1, 2
+    /// and 3 threads.
+    #[test]
+    fn repair_follows_random_growing_failure_sequences() {
+        let g = generators::random_connected(320, 0.025, 13);
+        let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u as u32, v as u32)).collect();
+        let cfg = LandmarkConfig {
+            seed: 21,
+            ..LandmarkConfig::default()
+        };
+        let mut rng = Xoshiro256::new(0xC4A05);
+        let mut steps: Vec<Vec<(u32, u32)>> = Vec::new();
+        let mut dead: Vec<(u32, u32)> = Vec::new();
+        for step in 0..8 {
+            if step == 4 {
+                // Links come back: keep every other dead link.
+                dead = dead.iter().copied().step_by(2).collect();
+            }
+            let target = dead.len() + 1 + rng.gen_range(5);
+            while dead.len() < target {
+                let e = *rng.choose(&edges);
+                if dead.contains(&e) {
+                    continue;
+                }
+                dead.push(e);
+                let f = FailureSet::from_edges(&g, &dead);
+                if !graphkit::traversal::is_connected(GraphView::masked(&g, &f)) {
+                    dead.pop();
+                }
+            }
+            steps.push(dead.clone());
+        }
+        let mut serial_outcomes = Vec::new();
+        for threads in [1usize, 2, 3] {
+            let mut r = LandmarkRouting::build_with(&g, &cfg);
+            let mut adapted = FailureSet::empty(&g);
+            let mut outcomes = Vec::new();
+            for (step, dead) in steps.iter().enumerate() {
+                let failures = FailureSet::from_edges(&g, dead);
+                let out = r.repair_threads(&g, &adapted, &failures, threads).unwrap();
+                assert_eq!(
+                    out.full_rebuild,
+                    !failures.is_superset_of(&adapted),
+                    "step {step}: only the step that revives links rebuilds"
+                );
+                assert!(
+                    r == LandmarkRouting::build_on_view(GraphView::masked(&g, &failures), &cfg),
+                    "threads={threads}, step {step}, {} dead links",
+                    failures.len()
+                );
+                outcomes.push(out);
+                adapted = failures;
+            }
+            let rebuilds = outcomes.iter().filter(|o| o.full_rebuild).count();
+            assert_eq!(rebuilds, 1, "exactly one non-nested step");
+            if threads == 1 {
+                serial_outcomes = outcomes;
+            } else {
+                assert_eq!(outcomes, serial_outcomes, "threads={threads}");
+            }
+        }
+    }
+
+    /// Repair == rebuild at the scale of the churn benchmark: the 8-regular
+    /// family at n = 32768 over three nested rounds of 0.1% dead links.  Too
+    /// slow for a debug build; run it with
+    /// `cargo test --release -p routeschemes -- --ignored repair_matches_rebuild_at_benchmark_scale`.
+    #[test]
+    #[ignore = "n = 32768: run in release with --ignored"]
+    fn repair_matches_rebuild_at_benchmark_scale() {
+        let g = generators::random_regular_like(32_768, 8, 0xB16);
+        let cfg = LandmarkConfig::default();
+        let mut r = LandmarkRouting::build_with(&g, &cfg);
+        let mut adapted = FailureSet::empty(&g);
+        for round in 1..=3 {
+            let failures = FailureSet::sample(&g, 0.001 * f64::from(round), 0xDEAD);
+            assert!(failures.is_superset_of(&adapted), "samples must nest");
+            let out = r.repair(&g, &adapted, &failures).unwrap();
+            assert!(!out.full_rebuild, "round {round}");
+            assert!(
+                r == LandmarkRouting::build_on_view(GraphView::masked(&g, &failures), &cfg),
+                "round {round}"
+            );
+            adapted = failures;
+        }
     }
 
     #[test]
