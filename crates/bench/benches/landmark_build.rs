@@ -10,13 +10,18 @@
 //! `graphkit::par::default_threads(n)` workers (the dense one in its
 //! all-pairs BFS, the sparse one in its landmark and cluster phases); each
 //! entry records that count as `threads`.
+//!
+//! Each entry also records the instance's cell width (`width`, bytes per
+//! stored port and distance), its resident bytes table by table
+//! (`LandmarkRouting::heap_bytes`), and `heap_bytes_u32`: the total the same
+//! tables would take with 32-bit ports and distances.
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph};
-use routeschemes::landmark::LandmarkRouting;
+use routeschemes::landmark::{LandmarkHeapBytes, LandmarkRouting};
 use routing_bench::quick_criterion;
 use std::time::Instant;
 
@@ -51,6 +56,13 @@ struct Entry {
     avg_cluster: f64,
     landmarks: usize,
     threads: usize,
+    heap: LandmarkHeapBytes,
+}
+
+/// The total of `h` with every port and distance widened to `u32`.
+fn u32_layout_bytes(h: &LandmarkHeapBytes) -> usize {
+    let cells = h.toward_ports + h.toward_dists + h.cluster_ports + h.cluster_dists;
+    h.total() + cells / h.cell_bytes * (4 - h.cell_bytes)
 }
 
 fn run_entry(name: &'static str, g: &Graph, build: impl Fn(&Graph) -> LandmarkRouting) -> Entry {
@@ -65,6 +77,7 @@ fn run_entry(name: &'static str, g: &Graph, build: impl Fn(&Graph) -> LandmarkRo
         avg_cluster: r.average_cluster_size(),
         landmarks: r.landmarks().len(),
         threads: graphkit::par::default_threads(g.num_nodes()),
+        heap: r.heap_bytes(),
     }
 }
 
@@ -94,10 +107,14 @@ fn bench_snapshot(_c: &mut Criterion) {
     let speedup_4096 = entries[0].secs / entries[1].secs.max(1e-9);
     let mut json = String::from("{\n  \"bench\": \"landmark_build\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let h = &e.heap;
         json.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"n\": {}, \"edges\": {}, \"threads\": {}, ",
-                "\"secs\": {:.3}, \"landmarks\": {}, \"avg_cluster\": {:.1}}}{}\n"
+                "\"secs\": {:.3}, \"landmarks\": {}, \"avg_cluster\": {:.1}, \"width\": {}, ",
+                "\"heap_bytes\": {}, \"heap_bytes_u32\": {}, \"heap\": {{\"toward_ports\": {}, ",
+                "\"toward_dists\": {}, \"cluster_targets\": {}, \"cluster_ports\": {}, ",
+                "\"cluster_dists\": {}, \"offsets\": {}, \"labels\": {}}}}}{}\n"
             ),
             e.name,
             e.n,
@@ -106,11 +123,30 @@ fn bench_snapshot(_c: &mut Criterion) {
             e.secs,
             e.landmarks,
             e.avg_cluster,
+            h.cell_bytes,
+            h.total(),
+            u32_layout_bytes(h),
+            h.toward_ports,
+            h.toward_dists,
+            h.cluster_targets,
+            h.cluster_ports,
+            h.cluster_dists,
+            h.offsets,
+            h.labels,
             if i + 1 == entries.len() { "" } else { "," }
         ));
         println!(
-            "snapshot: {:<14} n={:<7} edges={:<8} threads={} {:>8.3}s  landmarks {:<4} avg cluster {:.1}",
-            e.name, e.n, e.edges, e.threads, e.secs, e.landmarks, e.avg_cluster
+            "snapshot: {:<14} n={:<7} edges={:<8} threads={} {:>8.3}s  landmarks {:<4} avg cluster {:.1}  width {}  heap {:.1} MB (u32 layout {:.1} MB)",
+            e.name,
+            e.n,
+            e.edges,
+            e.threads,
+            e.secs,
+            e.landmarks,
+            e.avg_cluster,
+            h.cell_bytes,
+            h.total() as f64 / 1e6,
+            u32_layout_bytes(h) as f64 / 1e6
         );
     }
     json.push_str(&format!(

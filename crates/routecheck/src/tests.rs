@@ -133,6 +133,41 @@ fn every_seeded_mutation_is_flagged_with_its_counterexample() {
     }
 }
 
+/// An out-of-range corruption on a landmark instance with one-byte cells,
+/// at a router of degree 251: the raw port `251 + 7` does not fit a byte,
+/// so it is stored as 254 — still out of range, never the "no port"
+/// sentinel — and both the audit and the checker flag it.
+#[test]
+fn out_of_range_mutation_is_flagged_at_one_byte_cells() {
+    let g = generators::star(251);
+    let mut inst = build(SchemeKind::Landmark, &g, &GraphHints::none());
+    let any: &dyn std::any::Any = &*inst.routing;
+    let lm = any
+        .downcast_ref::<routeschemes::landmark::LandmarkRouting>()
+        .expect("a landmark instance");
+    assert_eq!(lm.cell_bytes(), 1);
+    let mutation = corrupt_instance(&mut inst, &g, 3, MutationKind::OutOfRange).unwrap();
+    assert!(
+        mutation.description.contains("router 0 "),
+        "the star's centre routes every two-hop pair: {}",
+        mutation.description
+    );
+    let report = verify_instance(&g, None, &inst, "landmark", 2);
+    assert_eq!(report.verdict, Verdict::Unsound);
+    assert!(report.counterexample.is_some());
+    assert!(
+        report
+            .audit_findings
+            .iter()
+            .any(|f| f.contains("port 254 at router 0") && f.contains("exceeds degree 251")),
+        "{:?}",
+        report.audit_findings
+    );
+    let mut checker = Checker::new();
+    checker.check_dest(GraphView::full(&g), &*inst.routing, mutation.dest);
+    assert!(checker.class_of(mutation.source).is_broken());
+}
+
 #[test]
 fn isolated_destination_is_unreachable_not_livelock() {
     let g = generators::random_connected(32, 0.15, 2);

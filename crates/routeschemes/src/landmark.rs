@@ -73,7 +73,7 @@
 //! workers through [`graphkit::par::map_fold_ordered`]:
 //!
 //! * one item per landmark computes its BFS column and toward ports; the
-//!   fold copies the column into `toward_dist` and scatters the ports into
+//!   fold narrows the column into `toward_dist` and scatters the ports into
 //!   the row-major `toward_landmark`;
 //! * under the strict rule, one item per landmark harvests its handoff list;
 //!   the fold appends it to one flat list;
@@ -104,6 +104,24 @@
 //! Phase B, the relocation of the patched slices, stays on the calling
 //! thread.  The repaired instance and its `RepairOutcome` are the same at
 //! every thread count (pinned at 1, 2 and 3 threads).
+//!
+//! # Table widths
+//!
+//! The paper charges a router `⌈log₂ deg⌉` bits per port
+//! ([`LandmarkRouting::memory`]).  The resident tables come close: the four
+//! wide tables — toward-landmark ports and distances, cluster ports and
+//! distances — store `u8`, `u16` or `u32` cells, the narrowest type whose
+//! maximum exceeds both the maximum degree and `2·ecc(ℓ₀)` (every stored
+//! distance is at most that, by the triangle inequality through the first
+//! landmark `ℓ₀`).  The maximum itself is the sentinel.  The build reads
+//! `ecc(ℓ₀)` off its connectivity BFS, so the rule costs nothing, and the
+//! dense reference builder ends in the same rule.  Repair applies it to the
+//! failed view after its multi-source BFS and re-encodes the tables once if
+//! the width grew; deletions only grow distances, so a repaired instance
+//! has the width of a rebuild.  Build, repair and audit are generic over
+//! the cell type and dispatch on the width once per call; a routing hop
+//! dispatches once per table lookup.  [`LandmarkRouting::heap_bytes`]
+//! reports the resident bytes table by table.
 
 use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
 use graphkit::traversal::bfs_distances_into;
@@ -117,9 +135,224 @@ use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Sentinel in the flat toward-landmark table: "this router *is* the
-/// landmark" (no port exists; a valid header never asks for it).
-const NO_PORT: u32 = u32::MAX;
+/// One entry of the four wide tables (`toward_landmark`, `toward_dist`,
+/// `direct_ports`, `direct_dists`): `u8`, `u16` or `u32`, whichever
+/// [`Width::for_bounds`] picks for the graph.  Arithmetic stays in
+/// `Dist`/`u32`; only loads and stores are narrow.
+trait Cell: Copy + Ord + Default + Send + Sync + std::fmt::Debug + 'static {
+    /// The type's maximum as a `u32`.  It is the sentinel: "this router *is*
+    /// the landmark" in `toward_landmark`, and a dead member in
+    /// `direct_dists` during repair.  The width rule keeps every real port
+    /// and distance below it.
+    const SENTINEL: u32;
+    /// The sentinel as a cell.
+    const NONE: Self;
+    /// Stores `x`, which the width rule guarantees to fit: every port is
+    /// below the maximum degree and every distance at most `2·ecc(ℓ₀)`.
+    /// Checked anyway, since a silent truncation would corrupt the tables.
+    fn cell(x: u32) -> Self;
+    /// Loads the cell as a `u32`.
+    fn get(self) -> u32;
+    /// The [`Cells`] variant of this width.
+    fn wrap(t: Tables<Self>) -> Cells;
+    /// The tables inside `c` when they are of this width.
+    fn unwrap_mut(c: &mut Cells) -> Option<&mut Tables<Self>>;
+}
+
+macro_rules! impl_cell {
+    ($t:ty, $variant:ident) => {
+        impl Cell for $t {
+            const SENTINEL: u32 = <$t>::MAX as u32;
+            const NONE: Self = <$t>::MAX;
+            #[inline]
+            fn cell(x: u32) -> Self {
+                assert!(x <= Self::SENTINEL, "{x} does not fit the cell width");
+                x as $t
+            }
+            #[inline]
+            fn get(self) -> u32 {
+                u32::from(self)
+            }
+            fn wrap(t: Tables<Self>) -> Cells {
+                Cells::$variant(t)
+            }
+            fn unwrap_mut(c: &mut Cells) -> Option<&mut Tables<Self>> {
+                match c {
+                    Cells::$variant(t) => Some(t),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+impl_cell!(u8, U8);
+impl_cell!(u16, U16);
+impl_cell!(u32, U32);
+
+/// Cell width of the wide tables, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Width {
+    U8,
+    U16,
+    U32,
+}
+
+impl Width {
+    /// The narrowest width whose maximum exceeds both the graph's maximum
+    /// degree (every port is below it) and `dist_bound`, a bound on every
+    /// stored distance.  The builds pass `2·ecc(ℓ₀)`: by the triangle
+    /// inequality through the first landmark, no distance exceeds it.  The
+    /// maximum itself stays free as the sentinel, and since it exceeds every
+    /// degree, `maximum − 1` is still an out-of-range port.
+    fn for_bounds(max_degree: usize, dist_bound: u64) -> Width {
+        let need = (max_degree as u64).max(dist_bound);
+        if need < u64::from(u8::SENTINEL) {
+            Width::U8
+        } else if need < u64::from(u16::SENTINEL) {
+            Width::U16
+        } else {
+            Width::U32
+        }
+    }
+
+    /// The width the graph `view` needs, given the distances from the first
+    /// landmark (the connectivity BFS every build and repair runs).
+    fn for_view(view: GraphView<'_>, dist_from_first: &[Dist]) -> Width {
+        let ecc = dist_from_first.iter().copied().max().unwrap_or(0);
+        Width::for_bounds(view.graph().max_degree(), 2 * u64::from(ecc))
+    }
+}
+
+/// The four wide tables at one cell width.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Tables<C> {
+    /// Flat `n × k` row-major table: `toward_landmark[w * k + i]` is the port
+    /// of `w` on a shortest path to landmark `i` (the sentinel when `w` is
+    /// that landmark).
+    toward_landmark: Vec<C>,
+    /// Flat `n × k` **column-major** distances: `toward_dist[i * n + w]` is
+    /// `d(w, landmark_i)`.  Column-major so each build/repair BFS works on
+    /// one contiguous column.
+    toward_dist: Vec<C>,
+    /// `direct_ports[e]`: next-hop port towards `direct_targets[e]`.
+    direct_ports: Vec<C>,
+    /// `direct_dists[e]`: `d(w, direct_targets[e])` for the slice owner `w`.
+    direct_dists: Vec<C>,
+}
+
+impl<C: Cell> Tables<C> {
+    /// The same tables at cell type `D`, sentinel mapped to sentinel.
+    fn recode<D: Cell>(self) -> Tables<D> {
+        let recode = |v: Vec<C>| -> Vec<D> {
+            v.into_iter()
+                .map(|x| {
+                    if x == C::NONE {
+                        D::NONE
+                    } else {
+                        D::cell(x.get())
+                    }
+                })
+                .collect()
+        };
+        Tables {
+            toward_landmark: recode(self.toward_landmark),
+            toward_dist: recode(self.toward_dist),
+            direct_ports: recode(self.direct_ports),
+            direct_dists: recode(self.direct_dists),
+        }
+    }
+
+    /// The toward-landmark port at flat index `at`; `None` at the sentinel.
+    #[inline]
+    fn toward_port(&self, at: usize) -> Option<Port> {
+        let p = self.toward_landmark[at];
+        (p != C::NONE).then(|| p.get() as Port)
+    }
+}
+
+/// The wide tables at whichever width the graph needs.  One enum, so that
+/// [`LandmarkRouting`] stays a concrete type; build, repair and audit match
+/// on it once per call, a routing hop once per lookup.
+#[derive(Debug, Clone, PartialEq)]
+enum Cells {
+    U8(Tables<u8>),
+    U16(Tables<u16>),
+    U32(Tables<u32>),
+}
+
+/// Runs `$body` with `$t` bound to the tables inside `$cells`, at their
+/// width.
+macro_rules! with_tables {
+    ($cells:expr, $t:ident => $body:expr) => {
+        match $cells {
+            Cells::U8($t) => $body,
+            Cells::U16($t) => $body,
+            Cells::U32($t) => $body,
+        }
+    };
+}
+
+impl Cells {
+    fn width(&self) -> Width {
+        match self {
+            Cells::U8(_) => Width::U8,
+            Cells::U16(_) => Width::U16,
+            Cells::U32(_) => Width::U32,
+        }
+    }
+
+    /// Re-encodes the tables at `width` unless they are already there.
+    fn into_width(self, width: Width) -> Cells {
+        if self.width() == width {
+            return self;
+        }
+        with_tables!(self, t => match width {
+            Width::U8 => Cells::U8(t.recode()),
+            Width::U16 => Cells::U16(t.recode()),
+            Width::U32 => Cells::U32(t.recode()),
+        })
+    }
+}
+
+/// Resident heap bytes of a [`LandmarkRouting`], table by table, counted by
+/// capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LandmarkHeapBytes {
+    /// Bytes per cell of the four wide tables: 1, 2 or 4.
+    pub cell_bytes: usize,
+    /// `toward_landmark`: `n × k` ports.
+    pub toward_ports: usize,
+    /// `toward_dist`: `n × k` distances.
+    pub toward_dists: usize,
+    /// `direct_targets`: one `u32` vertex id per cluster entry.
+    pub cluster_targets: usize,
+    /// `direct_ports`: one port per cluster entry.
+    pub cluster_ports: usize,
+    /// `direct_dists`: one distance per cluster entry.
+    pub cluster_dists: usize,
+    /// `direct_offsets`: `n + 1` CSR offsets.
+    pub offsets: usize,
+    /// `home`, `dist_to_set` and the landmark list.
+    pub labels: usize,
+}
+
+impl LandmarkHeapBytes {
+    /// All tables together.
+    pub fn total(&self) -> usize {
+        self.toward_ports
+            + self.toward_dists
+            + self.cluster_targets
+            + self.cluster_ports
+            + self.cluster_dists
+            + self.offsets
+            + self.labels
+    }
+}
+
+/// Heap bytes of `v`, by capacity.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
 
 /// Routers per cluster-phase work item of the parallel build.  Small, so
 /// the few result buffers in flight stay small: they are allocated on the
@@ -132,23 +365,23 @@ const RESERVE_SAMPLE: usize = 4 * CLUSTER_BLOCK;
 
 /// One landmark's column of the build: `d(·, ℓ)` and the port towards `ℓ`.
 #[derive(Default)]
-struct LandmarkColumn {
+struct LandmarkColumn<C> {
     dist: Vec<Dist>,
-    port: Vec<u32>,
+    port: Vec<C>,
 }
 
 /// The clusters of one block of `CLUSTER_BLOCK` consecutive routers, laid
 /// out like the final CSR: `sizes[j]` members for the block's `j`-th router,
 /// concatenated in router order, each router's slice sorted by target.
 #[derive(Default)]
-struct ClusterBlock {
+struct ClusterBlock<C> {
     sizes: Vec<u32>,
     targets: Vec<u32>,
-    dists: Vec<Dist>,
-    ports: Vec<u32>,
+    dists: Vec<C>,
+    ports: Vec<C>,
 }
 
-impl ClusterBlock {
+impl<C: Cell> ClusterBlock<C> {
     fn clear(&mut self) {
         self.sizes.clear();
         self.targets.clear();
@@ -160,8 +393,10 @@ impl ClusterBlock {
     fn push(&mut self, members: &[(u32, Dist, u32)]) {
         self.sizes.push(members.len() as u32);
         self.targets.extend(members.iter().map(|&(v, _, _)| v));
-        self.dists.extend(members.iter().map(|&(_, d, _)| d));
-        self.ports.extend(members.iter().map(|&(_, _, p)| p));
+        self.dists
+            .extend(members.iter().map(|&(_, d, _)| C::cell(d)));
+        self.ports
+            .extend(members.iter().map(|&(_, _, p)| C::cell(p)));
     }
 }
 
@@ -283,16 +518,21 @@ impl LandmarkConfig {
 /// The landmark routing function produced by [`LandmarkScheme`].
 ///
 /// Tables are stored flat/CSR so the `n ≥ 10^5` instances stay compact:
-/// `toward_landmark` is an `n × k` matrix of `u32` ports, and the clusters
-/// live in one CSR triple (`direct_offsets`/`direct_targets`/`direct_ports`)
-/// with members sorted by vertex id.  A hop looks its destination up in the
-/// router's slice with one interpolation-guided search: a guess from the
-/// slice's first and last ids, a gallop outward from the guess, and a binary
-/// search inside the window the gallop brackets.  Cluster members of a
-/// router are spread over the id range, so the guess usually lands within a
-/// few entries and the lookup touches one or two cache lines where a plain
-/// binary search over a slice of `~√n` ids misses the cache on most of its
-/// `log₂ √n` probes.  When ids cluster unevenly the gallop bounds the cost:
+/// `toward_landmark` is an `n × k` matrix of ports, and the clusters live in
+/// one CSR triple (`direct_offsets`/`direct_targets`/`direct_ports`) with
+/// members sorted by vertex id.  Ports and distances are stored in the
+/// narrowest of `u8`, `u16` and `u32` that holds every degree and every
+/// distance of the graph (see [`LandmarkRouting::cell_bytes`]); vertex ids
+/// and offsets stay `u32`.  On the benchmark families that is one byte, so a
+/// cluster entry costs 6 B (id, port, distance) and a toward entry 2 B.
+///
+/// A hop looks its destination up in the router's slice with one
+/// interpolation-guided search: a guess from the slice's first and last ids,
+/// a gallop outward from the guess, and a binary search inside the window
+/// the gallop brackets.  Cluster members of a router are spread over the id
+/// range, so the guess usually lands within a few entries and the lookup
+/// touches one or two cache lines where a plain binary search over a slice
+/// of `~√n` ids misses the cache on most of its `log₂ √n` probes.  When ids cluster unevenly the gallop bounds the cost:
 /// at worst about twice the probes of a plain binary search.  Under the
 /// strict rule the handoff entries of a landmark are merged into its CSR
 /// slice, so the routing function is rule-agnostic.
@@ -302,57 +542,47 @@ pub struct LandmarkRouting {
     landmarks: Vec<NodeId>,
     /// Home landmark of every vertex (smallest-id nearest landmark).
     home: Vec<NodeId>,
-    /// Flat `n × k` row-major table: `toward_landmark[w * k + i]` is the port
-    /// of `w` on a shortest path to landmark `i` ([`NO_PORT`] when `w` is
-    /// that landmark).
-    toward_landmark: Vec<u32>,
-    /// CSR offsets into `direct_targets`/`direct_ports`, one slice per
-    /// router.
+    /// CSR offsets into `direct_targets` and the cluster tables of `cells`,
+    /// one slice per router.
     direct_offsets: Vec<u32>,
     /// Cluster members of every router, ascending within each router.
     direct_targets: Vec<u32>,
-    /// `direct_ports[e]`: next-hop port towards `direct_targets[e]`.
-    direct_ports: Vec<u32>,
+    /// The four wide tables — toward-landmark ports and distances, cluster
+    /// ports and distances — at the graph's cell width.
+    ///
+    /// The distance tables (and `dist_to_set`) are *repair state*: the
+    /// decremental patching of [`LandmarkRouting::repair`] needs the
+    /// distances behind every stored port to localize damage exactly.  They
+    /// are deliberately **not** charged to [`LandmarkRouting::memory`]: the
+    /// paper's memory requirement measures the encoding the routing function
+    /// needs to *forward* (labels and ports); repairability is an operational
+    /// add-on, reported separately by the resilience harness and by
+    /// [`LandmarkRouting::heap_bytes`].
+    cells: Cells,
     /// The config the instance was built with; [`LandmarkRouting::repair`]
     /// re-runs it when it must fall back to a full rebuild (the sample is
     /// vertex-based, so the landmark set survives any link failure).
     config: LandmarkConfig,
-    /// `d(v, L)` per vertex — the inclusive cluster bound.  Repair state (see
-    /// below), also the yardstick for detecting bound growth after failures.
+    /// `d(v, L)` per vertex — the inclusive cluster bound.  Repair state,
+    /// also the yardstick for detecting bound growth after failures.
     dist_to_set: Vec<Dist>,
-    /// Flat `n × k` **column-major** distances: `toward_dist[i * n + w]` is
-    /// `d(w, landmark_i)`.  Column-major so each build/repair BFS works on
-    /// one contiguous column.
-    toward_dist: Vec<Dist>,
-    /// `direct_dists[e]`: `d(w, direct_targets[e])` for the slice owner `w`.
-    ///
-    /// The three distance arrays are *repair state*: the decremental patching
-    /// of [`LandmarkRouting::repair`] needs the distances behind every stored
-    /// port to localize damage exactly.  They are deliberately **not**
-    /// charged to [`LandmarkRouting::memory`]: the paper's memory requirement
-    /// measures the encoding the routing function needs to *forward*
-    /// (labels and ports); repairability is an operational add-on, reported
-    /// separately by the resilience harness.
-    direct_dists: Vec<Dist>,
     name: String,
 }
 
 /// Equality is over the routing function and its repair state — every
-/// table, label, and distance array — but **not** the provenance `config`:
-/// `landmark?k=⌈√n⌉` and the `Auto` default build the same scheme, and the
-/// bit-identity pins (spec-vs-default, repair-vs-rebuild) compare what the
-/// instance *does*, not how it was asked for.
+/// table, its cell width, every label and distance array — but **not** the
+/// provenance `config`: `landmark?k=⌈√n⌉` and the `Auto` default build the
+/// same scheme, and the bit-identity pins (spec-vs-default,
+/// repair-vs-rebuild) compare what the instance *does*, not how it was asked
+/// for.
 impl PartialEq for LandmarkRouting {
     fn eq(&self, other: &Self) -> bool {
         self.landmarks == other.landmarks
             && self.home == other.home
-            && self.toward_landmark == other.toward_landmark
             && self.direct_offsets == other.direct_offsets
             && self.direct_targets == other.direct_targets
-            && self.direct_ports == other.direct_ports
+            && self.cells == other.cells
             && self.dist_to_set == other.dist_to_set
-            && self.toward_dist == other.toward_dist
-            && self.direct_dists == other.direct_dists
             && self.name == other.name
     }
 }
@@ -418,6 +648,25 @@ impl LandmarkRouting {
             "landmark routing requires a connected graph"
         );
 
+        match Width::for_view(view, &dist_l) {
+            Width::U8 => Self::build_cells::<u8>(view, cfg, threads, landmarks, scratch),
+            Width::U16 => Self::build_cells::<u16>(view, cfg, threads, landmarks, scratch),
+            Width::U32 => Self::build_cells::<u32>(view, cfg, threads, landmarks, scratch),
+        }
+    }
+
+    /// The rest of [`LandmarkRouting::build_on_view`] after the
+    /// connectivity check, storing cells of type `C`.
+    fn build_cells<C: Cell>(
+        view: GraphView<'_>,
+        cfg: &LandmarkConfig,
+        threads: usize,
+        landmarks: Vec<NodeId>,
+        mut scratch: BfsScratch,
+    ) -> Self {
+        let n = view.num_nodes();
+        let k = landmarks.len();
+
         // Home landmark and distance to the landmark set, in one BFS.
         let mut dist_to_set = vec![INFINITY; n];
         let mut origin = vec![0u32; n];
@@ -432,30 +681,34 @@ impl LandmarkRouting {
 
         // Distance and port towards every landmark: one BFS per landmark plus
         // a scan of every live arc — O(k (n + m)) total.  A worker fills one
-        // column; the fold copies it into `toward_dist` and scatters its
+        // column; the fold narrows it into `toward_dist` and scatters its
         // ports into the row-major `toward_landmark`.
-        let mut toward_dist = vec![0 as Dist; n * k];
-        let mut toward_landmark = vec![NO_PORT; n * k];
+        let mut toward_dist = vec![C::default(); n * k];
+        let mut toward_landmark = vec![C::NONE; n * k];
         par::map_fold_ordered(
             k,
             threads,
             || BfsScratch::with_capacity(n),
-            |scratch, i, col: &mut LandmarkColumn| {
+            |scratch, i, col: &mut LandmarkColumn<C>| {
                 let l = landmarks[i];
                 col.dist.resize(n, 0);
-                col.port.resize(n, NO_PORT);
+                col.port.resize(n, C::NONE);
                 bfs_distances_into(view, l, scratch, &mut col.dist);
                 for w in 0..n {
-                    col.port[w] = if w == l {
-                        NO_PORT
-                    } else {
-                        min_tight_port(view, &col.dist, w, col.dist[w])
-                            .expect("connected graph: some neighbour is closer to the landmark")
-                    };
+                    col.port[w] =
+                        if w == l {
+                            C::NONE
+                        } else {
+                            C::cell(min_tight_port(view, &col.dist, w, col.dist[w]).expect(
+                                "connected graph: some neighbour is closer to the landmark",
+                            ))
+                        };
                 }
             },
             |i, col| {
-                toward_dist[i * n..(i + 1) * n].copy_from_slice(&col.dist);
+                for (to, &d) in toward_dist[i * n..(i + 1) * n].iter_mut().zip(&col.dist) {
+                    *to = C::cell(d);
+                }
                 for (w, &port) in col.port.iter().enumerate() {
                     toward_landmark[w * k + i] = port;
                 }
@@ -505,13 +758,13 @@ impl LandmarkRouting {
         let blocks = n.div_ceil(CLUSTER_BLOCK);
         let mut direct_offsets = vec![0u32; n + 1];
         let mut direct_targets: Vec<u32> = Vec::new();
-        let mut direct_dists: Vec<Dist> = Vec::new();
-        let mut direct_ports: Vec<u32> = Vec::new();
+        let mut direct_dists: Vec<C> = Vec::new();
+        let mut direct_ports: Vec<C> = Vec::new();
         par::map_fold_ordered(
             blocks,
             threads,
             || (BoundedBfsScratch::with_capacity(n), Vec::new()),
-            |(bounded, members), b, block: &mut ClusterBlock| {
+            |(bounded, members), b, block: &mut ClusterBlock<C>| {
                 block.clear();
                 for w in b * CLUSTER_BLOCK..((b + 1) * CLUSTER_BLOCK).min(n) {
                     members.clear();
@@ -561,14 +814,16 @@ impl LandmarkRouting {
         LandmarkRouting {
             landmarks,
             home,
-            toward_landmark,
             direct_offsets,
             direct_targets,
-            direct_ports,
+            cells: C::wrap(Tables {
+                toward_landmark,
+                toward_dist,
+                direct_ports,
+                direct_dists,
+            }),
             config: cfg.clone(),
             dist_to_set,
-            toward_dist,
-            direct_dists,
             name: "landmark-routing".to_string(),
         }
     }
@@ -628,7 +883,7 @@ impl LandmarkRouting {
                 as u32
         };
         let mut toward_dist = vec![0 as Dist; n * k];
-        let mut toward_landmark = vec![NO_PORT; n * k];
+        let mut toward_landmark = vec![u32::NONE; n * k];
         for w in 0..n {
             for (i, &l) in landmarks.iter().enumerate() {
                 toward_dist[i * n + w] = dm.dist(w, l);
@@ -664,17 +919,23 @@ impl LandmarkRouting {
             direct_offsets[w + 1] = direct_targets.len() as u32;
         }
 
+        // The cell width, by the same rule as the sparse build.
+        let ecc = (0..n).map(|v| dm.dist(landmarks[0], v)).max().unwrap_or(0);
+        let width = Width::for_bounds(g.max_degree(), 2 * u64::from(ecc));
         LandmarkRouting {
             landmarks,
             home,
-            toward_landmark,
             direct_offsets,
             direct_targets,
-            direct_ports,
+            cells: Cells::U32(Tables {
+                toward_landmark,
+                toward_dist,
+                direct_ports,
+                direct_dists,
+            })
+            .into_width(width),
             config: cfg.clone(),
             dist_to_set,
-            toward_dist,
-            direct_dists,
             name: "landmark-routing".to_string(),
         }
     }
@@ -813,6 +1074,45 @@ impl LandmarkRouting {
             &mut origin,
         );
 
+        // The cell width the new view needs.  Deletions only grow
+        // distances, so this widens, never narrows; the tables are
+        // re-encoded once, before any pass reads them.
+        let width = Width::for_view(view, &tmp);
+        if width > self.cells.width() {
+            let cells = std::mem::replace(&mut self.cells, Cells::U8(Tables::default()));
+            self.cells = cells.into_width(width);
+        }
+        self.home = origin.iter().map(|&o| o as usize).collect();
+        let old_dts = std::mem::replace(&mut self.dist_to_set, new_dts);
+        let (vertices_touched, landmarks_rebuilt) = match self.cells.width() {
+            Width::U8 => self.patch::<u8>(view, old_view, &delta, &old_dts, threads),
+            Width::U16 => self.patch::<u16>(view, old_view, &delta, &old_dts, threads),
+            Width::U32 => self.patch::<u32>(view, old_view, &delta, &old_dts, threads),
+        };
+        Ok(RepairOutcome {
+            vertices_touched,
+            landmarks_rebuilt,
+            full_rebuild: false,
+        })
+    }
+
+    /// The passes of [`LandmarkRouting::repair`] after the multi-source BFS,
+    /// on tables of cell type `C`: `dist_to_set` and `home` already hold the
+    /// new view's values, `old_dts` the old `d(·, L)`.  Returns the touched
+    /// vertices and the landmarks whose column changed.
+    fn patch<C: Cell>(
+        &mut self,
+        view: GraphView<'_>,
+        old_view: GraphView<'_>,
+        delta: &[(u32, u32)],
+        old_dts: &[Dist],
+        threads: usize,
+    ) -> (usize, usize) {
+        let n = view.num_nodes();
+        let k = self.landmarks.len();
+        let new_dts: &[Dist] = &self.dist_to_set;
+        let t = C::unwrap_mut(&mut self.cells).expect("dispatched on the stored width");
+
         // Toward-landmark columns, one item per landmark: a decremental
         // worklist seeded at the far endpoints of dead *tight* arcs (an arc
         // supports no shortest path otherwise) patches the landmark's own
@@ -823,10 +1123,10 @@ impl LandmarkRouting {
         // `toward_landmark`.
         let mut landmarks_rebuilt = 0usize;
         {
-            let columns: Vec<Mutex<&mut [Dist]>> =
-                self.toward_dist.chunks_mut(n).map(Mutex::new).collect();
+            let columns: Vec<Mutex<&mut [C]>> =
+                t.toward_dist.chunks_mut(n).map(Mutex::new).collect();
             let landmarks = &self.landmarks;
-            let toward_landmark = &mut self.toward_landmark;
+            let toward_landmark = &mut t.toward_landmark;
             par::map_fold_ordered(
                 k,
                 threads,
@@ -842,14 +1142,14 @@ impl LandmarkRouting {
                     let mut col = columns[i]
                         .lock()
                         .expect("one item per column: the lock is never contended");
-                    let col: &mut [Dist] = &mut col;
+                    let col: &mut [C] = &mut col;
                     let l = landmarks[i];
                     let epoch = i as u32;
                     patch.moved = false;
                     rescan.clear();
-                    for &(u, v) in &delta {
+                    for &(u, v) in delta {
                         let (uu, vv) = (u as usize, v as usize);
-                        let (du, dv) = (col[uu], col[vv]);
+                        let (du, dv) = (col[uu].get(), col[vv].get());
                         let far = if dv == du + 1 {
                             Some(vv)
                         } else if du == dv + 1 {
@@ -877,13 +1177,13 @@ impl LandmarkRouting {
                             continue;
                         }
                         let mut best = INFINITY;
-                        view.for_each_live(xu, |_, z| best = best.min(col[z]));
+                        view.for_each_live(xu, |_, z| best = best.min(col[z].get()));
                         let nd = best.saturating_add(1);
-                        if nd == col[xu] {
+                        if nd == col[xu].get() {
                             continue;
                         }
-                        debug_assert!(nd > col[xu], "deletion-only distances cannot shrink");
-                        col[xu] = nd;
+                        debug_assert!(nd > col[xu].get(), "deletion-only distances cannot shrink");
+                        col[xu] = C::cell(nd);
                         patch.moved = true;
                         if dirty[xu] != epoch {
                             dirty[xu] = epoch;
@@ -904,7 +1204,7 @@ impl LandmarkRouting {
                     for &w in rescan.iter() {
                         let wu = w as usize;
                         if wu != l {
-                            let port = min_tight_port(view, col, wu, col[wu]).expect(
+                            let port = min_tight_port(view, col, wu, col[wu].get()).expect(
                                 "connected graph: some neighbour is closer to the landmark",
                             );
                             patch.ports.push((w, port));
@@ -915,8 +1215,8 @@ impl LandmarkRouting {
                     let mut changed = patch.moved;
                     for &(w, port) in &patch.ports {
                         let slot = &mut toward_landmark[w as usize * k + i];
-                        if *slot != port {
-                            *slot = port;
+                        if slot.get() != port {
+                            *slot = C::cell(port);
                             changed = true;
                         }
                     }
@@ -937,9 +1237,8 @@ impl LandmarkRouting {
         // `d_old(w, v) > dts[v]`, and deletions only push distances up.)
         // One item per grown vertex: a few dozen of them carry all the work,
         // so coarser items would leave a worker idle.
-        let old_dts = std::mem::take(&mut self.dist_to_set);
         let mut full_mark = vec![false; n];
-        for &(u, v) in &delta {
+        for &(u, v) in delta {
             full_mark[u as usize] = true;
             full_mark[v as usize] = true;
         }
@@ -1016,7 +1315,7 @@ impl LandmarkRouting {
         // lengths, gained first hops, fresh slices for the dead-edge
         // endpoints), and leaves every byte move to one relocation pass
         // (Phase B).  A dead member is marked by forcing its stored distance
-        // to `INFINITY`, which excludes it from every support scan for free.
+        // to the cell sentinel, which every support scan skips.
         //
         // One item per block of `CLUSTER_BLOCK` routers; block `b` owns the
         // contiguous range of `direct_dists`/`direct_ports` its routers'
@@ -1024,8 +1323,8 @@ impl LandmarkRouting {
         // alone.  The fold collects the block's facts in router order.
         let blocks = n.div_ceil(CLUSTER_BLOCK);
         let block_at = |b: usize| (b * CLUSTER_BLOCK).min(n);
-        let slots: Vec<Mutex<(&mut [Dist], &mut [u32])>> = {
-            let (mut dists, mut ports) = (&mut self.direct_dists[..], &mut self.direct_ports[..]);
+        let slots: Vec<Mutex<(&mut [C], &mut [C])>> = {
+            let (mut dists, mut ports) = (&mut t.direct_dists[..], &mut t.direct_ports[..]);
             (0..blocks)
                 .map(|b| {
                     let len = (offsets[block_at(b + 1)] - offsets[block_at(b)]) as usize;
@@ -1076,7 +1375,7 @@ impl LandmarkRouting {
                         // link).
                         out.touched += 1;
                         let at = out.fresh.len();
-                        bfs_bounded_into(view, w, &new_dts, bounded, |v, d, p| {
+                        bfs_bounded_into(view, w, new_dts, bounded, |v, d, p| {
                             out.fresh.push((v as u32, d, p as u32));
                         });
                         out.fresh[at..].sort_unstable();
@@ -1105,20 +1404,21 @@ impl LandmarkRouting {
                             damaged = true;
                             break;
                         };
-                        let f = if dd[iy] == dd[ix] + 1 {
+                        let (dx, dy) = (dd[ix].get(), dd[iy].get());
+                        let f = if dy == dx + 1 {
                             iy
-                        } else if dd[ix] == dd[iy] + 1 {
+                        } else if dx == dy + 1 {
                             ix
                         } else {
                             continue;
                         };
-                        let (fv, df) = (tg[f] as usize, dd[f]);
+                        let (fv, df) = (tg[f] as usize, dd[f].get());
                         let mut best = INFINITY;
                         view.for_each_live(fv, |_, z| {
                             if z == w {
                                 best = 0;
                             } else if let Ok(iz) = tg.binary_search(&(z as u32)) {
-                                best = best.min(dd[iz]);
+                                best = best.min(dd[iz].get());
                             }
                         });
                         if best.saturating_add(1) != df {
@@ -1137,14 +1437,14 @@ impl LandmarkRouting {
                             view.for_each_live(fv, |_, z| {
                                 if z != w {
                                     if let Ok(iz) = tg.binary_search(&(z as u32)) {
-                                        if dd[iz] + 1 == df {
-                                            bp = bp.min(pp[iz]);
+                                        if dd[iz].get() + 1 == df {
+                                            bp = bp.min(pp[iz].get());
                                         }
                                     }
                                 }
                             });
                         }
-                        if bp != pp[f] {
+                        if bp != pp[f].get() {
                             damaged = true;
                             break;
                         }
@@ -1175,9 +1475,10 @@ impl LandmarkRouting {
                             debug_assert!(false, "suspect edge endpoints must be stored members");
                             continue;
                         };
-                        let far = if dd[iy] == dd[ix] + 1 {
+                        let (dx, dy) = (dd[ix].get(), dd[iy].get());
+                        let far = if dy == dx + 1 {
                             iy
-                        } else if dd[ix] == dd[iy] + 1 {
+                        } else if dx == dy + 1 {
                             ix
                         } else {
                             continue;
@@ -1198,7 +1499,7 @@ impl LandmarkRouting {
                         // again.
                         let idx = i0 as usize;
                         inqv[idx] = false;
-                        if dd[idx] == INFINITY {
+                        if dd[idx] == C::NONE {
                             continue;
                         }
                         let v = tg[idx] as usize;
@@ -1207,12 +1508,18 @@ impl LandmarkRouting {
                             if z == w {
                                 best = 0;
                             } else if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
-                                best = best.min(dz);
+                                let dz = if iz < len {
+                                    dd[iz]
+                                } else {
+                                    C::cell(gw[iz - len].2)
+                                };
+                                if dz != C::NONE {
+                                    best = best.min(dz.get());
+                                }
                             }
                         });
                         let nd = best.saturating_add(1);
-                        if nd <= dd[idx] {
+                        if nd <= dd[idx].get() {
                             // Equal: nothing moved.  Smaller: the support
                             // scan saw a not-yet-raised stale neighbour next
                             // to a gained member (already at its final
@@ -1224,10 +1531,10 @@ impl LandmarkRouting {
                             // Exceeds the bound (or the support left the
                             // stored cluster, which implies the same): no
                             // longer a member.
-                            dd[idx] = INFINITY;
+                            dd[idx] = C::NONE;
                             deaths += 1;
                         } else {
-                            dd[idx] = nd;
+                            dd[idx] = C::cell(nd);
                             if !fhd[idx] {
                                 fhd[idx] = true;
                                 dirty.push(idx as u32);
@@ -1236,7 +1543,7 @@ impl LandmarkRouting {
                         view.for_each_live(v, |_, z| {
                             if z != w {
                                 if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                    if iz < len && dd[iz] != INFINITY {
+                                    if iz < len && dd[iz] != C::NONE {
                                         if !fhd[iz] {
                                             fhd[iz] = true;
                                             dirty.push(iz as u32);
@@ -1263,10 +1570,14 @@ impl LandmarkRouting {
                     }
                     for &di in dirty.iter() {
                         let idx = di as usize;
-                        let dvi = if idx < len { dd[idx] } else { gw[idx - len].2 };
-                        if dvi == INFINITY {
+                        if idx < len && dd[idx] == C::NONE {
                             continue;
                         }
+                        let dvi = if idx < len {
+                            dd[idx].get()
+                        } else {
+                            gw[idx - len].2
+                        };
                         let du = dvi as usize;
                         if buckets.len() <= du {
                             buckets.resize(du + 1, Vec::new());
@@ -1280,7 +1591,7 @@ impl LandmarkRouting {
                             let idx = buckets[d][qi] as usize;
                             qi += 1;
                             let (v, dv) = if idx < len {
-                                (tg[idx] as usize, dd[idx])
+                                (tg[idx] as usize, dd[idx].get())
                             } else {
                                 (gw[idx - len].1 as usize, gw[idx - len].2)
                             };
@@ -1298,11 +1609,11 @@ impl LandmarkRouting {
                                     if z != w {
                                         if let Some(iz) = cluster_find(z as u32, tg, gw) {
                                             let (dz, pz) = if iz < len {
-                                                (dd[iz], pp[iz])
+                                                (dd[iz], pp[iz].get())
                                             } else {
-                                                (gw[iz - len].2, gp[iz - len])
+                                                (C::cell(gw[iz - len].2), gp[iz - len])
                                             };
-                                            if dz != INFINITY && dz + 1 == dv {
+                                            if dz != C::NONE && dz.get() + 1 == dv {
                                                 best = best.min(pz);
                                             }
                                         }
@@ -1314,18 +1625,26 @@ impl LandmarkRouting {
                                 u32::MAX,
                                 "a live member must have a tight in-neighbour"
                             );
-                            let cur = if idx < len { pp[idx] } else { gp[idx - len] };
+                            let cur = if idx < len {
+                                pp[idx].get()
+                            } else {
+                                gp[idx - len]
+                            };
                             if cur != best {
                                 if idx < len {
-                                    pp[idx] = best;
+                                    pp[idx] = C::cell(best);
                                 } else {
                                     gp[idx - len] = best;
                                 }
                                 view.for_each_live(v, |_, z| {
                                     if z != w {
                                         if let Some(iz) = cluster_find(z as u32, tg, gw) {
-                                            let dz = if iz < len { dd[iz] } else { gw[iz - len].2 };
-                                            if dz != INFINITY && dz == dv + 1 && !fhd[iz] {
+                                            let dz = if iz < len {
+                                                dd[iz]
+                                            } else {
+                                                C::cell(gw[iz - len].2)
+                                            };
+                                            if dz != C::NONE && dz.get() == dv + 1 && !fhd[iz] {
                                                 fhd[iz] = true;
                                                 let du = (dv + 1) as usize;
                                                 if buckets.len() <= du {
@@ -1375,15 +1694,15 @@ impl LandmarkRouting {
         let old_total = self.direct_targets.len();
         if new_total > old_total {
             self.direct_targets.resize(new_total, 0);
-            self.direct_dists.resize(new_total, 0);
-            self.direct_ports.resize(new_total, 0);
+            t.direct_dists.resize(new_total, C::default());
+            t.direct_ports.resize(new_total, C::default());
         }
         {
             let direct_offsets = &self.direct_offsets;
             let direct_targets = &mut self.direct_targets;
-            let direct_dists = &mut self.direct_dists;
-            let direct_ports = &mut self.direct_ports;
-            let (mut st, mut sd, mut sp): (Vec<u32>, Vec<Dist>, Vec<u32>) = Default::default();
+            let direct_dists = &mut t.direct_dists;
+            let direct_ports = &mut t.direct_ports;
+            let (mut st, mut sd, mut sp): (Vec<u32>, Vec<C>, Vec<C>) = Default::default();
             let mut relocate = |w: usize| {
                 let nlo = new_offsets[w] as usize;
                 let nhi = new_offsets[w + 1] as usize;
@@ -1391,8 +1710,8 @@ impl LandmarkRouting {
                     let at = fm_start[w] as usize;
                     for (j, &(v, d, p)) in fm_data[at..at + (nhi - nlo)].iter().enumerate() {
                         direct_targets[nlo + j] = v;
-                        direct_dists[nlo + j] = d;
-                        direct_ports[nlo + j] = p;
+                        direct_dists[nlo + j] = C::cell(d);
+                        direct_ports[nlo + j] = C::cell(p);
                     }
                     return;
                 }
@@ -1423,7 +1742,7 @@ impl LandmarkRouting {
                     };
                     let end = sd[j..stop]
                         .iter()
-                        .position(|&d| d == INFINITY)
+                        .position(|&d| d == C::NONE)
                         .map_or(stop, |r| j + r);
                     let run = end - j;
                     direct_targets[wi..wi + run].copy_from_slice(&st[j..end]);
@@ -1435,8 +1754,8 @@ impl LandmarkRouting {
                         j += 1;
                     } else if t < gw.len() {
                         direct_targets[wi] = gw[t].1;
-                        direct_dists[wi] = gw[t].2;
-                        direct_ports[wi] = gp[t];
+                        direct_dists[wi] = C::cell(gw[t].2);
+                        direct_ports[wi] = C::cell(gp[t]);
                         wi += 1;
                         t += 1;
                     }
@@ -1456,17 +1775,11 @@ impl LandmarkRouting {
         }
         if new_total < old_total {
             self.direct_targets.truncate(new_total);
-            self.direct_dists.truncate(new_total);
-            self.direct_ports.truncate(new_total);
+            t.direct_dists.truncate(new_total);
+            t.direct_ports.truncate(new_total);
         }
         self.direct_offsets = new_offsets;
-        self.home = origin.iter().map(|&o| o as usize).collect();
-        self.dist_to_set = new_dts;
-        Ok(RepairOutcome {
-            vertices_touched,
-            landmarks_rebuilt,
-            full_rebuild: false,
-        })
+        (vertices_touched, landmarks_rebuilt)
     }
 
     /// The landmark set used by the scheme.
@@ -1484,8 +1797,8 @@ impl LandmarkRouting {
     pub fn direct_port(&self, w: NodeId, v: NodeId) -> Option<Port> {
         let lo = self.direct_offsets[w] as usize;
         let hi = self.direct_offsets[w + 1] as usize;
-        find_sorted(&self.direct_targets[lo..hi], v as u32)
-            .map(|e| self.direct_ports[lo + e] as Port)
+        let e = lo + find_sorted(&self.direct_targets[lo..hi], v as u32)?;
+        Some(with_tables!(&self.cells, t => t.direct_ports[e].get() as Port))
     }
 
     /// Size of the cluster stored at `w` (including, under the strict rule,
@@ -1500,6 +1813,44 @@ impl LandmarkRouting {
         self.direct_targets.len() as f64 / n.max(1) as f64
     }
 
+    /// Bytes per stored port and distance: 1, 2 or 4.  The build picks the
+    /// narrowest width whose maximum exceeds both the graph's maximum degree
+    /// and `2·ecc(ℓ₀)`, which bounds every stored distance; the maximum is
+    /// reserved as the sentinel.  Repair widens the tables when the failed
+    /// view needs more, so the width always equals a rebuild's.
+    pub fn cell_bytes(&self) -> usize {
+        match self.cells.width() {
+            Width::U8 => 1,
+            Width::U16 => 2,
+            Width::U32 => 4,
+        }
+    }
+
+    /// Resident heap bytes, table by table, counted by capacity.  Compare
+    /// with [`LandmarkRouting::memory`], the paper's bits: that charges
+    /// `⌈log₂ deg⌉` bits per port and nothing for the distances, which are
+    /// repair state.
+    pub fn heap_bytes(&self) -> LandmarkHeapBytes {
+        let (toward_ports, toward_dists, cluster_ports, cluster_dists) = with_tables!(&self.cells, t => (
+            vec_bytes(&t.toward_landmark),
+            vec_bytes(&t.toward_dist),
+            vec_bytes(&t.direct_ports),
+            vec_bytes(&t.direct_dists),
+        ));
+        LandmarkHeapBytes {
+            cell_bytes: self.cell_bytes(),
+            toward_ports,
+            toward_dists,
+            cluster_targets: vec_bytes(&self.direct_targets),
+            cluster_ports,
+            cluster_dists,
+            offsets: vec_bytes(&self.direct_offsets),
+            labels: vec_bytes(&self.home)
+                + vec_bytes(&self.dist_to_set)
+                + vec_bytes(&self.landmarks),
+        }
+    }
+
     /// Structural audit of the stored tables against `g`: landmark set
     /// ascending/unique, homes pointing at landmarks, the toward-landmark
     /// matrix shaped `n × k` with `NO_PORT` exactly on the diagonal
@@ -1512,7 +1863,6 @@ impl LandmarkRouting {
     /// is walked entry by entry to word its findings.
     pub fn audit(&self, g: &Graph) -> Vec<String> {
         let n = g.num_nodes();
-        let k = self.landmarks.len();
         let mut f = Vec::new();
         if !self.landmarks.windows(2).all(|w| w[0] < w[1]) {
             f.push("landmark set is not strictly ascending".to_string());
@@ -1527,21 +1877,29 @@ impl LandmarkRouting {
                 f.push(format!("home of {v} ({h}) is not a landmark"));
             }
         }
-        if self.toward_landmark.len() != n * k {
+        with_tables!(&self.cells, t => self.audit_tables(g, t, &mut f));
+        f
+    }
+
+    /// The table part of [`LandmarkRouting::audit`], at cell type `C`.
+    fn audit_tables<C: Cell>(&self, g: &Graph, t: &Tables<C>, f: &mut Vec<String>) {
+        let n = g.num_nodes();
+        let k = self.landmarks.len();
+        if t.toward_landmark.len() != n * k {
             f.push(format!(
                 "toward-landmark table has {} entries for n*k = {}",
-                self.toward_landmark.len(),
+                t.toward_landmark.len(),
                 n * k
             ));
-            return f;
+            return;
         }
         for w in 0..n {
             let deg = g.degree(w);
-            let row = &self.toward_landmark[w * k..(w + 1) * k];
+            let row = &t.toward_landmark[w * k..(w + 1) * k];
             let clean = match self.landmarks.binary_search(&w) {
                 Ok(i) => {
                     ports_below(&row[..i], deg)
-                        && row[i] == NO_PORT
+                        && row[i] == C::NONE
                         && ports_below(&row[i + 1..], deg)
                 }
                 Err(_) => ports_below(row, deg),
@@ -1550,33 +1908,34 @@ impl LandmarkRouting {
                 continue;
             }
             for (&l, &p) in self.landmarks.iter().zip(row) {
-                if p == NO_PORT {
+                if p == C::NONE {
                     if w != l {
                         f.push(format!(
                             "router {w} has no toward-landmark port for landmark {l}"
                         ));
                     }
-                } else if p as usize >= deg {
+                } else if p.get() as usize >= deg {
                     f.push(format!(
-                        "toward-landmark port {p} at router {w} exceeds degree {deg}"
+                        "toward-landmark port {} at router {w} exceeds degree {deg}",
+                        p.get()
                     ));
                 }
             }
         }
         let shape_ok = self.direct_offsets.len() == n + 1
-            && self.direct_targets.len() == self.direct_ports.len()
+            && self.direct_targets.len() == t.direct_ports.len()
             && self.direct_offsets.last().map(|&e| e as usize) == Some(self.direct_targets.len())
             && self.direct_offsets.windows(2).all(|w| w[0] <= w[1]);
         if !shape_ok {
             f.push("cluster CSR shape inconsistent".to_string());
-            return f;
+            return;
         }
         for w in 0..n {
             let deg = g.degree(w);
             let lo = self.direct_offsets[w] as usize;
             let hi = self.direct_offsets[w + 1] as usize;
             let members = &self.direct_targets[lo..hi];
-            let ports = &self.direct_ports[lo..hi];
+            let ports = &t.direct_ports[lo..hi];
             let sorted = members.windows(2).all(|m| m[0] < m[1]);
             if !sorted {
                 f.push(format!("cluster members of router {w} not sorted/deduped"));
@@ -1590,14 +1949,14 @@ impl LandmarkRouting {
                 if v as usize >= n {
                     f.push(format!("cluster member {v} of router {w} out of range"));
                 }
-                if p as usize >= deg {
+                if p.get() as usize >= deg {
                     f.push(format!(
-                        "cluster port {p} at router {w} towards {v} exceeds degree {deg}"
+                        "cluster port {} at router {w} towards {v} exceeds degree {deg}",
+                        p.get()
                     ));
                 }
             }
         }
-        f
     }
 
     /// Fault injection for the mutation harness: overwrite the single table
@@ -1606,19 +1965,26 @@ impl LandmarkRouting {
     /// toward-landmark entry for `dest`'s home otherwise (the same priority
     /// [`RoutingFunction::port`] uses).  Returns a description of the entry
     /// hit.  This deliberately breaks the instance; it exists so the static
-    /// checker can prove it catches broken tables.
+    /// checker can prove it catches broken tables.  A `port` at or above the
+    /// cell width's sentinel is stored as `sentinel − 1`, which the width
+    /// rule keeps at or above every degree: still out of range, never "no
+    /// port".
     pub fn corrupt_entry_for(&mut self, v: NodeId, dest: NodeId, port: u32) -> String {
         let lo = self.direct_offsets[v] as usize;
         let hi = self.direct_offsets[v + 1] as usize;
+        fn clamped<C: Cell>(port: u32) -> C {
+            C::cell(port.min(C::SENTINEL - 1))
+        }
         if let Some(e) = find_sorted(&self.direct_targets[lo..hi], dest as u32) {
-            self.direct_ports[lo + e] = port;
+            with_tables!(&mut self.cells, t => t.direct_ports[lo + e] = clamped(port));
             return format!("cluster entry of router {v} for destination {dest}");
         }
         let idx = self
             .landmarks
             .binary_search(&self.home[dest])
             .expect("every home is a landmark");
-        self.toward_landmark[v * self.landmarks.len() + idx] = port;
+        let at = v * self.landmarks.len() + idx;
+        with_tables!(&mut self.cells, t => t.toward_landmark[at] = clamped(port));
         format!(
             "toward-landmark entry of router {v} for landmark {}",
             self.home[dest]
@@ -1650,18 +2016,18 @@ impl LandmarkRouting {
 /// The smallest live port `p` of `w` with `dist[target(w, p)] + 1 == dw` —
 /// the first-hop port every BFS in this module provably reports (neighbours
 /// are scanned in port order), re-derived directly from a distance column.
-fn min_tight_port(view: GraphView<'_>, dist: &[Dist], w: NodeId, dw: Dist) -> Option<u32> {
+fn min_tight_port<C: Cell>(view: GraphView<'_>, dist: &[C], w: NodeId, dw: Dist) -> Option<u32> {
     (0..view.degree(w)).find_map(|p| match view.live_target(w, p) {
-        Some(x) if dist[x] + 1 == dw => Some(p as u32),
+        Some(x) if dist[x].get() + 1 == dw => Some(p as u32),
         _ => None,
     })
 }
 
-/// Whether every port in `ports` is below `degree`, in one slice-wide test
-/// that vectorises.  [`NO_PORT`] never passes.
-fn ports_below(ports: &[u32], degree: usize) -> bool {
-    let degree = u32::try_from(degree).unwrap_or(u32::MAX);
-    ports.iter().all(|&p| p < degree)
+/// Whether every port in `ports` is below `degree`: one branch-free maximum
+/// over the slice, which vectorises.  The sentinel never passes.
+fn ports_below<C: Cell>(ports: &[C], degree: usize) -> bool {
+    let degree = C::cell(u32::try_from(degree).unwrap_or(u32::MAX).min(C::SENTINEL));
+    ports.is_empty() || ports.iter().fold(C::default(), |m, &p| m.max(p)) < degree
 }
 
 /// Position of `x` in the strictly ascending `ids` — exactly
@@ -1798,13 +2164,13 @@ impl RoutingFunction for LandmarkRouting {
         let Ok(idx) = self.landmarks.binary_search(&(home as usize)) else {
             return Action::Deliver;
         };
-        let p = self.toward_landmark[node * self.landmarks.len() + idx];
-        if p == NO_PORT {
+        let at = node * self.landmarks.len() + idx;
+        match with_tables!(&self.cells, t => t.toward_port(at)) {
+            Some(p) => Action::Forward(p),
             // `node` is the claimed home landmark yet `dest` is not in its
             // cluster: the header lies about the destination's home.
-            return Action::Deliver;
+            None => Action::Deliver,
         }
-        Action::Forward(p as Port)
     }
 
     fn init_into(&self, _source: NodeId, dest: NodeId, header: &mut Header) {
@@ -1899,6 +2265,9 @@ mod tests {
             generators::cycle(30),
             generators::grid(6, 7),
             generators::petersen(),
+            // Two-byte cells: by degree, and by 2·ecc(ℓ₀) = 300.
+            generators::star(300),
+            generators::cycle(300),
         ] {
             for cfg in [
                 LandmarkConfig {
@@ -1925,6 +2294,8 @@ mod tests {
             (generators::grid(8, 8), 2),
             (generators::hypercube(6), 3),
             (generators::random_tree(60, 8), 4),
+            (generators::star(300), 5),
+            (generators::cycle(300), 6),
         ] {
             let dm = DistanceMatrix::all_pairs(&g);
             for rule in [ClusterRule::Inclusive, ClusterRule::Strict] {
@@ -1956,6 +2327,8 @@ mod tests {
             (generators::random_connected(90, 0.06, 11), 10),
             (generators::petersen(), 11),
             (generators::path(1), 12),
+            (generators::star(300), 13),
+            (generators::cycle(300), 14),
         ] {
             let sparse = LandmarkRouting::build(&g, seed);
             let dense = LandmarkRouting::build_dense(&g, seed);
@@ -1976,6 +2349,8 @@ mod tests {
             (generators::grid(7, 9), 9),
             (generators::random_connected(90, 0.06, 11), 10),
             (generators::petersen(), 11),
+            (generators::star(300), 12),
+            (generators::cycle(300), 13),
         ] {
             for &landmarks in &counts {
                 for rule in [ClusterRule::Inclusive, ClusterRule::Strict] {
@@ -2018,6 +2393,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The width rule at its boundaries: a width serves while both the
+    /// maximum degree and the distance bound stay below its maximum, which
+    /// is the sentinel.
+    #[test]
+    fn width_rule_boundaries() {
+        for (bound, below, at) in [
+            (255u64, Width::U8, Width::U16),
+            (65535, Width::U16, Width::U32),
+        ] {
+            assert_eq!(Width::for_bounds(bound as usize - 1, 0), below);
+            assert_eq!(Width::for_bounds(bound as usize, 0), at);
+            assert_eq!(Width::for_bounds(0, bound - 1), below);
+            assert_eq!(Width::for_bounds(0, bound), at);
+            assert_eq!(Width::for_bounds(bound as usize - 1, bound - 1), below);
+        }
+        assert_eq!(Width::for_bounds(0, 0), Width::U8);
+        assert_eq!(Width::for_bounds(1 << 20, 1 << 20), Width::U32);
+    }
+
+    /// The width the builds pick on real families: one byte on the random,
+    /// regular and Theorem 1 families of the benchmarks, two bytes once a
+    /// degree or `2·ecc(ℓ₀)` reaches 255.
+    #[test]
+    fn width_follows_the_graph() {
+        let theorem1 = constraints::theorem1::build_worst_case_instance(512, 0.5, 3)
+            .0
+            .graph;
+        let grid = generators::grid(140, 20);
+        for (name, g, bytes) in [
+            ("random", generators::random_connected(500, 0.02, 3), 1),
+            ("regular", generators::random_regular_like(1024, 8, 3), 1),
+            ("theorem1", theorem1, 1),
+            ("star(254)", generators::star(254), 1),
+            ("star(255)", generators::star(255), 2),
+            ("star(300)", generators::star(300), 2),
+            ("grid 140x20", grid, 2),
+        ] {
+            let r = LandmarkRouting::build(&g, DEFAULT_SEED);
+            assert_eq!(r.cell_bytes(), bytes, "{name}");
+            assert_eq!(r.heap_bytes().cell_bytes, bytes, "{name}");
+        }
+        // The grid is two bytes wide by distance alone.
+        let g = generators::grid(140, 20);
+        let r = LandmarkRouting::build(&g, DEFAULT_SEED);
+        let mut dist = vec![0; g.num_nodes()];
+        let mut scratch = BfsScratch::with_capacity(g.num_nodes());
+        bfs_distances_into(GraphView::full(&g), r.landmarks[0], &mut scratch, &mut dist);
+        let ecc = dist.iter().max().unwrap();
+        assert!(g.max_degree() < 255 && 2 * ecc >= 255, "ecc {ecc}");
+    }
+
+    /// Repair widens the cells when the failed view needs it.  `cycle(200)`
+    /// is one byte wide (`2·ecc(ℓ₀)` = 200); killing a link at `ℓ₀` leaves a
+    /// path with `ℓ₀` at one end (`2·ecc(ℓ₀)` = 398).  The repair stays
+    /// incremental, equals the rebuild at 1, 2 and 3 threads, and delivers.
+    #[test]
+    fn repair_widens_the_cells_when_distances_outgrow_them() {
+        let g = generators::cycle(200);
+        let cfg = LandmarkConfig {
+            seed: 4,
+            ..LandmarkConfig::default()
+        };
+        let base = LandmarkRouting::build_with(&g, &cfg);
+        assert_eq!(base.cell_bytes(), 1);
+        let l0 = base.landmarks[0];
+        let next = (l0 + 1) % 200;
+        let failures = FailureSet::from_edges(&g, &[(l0.min(next) as u32, l0.max(next) as u32)]);
+        let view = GraphView::masked(&g, &failures);
+        let rebuilt = LandmarkRouting::build_on_view(view, &cfg);
+        assert_eq!(rebuilt.cell_bytes(), 2);
+        for threads in [1, 2, 3] {
+            let mut r = base.clone();
+            let out = r
+                .repair_threads(&g, &FailureSet::empty(&g), &failures, threads)
+                .unwrap();
+            assert!(!out.full_rebuild, "threads={threads}");
+            assert!(r == rebuilt, "threads={threads}");
+            assert_eq!(r.cell_bytes(), 2);
+            for s in 0..200 {
+                for t in 0..200 {
+                    let trace = route(view, &r, s, t).unwrap();
+                    assert_eq!(*trace.path.last().unwrap(), t);
+                }
+            }
+        }
+    }
+
+    /// `heap_bytes` counts every table by capacity, at the stored width; the
+    /// same tables re-encoded at four bytes count four times the cells and
+    /// are a different instance under `==`.
+    #[test]
+    fn heap_bytes_counts_each_table_at_its_width() {
+        let g = generators::random_connected(300, 0.03, 7);
+        let r = LandmarkRouting::build(&g, 3);
+        let (n, k, entries) = (300, r.landmarks.len(), r.direct_targets.len());
+        let h = r.heap_bytes();
+        assert_eq!(h.cell_bytes, 1);
+        assert_eq!((h.toward_ports, h.toward_dists), (n * k, n * k));
+        assert!(h.cluster_targets >= 4 * entries && h.cluster_ports >= entries);
+        assert_eq!(h.offsets, 4 * (n + 1));
+        let r32 = LandmarkRouting {
+            cells: r.cells.clone().into_width(Width::U32),
+            ..r.clone()
+        };
+        assert!(r32 != r, "equality compares the cell width");
+        let h32 = r32.heap_bytes();
+        assert_eq!((h32.cell_bytes, h32.toward_ports), (4, 4 * n * k));
+        assert_eq!(
+            (h32.cluster_ports, h32.cluster_dists),
+            (4 * entries, 4 * entries)
+        );
     }
 
     /// `find_sorted` is a drop-in for `binary_search(..).ok()` on strictly
@@ -2107,7 +2595,7 @@ mod tests {
                     let expect = members
                         .binary_search(&(v as u32))
                         .ok()
-                        .map(|e| r.direct_ports[lo + e] as Port);
+                        .map(|e| with_tables!(&r.cells, t => t.direct_ports[lo + e].get() as Port));
                     assert_eq!(r.direct_port(w, v), expect, "{label}: w={w}, v={v}");
                 }
             }
@@ -2154,16 +2642,17 @@ mod tests {
         assert!(r.audit(&g).is_empty());
         let k = r.landmarks.len();
         let l0 = r.landmarks[0];
-        r.toward_landmark[l0 * k] = 0;
+        u8::unwrap_mut(&mut r.cells).unwrap().toward_landmark[l0 * k] = 0;
         assert!(r.audit(&g).is_empty());
         let w = (0..g.num_nodes())
             .find(|&w| r.landmarks.binary_search(&w).is_err() && r.cluster_size(w) > 0)
             .unwrap();
-        let deg = g.degree(w) as u32;
-        r.toward_landmark[w * k + 1] = NO_PORT;
-        r.toward_landmark[w * k + 2] = deg;
+        let deg = g.degree(w) as u8;
         let lo = r.direct_offsets[w] as usize;
-        r.direct_ports[lo] = deg + 5;
+        let t = u8::unwrap_mut(&mut r.cells).expect("a small random graph stores one-byte cells");
+        t.toward_landmark[w * k + 1] = u8::NONE;
+        t.toward_landmark[w * k + 2] = deg;
+        t.direct_ports[lo] = deg + 5;
         let (l1, v) = (r.landmarks[1], r.direct_targets[lo]);
         assert_eq!(
             r.audit(&g),
