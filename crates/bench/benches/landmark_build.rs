@@ -21,11 +21,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph};
-use routeschemes::landmark::{LandmarkHeapBytes, LandmarkRouting};
+use routeschemes::landmark::{LandmarkConfig, LandmarkHeapBytes, LandmarkRouting};
 use routing_bench::quick_criterion;
 use std::time::Instant;
-
-const SEED: u64 = 0x7AFF1C;
 
 fn workload_graph(n: usize) -> Graph {
     if n >= 16_384 {
@@ -39,10 +37,18 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     let mut group = c.benchmark_group("landmark/build-1024");
     let g = workload_graph(1024);
     group.bench_with_input(BenchmarkId::new("dense", 1024), &(), |b, ()| {
-        b.iter(|| LandmarkRouting::build_dense(&g, SEED).landmarks().len());
+        b.iter(|| {
+            LandmarkRouting::build_dense_with(&g, &LandmarkConfig::default())
+                .landmarks()
+                .len()
+        });
     });
     group.bench_with_input(BenchmarkId::new("sparse", 1024), &(), |b, ()| {
-        b.iter(|| LandmarkRouting::build(&g, SEED).landmarks().len());
+        b.iter(|| {
+            LandmarkRouting::build_with(&g, &LandmarkConfig::default())
+                .landmarks()
+                .len()
+        });
     });
     group.finish();
 }
@@ -89,10 +95,10 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = workload_graph(4096);
         entries.push(run_entry("dense-4096", &g, |g| {
-            LandmarkRouting::build_dense(g, SEED)
+            LandmarkRouting::build_dense_with(g, &LandmarkConfig::default())
         }));
         entries.push(run_entry("sparse-4096", &g, |g| {
-            LandmarkRouting::build(g, SEED)
+            LandmarkRouting::build_with(g, &LandmarkConfig::default())
         }));
     }
 
@@ -100,7 +106,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = workload_graph(131_072);
         entries.push(run_entry("sparse-131072", &g, |g| {
-            LandmarkRouting::build(g, SEED)
+            LandmarkRouting::build_with(g, &LandmarkConfig::default())
         }));
     }
 

@@ -86,9 +86,9 @@ fn bench_snapshot(_c: &mut Criterion) {
         }
     }
 
-    // One large-n trade-off point: k ≈ 3√n at n = 131072 — more landmark
-    // bits than the `⌈√n⌉` default of `BENCH_landmark.json`, shorter
-    // detours, and still no dense matrix anywhere.
+    // One large-n trade-off point: k = 1024 at n = 131072, just below the
+    // `⌈3√n⌉ = 1087` default of `BENCH_landmark.json`, with still no dense
+    // matrix anywhere.
     {
         let g = generators::random_regular_like(131_072, 8, 0xB16);
         let workload = Workload::SampledSources {

@@ -5,19 +5,21 @@
 //! that scales to large graphs (tree, landmark, e-cube, dimension-order),
 //! msgs/s over a uniform query stream at `n = 4096`, and one landmark point
 //! at `n = 131072` where table-per-node schemes cannot even build.  A second list sweeps
-//! the landmark scheme over graph families at one thread (see
-//! [`landmark_family_sweep`]).
+//! the landmark scheme over graph families at one thread, with its landmark
+//! count, resident bytes and sampled stretch next to those at `⌈√n⌉`
+//! landmarks (see [`landmark_family_sweep`]).
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph, GraphView};
+use routeschemes::landmark::{LandmarkConfig, LandmarkCount, LandmarkRouting};
 use routeschemes::spec::SchemeSpec;
 use routeschemes::{GraphHints, SchemeKind};
 use routeserve::{serve, ServeConfig, ServeStats};
 use routing_bench::quick_criterion;
-use trafficlab::{GraphSpec, Workload, WorkloadPlan};
+use trafficlab::{run_workload, EngineConfig, GraphSpec, Workload, WorkloadPlan};
 
 fn serve_graph(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
@@ -86,6 +88,57 @@ const SWEEP_GRAPHS: [&str; 5] = [
 /// Queries per sweep point.
 const SWEEP_MESSAGES: u64 = 200_000;
 
+/// The sampled stretch workload of a sweep point: 48 BFS sources, 800
+/// destinations each.
+const SWEEP_STRETCH: Workload = Workload::SampledSources {
+    sources: 48,
+    dests_per_source: 800,
+    seed: 21,
+};
+
+/// One landmark instance's size and route quality: its landmark count,
+/// resident bytes, and the stretch of [`SWEEP_STRETCH`], measured against one
+/// BFS per source (no distance matrix).
+struct Quality {
+    k: usize,
+    heap_bytes: usize,
+    avg_stretch: f64,
+    max_stretch: f64,
+}
+
+fn quality(g: &Graph, r: &LandmarkRouting) -> Quality {
+    let plan = SWEEP_STRETCH.compile(g.num_nodes());
+    let rep = run_workload(
+        g,
+        r,
+        &plan,
+        &EngineConfig {
+            threads: 0,
+            block_rows: 0,
+            track_congestion: false,
+        },
+    )
+    .expect("landmark routing delivers every sampled pair");
+    assert_eq!(rep.outcomes.delivered, rep.outcomes.attempted());
+    Quality {
+        k: r.landmarks().len(),
+        heap_bytes: r.heap_bytes().total(),
+        avg_stretch: rep.stretch.avg_stretch,
+        max_stretch: rep.stretch.max_stretch,
+    }
+}
+
+/// One point of the family sweep: the default landmark instance served at
+/// one thread, its quality, and the quality of the same graph at `⌈√n⌉`
+/// landmarks, the count the default replaced.
+struct FamilyPoint {
+    graph: &'static str,
+    n: usize,
+    stats: ServeStats,
+    auto: Quality,
+    sqrt_n: Quality,
+}
+
 /// Landmark serving on one thread across graph families.  A hop's
 /// cluster lookup starts from an interpolation guess, which assumes a
 /// cluster's member ids spread evenly over their range.  Preferential
@@ -95,23 +148,52 @@ const SWEEP_MESSAGES: u64 = 200_000;
 /// is the control.  One thread, so each number is the routing kernel's.
 /// Each point is reproduced by `routeserve --graph <spec> --scheme landmark
 /// --workload 'uniform?messages=200000&seed=1' --threads 1`.
-fn landmark_family_sweep() -> Vec<(&'static str, usize, ServeStats)> {
-    let scheme = SchemeSpec::default_for(SchemeKind::Landmark);
+///
+/// Each point also records the default's bytes and stretch next to those
+/// at `⌈√n⌉` landmarks, and asserts what the default promises: every pair
+/// delivered, max stretch below 3 and no worse than at `⌈√n⌉`.
+fn landmark_family_sweep() -> Vec<FamilyPoint> {
     let cfg = ServeConfig {
         threads: 1,
         ..ServeConfig::batched()
     };
     SWEEP_GRAPHS
         .iter()
-        .map(|&spec| {
-            let built = GraphSpec::parse(spec).expect("valid graph spec").build();
-            let inst = scheme
-                .build(&built.graph, &built.hints)
-                .expect("landmark builds");
-            let n = built.graph.num_nodes();
+        .map(|&graph| {
+            let built = GraphSpec::parse(graph).expect("valid graph spec").build();
+            let g = &built.graph;
+            let n = g.num_nodes();
+            let r = LandmarkRouting::build_with(g, &LandmarkConfig::default());
             let plan = uniform_plan(n, SWEEP_MESSAGES);
-            let stats = serve(GraphView::full(&built.graph), &*inst.routing, &plan, &cfg).unwrap();
-            (spec, n, stats)
+            let stats = serve(GraphView::full(g), &r, &plan, &cfg).unwrap();
+            assert_eq!(stats.delivery_rate(), 1.0, "{graph}");
+            let auto = quality(g, &r);
+            drop(r);
+            let sqrt_n = quality(
+                g,
+                &LandmarkRouting::build_with(
+                    g,
+                    &LandmarkConfig {
+                        landmarks: LandmarkCount::Count((n as f64).sqrt().ceil() as usize),
+                        ..LandmarkConfig::default()
+                    },
+                ),
+            );
+            assert!(
+                auto.max_stretch < 3.0 && auto.max_stretch <= sqrt_n.max_stretch,
+                "{graph}: max stretch {} at k = {}, {} at k = {}",
+                auto.max_stretch,
+                auto.k,
+                sqrt_n.max_stretch,
+                sqrt_n.k
+            );
+            FamilyPoint {
+                graph,
+                n,
+                stats,
+                auto,
+                sqrt_n,
+            }
         })
         .collect()
 }
@@ -205,27 +287,47 @@ fn bench_snapshot(_c: &mut Criterion) {
     }
     json.push_str("  ],\n  \"landmark_families\": [\n");
     let sweep = landmark_family_sweep();
-    for (i, (graph, n, stats)) in sweep.iter().enumerate() {
+    for (i, p) in sweep.iter().enumerate() {
+        let (a, q) = (&p.auto, &p.sqrt_n);
         json.push_str(&format!(
             concat!(
                 "    {{\"graph\": \"{}\", \"scheme\": \"landmark\", \"n\": {}, ",
                 "\"messages\": {}, \"threads\": {}, \"msgs_per_sec\": {:.0}, ",
-                "\"delivery_rate\": {:.6}}}{}\n"
+                "\"delivery_rate\": {:.6}, \"k\": {}, \"heap_bytes\": {}, ",
+                "\"avg_stretch\": {:.4}, \"max_stretch\": {:.4}, ",
+                "\"sqrt_n\": {{\"k\": {}, \"heap_bytes\": {}, ",
+                "\"avg_stretch\": {:.4}, \"max_stretch\": {:.4}}}}}{}\n"
             ),
-            graph,
-            n,
-            stats.outcomes.attempted(),
-            stats.threads,
-            stats.messages_per_sec(),
-            stats.delivery_rate(),
+            p.graph,
+            p.n,
+            p.stats.outcomes.attempted(),
+            p.stats.threads,
+            p.stats.messages_per_sec(),
+            p.stats.delivery_rate(),
+            a.k,
+            a.heap_bytes,
+            a.avg_stretch,
+            a.max_stretch,
+            q.k,
+            q.heap_bytes,
+            q.avg_stretch,
+            q.max_stretch,
             if i + 1 == sweep.len() { "" } else { "," }
         ));
         println!(
-            "landmark sweep: {:<24} n={:<6} {:>10.0} msgs/s  delivery {:.4}",
-            graph,
-            n,
-            stats.messages_per_sec(),
-            stats.delivery_rate()
+            "landmark sweep: {:<24} n={:<6} {:>10.0} msgs/s  delivery {:.4}  k {:<4} {:>6.1} MB  stretch avg {:.3} max {:.3}  (k {:<4} {:>6.1} MB  avg {:.3} max {:.3})",
+            p.graph,
+            p.n,
+            p.stats.messages_per_sec(),
+            p.stats.delivery_rate(),
+            a.k,
+            a.heap_bytes as f64 / 1e6,
+            a.avg_stretch,
+            a.max_stretch,
+            q.k,
+            q.heap_bytes as f64 / 1e6,
+            q.avg_stretch,
+            q.max_stretch
         );
     }
     json.push_str("  ]\n}\n");

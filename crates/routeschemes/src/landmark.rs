@@ -8,9 +8,11 @@
 //! Thorup–Zwick stretch-3 routing) — so the reproduction can *measure* the
 //! memory/stretch trade-off rather than only quote it:
 //!
-//! * a set `L` of landmarks is sampled — `⌈√n⌉` by default, or any count or
-//!   rate through [`LandmarkConfig`] (the knob the `landmark-sweep` scenario
-//!   walks to trace the bits-vs-stretch curve);
+//! * a set `L` of landmarks is sampled — by default `⌈3√n⌉` under the
+//!   inclusive cluster rule and `⌈√n⌉` under the strict one, the counts
+//!   that minimize resident bytes (see [`LandmarkCount::Auto`]), or any
+//!   count or rate through [`LandmarkConfig`] (the knob the
+//!   `landmark-sweep` scenario walks to trace the bits-vs-stretch curve);
 //! * every vertex `v` has a *home landmark* `ℓ(v)` (a nearest landmark) and
 //!   the enhanced address `(v, ℓ(v))` — addresses of `O(log n)` bits, carried
 //!   in headers, which the model does not charge to router memory;
@@ -46,9 +48,9 @@
 //! Why a second rule: on tiny-diameter worst-case instances (the Theorem 1
 //! graphs) the `≤`-rule boundary `d(w, v) = d(v, L)` is met by *many* pairs
 //! at once, fattening the inclusive clusters far beyond `√n` (measured
-//! avg ≈ 2700 at n = 16384).  The strict rule keeps only the interior, whose
-//! expected size stays `Õ(√n)` there too, at the price of `≈ n/k` handoff
-//! entries concentrated on the landmarks.
+//! avg ≈ 2700 at n = 16384 with `⌈√n⌉` landmarks).  The strict rule keeps
+//! only the interior, whose expected size stays `Õ(√n)` there too, at the
+//! price of `≈ n/k` handoff entries concentrated on the landmarks.
 //!
 //! # Construction cost
 //!
@@ -359,8 +361,8 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 /// worker threads, whose allocator arenas keep the memory after the build.
 const CLUSTER_BLOCK: usize = 64;
 
-/// Routers whose clusters size the one up-front reservation of the cluster
-/// arrays.
+/// Routers, strided over the id range, whose clusters size the one
+/// up-front reservation of the cluster arrays.
 const RESERVE_SAMPLE: usize = 4 * CLUSTER_BLOCK;
 
 /// One landmark's column of the build: `d(·, ℓ)` and the port towards `ℓ`.
@@ -398,6 +400,35 @@ impl<C: Cell> ClusterBlock<C> {
         self.ports
             .extend(members.iter().map(|&(_, _, p)| C::cell(p)));
     }
+}
+
+/// The cluster entries of all routers, extrapolated from the clusters of
+/// `RESERVE_SAMPLE` routers strided over the whole id range: each sampled
+/// router's pruned BFS at `bound`, plus the `extra(w)` entries it stores
+/// besides.  Strided, not a prefix of the ids: on preferential-attachment
+/// graphs the low ids are the hubs, and a prefix sample over-reserved `ba`
+/// and `powerlaw` instances eightfold.
+fn estimate_cluster_entries(
+    view: GraphView<'_>,
+    bound: &[Dist],
+    threads: usize,
+    extra: impl Fn(usize) -> usize + Sync,
+) -> usize {
+    let n = view.num_nodes();
+    let sample = RESERVE_SAMPLE.min(n);
+    let mut sampled = 0usize;
+    par::map_fold_ordered(
+        sample,
+        threads,
+        || BoundedBfsScratch::with_capacity(n),
+        |bounded, i, size: &mut usize| {
+            let w = (2 * i + 1) * n / (2 * sample);
+            *size = extra(w);
+            bfs_bounded_into(view, w, bound, bounded, |_, _, _| *size += 1);
+        },
+        |_, size| sampled += *size,
+    );
+    sampled * n / sample
 }
 
 /// One landmark column of the repair: whether a distance moved, and the
@@ -451,7 +482,16 @@ pub const DEFAULT_SEED: u64 = 0x7AFF1C;
 /// How many landmarks to sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LandmarkCount {
-    /// `⌈√n⌉` — the memory-optimal default.
+    /// The byte-optimal default for the cluster rule: `⌈3√n⌉` under
+    /// [`ClusterRule::Inclusive`], `⌈√n⌉` under [`ClusterRule::Strict`].
+    ///
+    /// A router holds `a·k + b·|S(w)|` bytes: `a` per landmark (a toward
+    /// port and distance, 2 B at one-byte cells) and `b` per cluster entry
+    /// (a `u32` id, a port and a distance, 6 B).  Inclusive clusters
+    /// average `≈ c·n/k` with `c ≈ 3` on random and regular graphs, which
+    /// puts the minimum of `a·k + b·c·n/k` at `k = √(b·c·n/a) ≈ 3√n`.
+    /// Strict clusters average only `≈ 0.4·n/k`, so their minimum is
+    /// already near `√n`.
     Auto,
     /// An explicit count (clamped to `1..=n` at build time).
     Count(usize),
@@ -496,7 +536,11 @@ impl LandmarkConfig {
     /// The number of landmarks this config samples on an `n`-vertex graph.
     pub fn landmark_count(&self, n: usize) -> usize {
         let k = match self.landmarks {
-            LandmarkCount::Auto => (n as f64).sqrt().ceil() as usize,
+            // ⌈3√n⌉ = ⌈√(9n)⌉, with one rounding instead of two.
+            LandmarkCount::Auto => match self.cluster_rule {
+                ClusterRule::Inclusive => ((9 * n) as f64).sqrt().ceil() as usize,
+                ClusterRule::Strict => (n as f64).sqrt().ceil() as usize,
+            },
             LandmarkCount::Count(k) => k,
             LandmarkCount::Rate(r) => (r * n as f64).ceil() as usize,
         };
@@ -571,7 +615,7 @@ pub struct LandmarkRouting {
 
 /// Equality is over the routing function and its repair state — every
 /// table, its cell width, every label and distance array — but **not** the
-/// provenance `config`: `landmark?k=⌈√n⌉` and the `Auto` default build the
+/// provenance `config`: `landmark?k=⌈3√n⌉` and the `Auto` default build the
 /// same scheme, and the bit-identity pins (spec-vs-default,
 /// repair-vs-rebuild) compare what the instance *does*, not how it was asked
 /// for.
@@ -588,19 +632,6 @@ impl PartialEq for LandmarkRouting {
 }
 
 impl LandmarkRouting {
-    /// Builds the scheme with `⌈√n⌉` landmarks, the inclusive cluster rule
-    /// and the given seed — the pre-parameterization default, kept as the
-    /// bit-identity anchor for the spec-era builders.
-    pub fn build(g: &Graph, seed: u64) -> Self {
-        Self::build_with(
-            g,
-            &LandmarkConfig {
-                seed,
-                ..LandmarkConfig::default()
-            },
-        )
-    }
-
     /// Builds the scheme under an explicit [`LandmarkConfig`].
     ///
     /// Sparse construction: no `n × n` matrix, `Õ(m·(k + n/k))` work (see
@@ -755,11 +786,32 @@ impl LandmarkRouting {
             ClusterRule::Inclusive => dist_to_set.clone(),
             ClusterRule::Strict => dist_to_set.iter().map(|&d| d.saturating_sub(1)).collect(),
         };
+        // What router `w` stores besides its pruned-BFS cluster: its handoff
+        // list if it is a landmark under the strict rule, else nothing.  The
+        // handoff set { v : home[v] = w } is disjoint from the strict cluster
+        // (its members sit exactly at d(w, v) = d(v, L)), so merging it in is
+        // a merge, not a dedup.
+        let handoff_of = |w: usize| -> &[(u32, Dist, u32)] {
+            match landmarks.binary_search(&w) {
+                Ok(i) if cfg.cluster_rule == ClusterRule::Strict => {
+                    &handoff[handoff_offsets[i]..handoff_offsets[i + 1]]
+                }
+                _ => &[],
+            }
+        };
+
+        // Reserve the cluster arrays once rather than letting the fold grow
+        // them by doubling: each growth step copies the whole prefix, and
+        // with worker threads alive those copies raised the peak resident
+        // memory of back-to-back builds by a fifth.
+        let estimate = estimate_cluster_entries(view, &bound, threads, |w| handoff_of(w).len());
+        let reserve = estimate + estimate / 4;
+
         let blocks = n.div_ceil(CLUSTER_BLOCK);
         let mut direct_offsets = vec![0u32; n + 1];
-        let mut direct_targets: Vec<u32> = Vec::new();
-        let mut direct_dists: Vec<C> = Vec::new();
-        let mut direct_ports: Vec<C> = Vec::new();
+        let mut direct_targets: Vec<u32> = Vec::with_capacity(reserve);
+        let mut direct_dists: Vec<C> = Vec::with_capacity(reserve);
+        let mut direct_ports: Vec<C> = Vec::with_capacity(reserve);
         par::map_fold_ordered(
             blocks,
             threads,
@@ -771,37 +823,13 @@ impl LandmarkRouting {
                     bfs_bounded_into(view, w, &bound, bounded, |v, d, p| {
                         members.push((v as u32, d, p as u32));
                     });
-                    if cfg.cluster_rule == ClusterRule::Strict {
-                        if let Ok(i) = landmarks.binary_search(&w) {
-                            // The handoff set { v : home[v] = w } is disjoint
-                            // from the strict cluster (its members sit exactly
-                            // at d(w, v) = d(v, L)), so this is a merge, not a
-                            // dedup.
-                            members.extend_from_slice(
-                                &handoff[handoff_offsets[i]..handoff_offsets[i + 1]],
-                            );
-                        }
-                    }
+                    members.extend_from_slice(handoff_of(w));
                     members.sort_unstable_by_key(|&(v, _, _)| v);
                     block.push(members);
                 }
             },
             |b, block| {
                 let w0 = b * CLUSTER_BLOCK;
-                let folded = w0 + block.sizes.len();
-                if folded == RESERVE_SAMPLE {
-                    // Reserve once, extrapolated from the first routers,
-                    // rather than letting the fold grow the arrays by
-                    // doubling: each growth step copies the whole prefix,
-                    // and with worker threads alive those copies raised the
-                    // peak resident memory of back-to-back builds by a fifth.
-                    let len = direct_targets.len() + block.targets.len();
-                    let estimate = len * n / folded;
-                    let extra = estimate + estimate / 4 - direct_targets.len();
-                    direct_targets.reserve_exact(extra);
-                    direct_dists.reserve_exact(extra);
-                    direct_ports.reserve_exact(extra);
-                }
                 for (j, &size) in block.sizes.iter().enumerate() {
                     direct_offsets[w0 + j + 1] = direct_offsets[w0 + j] + size;
                 }
@@ -810,6 +838,15 @@ impl LandmarkRouting {
                 direct_ports.extend_from_slice(&block.ports);
             },
         );
+        // An estimate that overshot leaves more than the slack, and one that
+        // undershot lets the fold double the arrays; trim either back to the
+        // slack, which repair's gains grow into.
+        let slack = direct_targets.len() + direct_targets.len() / 4;
+        if direct_targets.capacity() > slack {
+            direct_targets.shrink_to(slack);
+            direct_dists.shrink_to(slack);
+            direct_ports.shrink_to(slack);
+        }
 
         LandmarkRouting {
             landmarks,
@@ -826,18 +863,6 @@ impl LandmarkRouting {
             dist_to_set,
             name: "landmark-routing".to_string(),
         }
-    }
-
-    /// Dense reference builder for the default config: identical output to
-    /// [`LandmarkRouting::build`] bit for bit, computed the quadratic way.
-    pub fn build_dense(g: &Graph, seed: u64) -> Self {
-        Self::build_dense_with(
-            g,
-            &LandmarkConfig {
-                seed,
-                ..LandmarkConfig::default()
-            },
-        )
     }
 
     /// Dense reference builder: identical output to
@@ -2250,6 +2275,13 @@ mod tests {
     use graphkit::generators;
     use routemodel::{route, stretch_factor, verify_stretch, RoutingError};
 
+    fn inclusive(seed: u64) -> LandmarkConfig {
+        LandmarkConfig {
+            seed,
+            ..LandmarkConfig::default()
+        }
+    }
+
     fn strict(seed: u64) -> LandmarkConfig {
         LandmarkConfig {
             cluster_rule: ClusterRule::Strict,
@@ -2330,8 +2362,8 @@ mod tests {
             (generators::star(300), 13),
             (generators::cycle(300), 14),
         ] {
-            let sparse = LandmarkRouting::build(&g, seed);
-            let dense = LandmarkRouting::build_dense(&g, seed);
+            let sparse = LandmarkRouting::build_with(&g, &inclusive(seed));
+            let dense = LandmarkRouting::build_dense_with(&g, &inclusive(seed));
             assert_eq!(sparse, dense, "n = {}", g.num_nodes());
         }
     }
@@ -2395,6 +2427,37 @@ mod tests {
         }
     }
 
+    /// The cluster arrays are reserved from routers strided over the id
+    /// range, so the reservation holds on graphs whose low ids are the hubs:
+    /// the estimate alone lands within the 25% slack, and every array's
+    /// capacity stays within `1.25 · len` under both rules.
+    #[test]
+    fn cluster_reservation_is_independent_of_id_order() {
+        for (name, g) in [
+            ("ba", generators::barabasi_albert(4096, 4, 1)),
+            ("regular", generators::random_regular_like(4096, 8, 0xB16)),
+        ] {
+            for cfg in [inclusive(DEFAULT_SEED), strict(DEFAULT_SEED)] {
+                let r = LandmarkRouting::build_with(&g, &cfg);
+                let len = r.direct_targets.len();
+                let h = r.heap_bytes();
+                let slack = len + len / 4;
+                let cells = h.cell_bytes;
+                assert!(h.cluster_targets / 4 <= slack, "{name} {cfg:?}: {h:?}");
+                assert!(h.cluster_ports / cells <= slack, "{name} {cfg:?}: {h:?}");
+                assert!(h.cluster_dists / cells <= slack, "{name} {cfg:?}: {h:?}");
+                if cfg.cluster_rule == ClusterRule::Inclusive {
+                    let estimate =
+                        estimate_cluster_entries(GraphView::full(&g), &r.dist_to_set, 1, |_| 0);
+                    assert!(
+                        4 * len <= 5 * estimate && estimate <= slack,
+                        "{name}: estimate {estimate} for {len} entries"
+                    );
+                }
+            }
+        }
+    }
+
     /// The width rule at its boundaries: a width serves while both the
     /// maximum degree and the distance bound stay below its maximum, which
     /// is the sentinel.
@@ -2432,13 +2495,13 @@ mod tests {
             ("star(300)", generators::star(300), 2),
             ("grid 140x20", grid, 2),
         ] {
-            let r = LandmarkRouting::build(&g, DEFAULT_SEED);
+            let r = LandmarkRouting::build_with(&g, &inclusive(DEFAULT_SEED));
             assert_eq!(r.cell_bytes(), bytes, "{name}");
             assert_eq!(r.heap_bytes().cell_bytes, bytes, "{name}");
         }
         // The grid is two bytes wide by distance alone.
         let g = generators::grid(140, 20);
-        let r = LandmarkRouting::build(&g, DEFAULT_SEED);
+        let r = LandmarkRouting::build_with(&g, &inclusive(DEFAULT_SEED));
         let mut dist = vec![0; g.num_nodes()];
         let mut scratch = BfsScratch::with_capacity(g.num_nodes());
         bfs_distances_into(GraphView::full(&g), r.landmarks[0], &mut scratch, &mut dist);
@@ -2488,7 +2551,7 @@ mod tests {
     #[test]
     fn heap_bytes_counts_each_table_at_its_width() {
         let g = generators::random_connected(300, 0.03, 7);
-        let r = LandmarkRouting::build(&g, 3);
+        let r = LandmarkRouting::build_with(&g, &inclusive(3));
         let (n, k, entries) = (300, r.landmarks.len(), r.direct_targets.len());
         let h = r.heap_bytes();
         assert_eq!(h.cell_bytes, 1);
@@ -2638,7 +2701,7 @@ mod tests {
     #[test]
     fn audit_words_each_bad_entry_in_table_order() {
         let g = generators::random_connected(80, 0.06, 5);
-        let mut r = LandmarkRouting::build(&g, 3);
+        let mut r = LandmarkRouting::build_with(&g, &inclusive(3));
         assert!(r.audit(&g).is_empty());
         let k = r.landmarks.len();
         let l0 = r.landmarks[0];
@@ -2670,21 +2733,90 @@ mod tests {
     #[test]
     fn landmark_count_honours_count_and_rate() {
         let g = generators::random_connected(100, 0.07, 21);
-        for (count, expect) in [
-            (LandmarkCount::Auto, 10),
-            (LandmarkCount::Count(17), 17),
-            (LandmarkCount::Count(5000), 100), // clamped to n
-            (LandmarkCount::Rate(0.25), 25),
-            (LandmarkCount::Rate(1.0), 100),
+        for (count, rule, expect) in [
+            (LandmarkCount::Auto, ClusterRule::Inclusive, 30),
+            (LandmarkCount::Auto, ClusterRule::Strict, 10),
+            (LandmarkCount::Count(17), ClusterRule::Inclusive, 17),
+            (LandmarkCount::Count(17), ClusterRule::Strict, 17),
+            (LandmarkCount::Count(5000), ClusterRule::Inclusive, 100), // clamped to n
+            (LandmarkCount::Rate(0.25), ClusterRule::Inclusive, 25),
+            (LandmarkCount::Rate(1.0), ClusterRule::Strict, 100),
         ] {
             let cfg = LandmarkConfig {
                 landmarks: count,
+                cluster_rule: rule,
                 ..LandmarkConfig::default()
             };
-            assert_eq!(cfg.landmark_count(100), expect, "{count:?}");
+            assert_eq!(cfg.landmark_count(100), expect, "{count:?} {rule:?}");
             let r = LandmarkRouting::build_with(&g, &cfg);
-            assert_eq!(r.landmarks().len(), expect, "{count:?}");
+            assert_eq!(r.landmarks().len(), expect, "{count:?} {rule:?}");
         }
+    }
+
+    /// `Auto` is `⌈3√n⌉` under the inclusive rule and `⌈√n⌉` under the
+    /// strict one, clamped to `1..=n`.
+    #[test]
+    fn auto_landmark_count_follows_the_cluster_rule() {
+        for (n, inclusive_k, strict_k) in [
+            (0, 1, 1),
+            (1, 1, 1),
+            (2, 2, 2),
+            (5, 5, 3),
+            (9, 9, 3),
+            (10, 10, 4),
+            (4096, 192, 64),
+            (32768, 544, 182),
+            (131072, 1087, 363),
+            (1_000_000, 3000, 1000),
+        ] {
+            assert_eq!(inclusive(0).landmark_count(n), inclusive_k, "n = {n}");
+            assert_eq!(strict(0).landmark_count(n), strict_k, "n = {n}");
+        }
+    }
+
+    /// The max stretch of `r` from every 64th source to every destination,
+    /// against one BFS per source; panics on an undelivered pair.
+    fn max_stretch_from_strided_sources(g: &Graph, r: &LandmarkRouting) -> f64 {
+        let n = g.num_nodes();
+        let mut scratch = BfsScratch::with_capacity(n);
+        let mut dist = vec![0; n];
+        let mut max = 1.0f64;
+        for s in (0..n).step_by(64) {
+            bfs_distances_into(GraphView::full(g), s, &mut scratch, &mut dist);
+            for t in (0..n).filter(|&t| t != s) {
+                let trace = route(g, r, s, t).unwrap();
+                assert_eq!(*trace.path.last().unwrap(), t, "{s} -> {t}");
+                max = max.max(trace.ports.len() as f64 / f64::from(dist[t]));
+            }
+        }
+        max
+    }
+
+    /// The point of the inclusive default: on an 8-regular graph `⌈3√n⌉`
+    /// landmarks hold the instance to at most 0.7 of the `⌈√n⌉` build's
+    /// bytes, with no worse max stretch, and deliver every sampled pair.
+    #[test]
+    fn auto_inclusive_count_saves_bytes_without_losing_stretch() {
+        let g = generators::random_regular_like(4096, 8, 0xB16);
+        let auto = LandmarkRouting::build_with(&g, &inclusive(DEFAULT_SEED));
+        let sqrt_n = LandmarkRouting::build_with(
+            &g,
+            &LandmarkConfig {
+                landmarks: LandmarkCount::Count(64),
+                ..inclusive(DEFAULT_SEED)
+            },
+        );
+        assert_eq!(auto.landmarks().len(), 192);
+        let (a, s) = (auto.heap_bytes().total(), sqrt_n.heap_bytes().total());
+        assert!(10 * a <= 7 * s, "auto {a} B vs sqrt(n) {s} B");
+        let (max_auto, max_sqrt) = (
+            max_stretch_from_strided_sources(&g, &auto),
+            max_stretch_from_strided_sources(&g, &sqrt_n),
+        );
+        assert!(
+            max_auto <= max_sqrt,
+            "auto max stretch {max_auto} vs sqrt(n) {max_sqrt}"
+        );
     }
 
     #[test]
@@ -2723,7 +2855,9 @@ mod tests {
         // single-source BFS, not the multi-source sweep.
         for seed in 0..8u64 {
             let g = generators::path(5).disjoint_union(&generators::cycle(4));
-            let err = std::panic::catch_unwind(|| LandmarkRouting::build(&g, seed)).unwrap_err();
+            let err =
+                std::panic::catch_unwind(|| LandmarkRouting::build_with(&g, &inclusive(seed)))
+                    .unwrap_err();
             let msg = err
                 .downcast_ref::<String>()
                 .cloned()
@@ -2772,12 +2906,9 @@ mod tests {
         // (the Theorem 1 failure mode).  The strict rule must keep only the
         // interior.
         let g = generators::random_connected(200, 0.2, 7);
-        let inclusive = LandmarkRouting::build(&g, 7);
+        let incl = LandmarkRouting::build_with(&g, &inclusive(7));
         let strict = LandmarkRouting::build_with(&g, &strict(7));
-        let (ai, as_) = (
-            inclusive.average_cluster_size(),
-            strict.average_cluster_size(),
-        );
+        let (ai, as_) = (incl.average_cluster_size(), strict.average_cluster_size());
         assert!(
             as_ * 2.0 < ai,
             "strict avg {as_:.1} must be well below inclusive avg {ai:.1}"
@@ -2810,7 +2941,7 @@ mod tests {
     #[test]
     fn stale_home_landmark_surfaces_as_routing_error_not_panic() {
         let g = generators::random_connected(60, 0.07, 13);
-        let r = LandmarkRouting::build(&g, 3);
+        let r = LandmarkRouting::build_with(&g, &inclusive(3));
         // Pick a destination and a router that must fall back to the
         // landmark table (dest outside the router's cluster).
         let (w, dest) = (0..g.num_nodes())
@@ -2863,12 +2994,12 @@ mod tests {
     #[test]
     fn cluster_sizes_are_reported() {
         let g = generators::random_connected(100, 0.07, 21);
-        let r = LandmarkRouting::build(&g, 5);
+        let r = LandmarkRouting::build_with(&g, &inclusive(5));
         let avg = r.average_cluster_size();
         assert!(avg > 0.0);
         let max = (0..g.num_nodes()).map(|w| r.cluster_size(w)).max().unwrap();
         assert!(max >= avg as usize);
-        assert_eq!(r.landmarks().len(), 10);
+        assert_eq!(r.landmarks().len(), 30);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn param_docs(kind: SchemeKind) -> &'static [ParamDoc] {
         SchemeKind::Landmark => &[
             ParamDoc {
                 name: "k",
-                values: "landmark count >= 1 (default: ceil(sqrt(n)); conflicts with 'rate')",
+                values: "landmark count >= 1 (default: ceil(3*sqrt(n)) inclusive, ceil(sqrt(n)) strict; conflicts with 'rate')",
             },
             ParamDoc {
                 name: "rate",
@@ -166,9 +166,9 @@ impl SchemeSpec {
         }
         match self {
             SchemeSpec::Landmark(cfg) => {
-                // Generous headroom over the ⌈√n⌉ default: the sweep's
-                // large-n trade-off points (k ≈ 3√n) stay allowed, a
-                // rate-driven k = Θ(n) does not.
+                // Generous headroom over the defaults (⌈3√n⌉ inclusive,
+                // ⌈√n⌉ strict) and the sweep's large-n point (k = 1024 at
+                // n = 131072, ≈ 2.8√n); a rate-driven k = Θ(n) is refused.
                 (cfg.landmark_count(n) as f64) <= 8.0 * (n as f64).sqrt()
             }
             _ => true,
@@ -507,8 +507,11 @@ mod tests {
         assert!(!SchemeSpec::parse("table")
             .unwrap()
             .scales_to_large_graphs(n));
-        // The landmark default and the sweep's large-n point (k ≈ 3√n) pass.
+        // The landmark defaults and the sweep's large-n point pass.
         assert!(SchemeSpec::parse("landmark")
+            .unwrap()
+            .scales_to_large_graphs(n));
+        assert!(SchemeSpec::parse("landmark?clusters=strict")
             .unwrap()
             .scales_to_large_graphs(n));
         assert!(SchemeSpec::parse("landmark?k=1024")

@@ -642,12 +642,15 @@ pub type Case = CaseSpec;
 pub type Scenario = ScenarioSpec;
 
 /// The landmark counts the `landmark-sweep` scenario (and its bench twin)
-/// walks at n = 4096: one decade upward from the measured memory-optimal
+/// walks at n = 4096: one decade upward from the measured bit-optimal
 /// point.  On this graph the clusters average `≈ 3n/k`, which puts the
-/// minimum of `k + |S|` near `k = √(3n) ≈ 110`, not at `⌈√n⌉ = 64`; below
-/// that the cluster term dominates and per-router bits *fall* as `k` grows,
-/// from there up the landmark table dominates, so the swept curve is
-/// monotone — more landmarks, more bits, shorter detours.
+/// minimum of the paper's per-router bits, `≈ k + |S|` entries, near
+/// `k = √(3n) ≈ 110`; below that the cluster term dominates and bits *fall*
+/// as `k` grows, from there up the landmark table dominates, so the swept
+/// curve is monotone — more landmarks, more bits, shorter detours.  The
+/// default count, `⌈3√n⌉ = 192`, lies inside the decade: it minimizes
+/// resident *bytes*, where a cluster entry (6 B) costs three toward entries
+/// (2 B), so the byte minimum sits at `√(3 · 3n)` rather than `√(3n)`.
 pub const LANDMARK_SWEEP_KS: [usize; 5] = [128, 256, 512, 1024, 1280];
 
 /// A landmark spec with an explicit landmark count (default rule and seed).

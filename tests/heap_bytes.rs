@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use graphkit::generators;
-use routeschemes::landmark::LandmarkRouting;
+use routeschemes::landmark::{LandmarkConfig, LandmarkRouting};
 
 /// Pass-through to the system allocator that counts live bytes.  `unsafe`
 /// only because `GlobalAlloc` is an unsafe trait; every crate's library
@@ -56,7 +56,11 @@ fn heap_bytes_matches_the_allocator_within_five_percent() {
     ];
     for (i, g) in graphs.iter().enumerate() {
         let before = live();
-        let r = LandmarkRouting::build(g, 11);
+        let cfg = LandmarkConfig {
+            seed: 11,
+            ..LandmarkConfig::default()
+        };
+        let r = LandmarkRouting::build_with(g, &cfg);
         let counted = (live() - before) as f64;
         let h = r.heap_bytes();
         let reported = h.total() as f64;

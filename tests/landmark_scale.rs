@@ -5,7 +5,7 @@
 //! reach (its matrix alone would be 64 GiB).
 
 use graphkit::generators;
-use routeschemes::landmark::{LandmarkRouting, LandmarkScheme};
+use routeschemes::landmark::{LandmarkConfig, LandmarkRouting, LandmarkScheme};
 use routeschemes::{CompactScheme, GraphHints, SchemeKind};
 use trafficlab::{run_workload, EngineConfig, Workload};
 
@@ -27,8 +27,12 @@ fn sparse_and_dense_builders_agree_on_every_family_and_seed() {
     ];
     for (label, g) in &families {
         for seed in [0u64, 1, 0xC0FFEE, 0x7AFF1C] {
-            let sparse = LandmarkRouting::build(g, seed);
-            let dense = LandmarkRouting::build_dense(g, seed);
+            let cfg = LandmarkConfig {
+                seed,
+                ..LandmarkConfig::default()
+            };
+            let sparse = LandmarkRouting::build_with(g, &cfg);
+            let dense = LandmarkRouting::build_dense_with(g, &cfg);
             assert_eq!(sparse, dense, "{label}, seed {seed}");
         }
     }

@@ -1,5 +1,5 @@
 //! The spec-era construction API, end to end through the facade crate:
-//! bit-identity of the parameterized builders with the pre-spec defaults,
+//! bit-identity of the default landmark count with its explicit count,
 //! codec round-trips under seeded fuzzing, and the strict cluster rule on
 //! the Theorem 1 worst-case instances it was built for.
 
@@ -19,34 +19,55 @@ fn families() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// The pinning property of the redesign: the spec
-/// `landmark?k=⌈√n⌉&clusters=inclusive` must rebuild the pre-redesign
-/// default (`LandmarkRouting::build`, hard-wired to `⌈√n⌉` inclusive
-/// landmarks) **bit for bit**, seed for seed, family for family — the
-/// parameterization added coordinates without moving the origin.
+/// The default landmark count is an explicit count in disguise, per cluster
+/// rule: `landmark` must rebuild `landmark?k=⌈3√n⌉` and
+/// `landmark?clusters=strict` must rebuild `landmark?clusters=strict&k=⌈√n⌉`
+/// **bit for bit**, seed for seed, family for family, through the typed
+/// builder and the registry alike.
 #[test]
-fn explicit_sqrt_n_spec_is_bit_identical_to_the_pre_spec_default() {
+fn auto_count_spec_is_bit_identical_to_its_explicit_count_per_rule() {
     for (label, g) in &families() {
-        let k = (g.num_nodes() as f64).sqrt().ceil() as usize;
+        let n = g.num_nodes() as f64;
+        let inclusive_k = (3.0 * n.sqrt()).ceil() as usize;
+        let strict_k = n.sqrt().ceil() as usize;
         for seed in [0u64, 1, 0xC0FFEE, 0x7AFF1C] {
-            let spec_str = format!("landmark?k={k}&clusters=inclusive&seed={seed}");
-            let spec = SchemeSpec::parse(&spec_str).unwrap();
-            let SchemeSpec::Landmark(cfg) = &spec else {
-                panic!("{spec_str} must parse to a landmark spec");
-            };
-            let via_spec = LandmarkRouting::build_with(g, cfg);
-            let pre_redesign = LandmarkRouting::build(g, seed);
-            assert_eq!(via_spec, pre_redesign, "{label}, seed {seed}");
+            for (auto, explicit) in [
+                (
+                    format!("landmark?seed={seed}"),
+                    format!("landmark?k={inclusive_k}&clusters=inclusive&seed={seed}"),
+                ),
+                (
+                    format!("landmark?clusters=strict&seed={seed}"),
+                    format!("landmark?k={strict_k}&clusters=strict&seed={seed}"),
+                ),
+            ] {
+                let (auto_spec, explicit_spec) = (
+                    SchemeSpec::parse(&auto).unwrap(),
+                    SchemeSpec::parse(&explicit).unwrap(),
+                );
+                let (SchemeSpec::Landmark(auto_cfg), SchemeSpec::Landmark(explicit_cfg)) =
+                    (&auto_spec, &explicit_spec)
+                else {
+                    panic!("{auto} and {explicit} must parse to landmark specs");
+                };
+                assert_eq!(
+                    LandmarkRouting::build_with(g, auto_cfg),
+                    LandmarkRouting::build_with(g, explicit_cfg),
+                    "{label}: {auto} vs {explicit}"
+                );
 
-            // And the registry path produces the same memory report as the
-            // pre-spec scheme wrapper did.
-            let inst = spec.build(g, &GraphHints::none()).unwrap();
-            let reference = LandmarkScheme::new(seed).build(g);
-            assert_eq!(
-                inst.memory.per_node, reference.memory.per_node,
-                "{label}, seed {seed}: memory reports diverged"
-            );
-            assert_eq!(inst.guaranteed_stretch, reference.guaranteed_stretch);
+                // And the registry path produces the same memory report.
+                let hints = GraphHints::none();
+                let (a, e) = (
+                    auto_spec.build(g, &hints).unwrap(),
+                    explicit_spec.build(g, &hints).unwrap(),
+                );
+                assert_eq!(
+                    a.memory.per_node, e.memory.per_node,
+                    "{label}: {auto} vs {explicit}: memory reports diverged"
+                );
+                assert_eq!(a.guaranteed_stretch, e.guaranteed_stretch);
+            }
         }
     }
 }
@@ -120,16 +141,25 @@ fn codec_rejections_are_typed() {
     ));
 }
 
+/// The inclusive rule at the strict default's landmark count, `⌈√n⌉`.
+fn inclusive_at_sqrt_n(g: &Graph) -> LandmarkConfig {
+    LandmarkConfig {
+        landmarks: LandmarkCount::Count((g.num_nodes() as f64).sqrt().ceil() as usize),
+        ..LandmarkConfig::default()
+    }
+}
+
 /// The strict cluster rule on the graphs it exists for: Theorem 1 worst-case
 /// instances have tiny diameter, so the inclusive boundary
 /// `d(w, v) = d(v, L)` fattens clusters far beyond `√n`; the strict rule
 /// keeps only the interior plus the `≈ n/k` home-set handoff entries at the
-/// landmarks, and must stay stretch-`< 3` exact.
+/// landmarks, and must stay stretch-`< 3` exact.  Both rules sample the
+/// strict default's `⌈√n⌉` landmarks, so only the rule differs.
 #[test]
 fn strict_rule_deflates_theorem1_clusters_and_keeps_stretch() {
     let (cg, _params) = build_worst_case_instance(1024, 0.5, 17);
     let g = &cg.graph;
-    let inclusive = LandmarkRouting::build(g, 0x7AFF1C);
+    let inclusive = LandmarkRouting::build_with(g, &inclusive_at_sqrt_n(g));
     let strict_cfg = LandmarkConfig {
         cluster_rule: ClusterRule::Strict,
         ..LandmarkConfig::default()
@@ -153,7 +183,8 @@ fn strict_rule_deflates_theorem1_clusters_and_keeps_stretch() {
 }
 
 /// The acceptance point of the strict rule at scale: on the n = 16384
-/// Theorem 1 instance the inclusive clusters average ≈ 2700; the strict rule
+/// Theorem 1 instance the inclusive clusters average ≈ 2700 at `⌈√n⌉`
+/// landmarks (≈ 475 at the inclusive default `⌈3√n⌉`); the strict rule
 /// must pull the average back to `Õ(√n)` territory.  Construction at this
 /// size takes tens of seconds per rule on one core, so the test is ignored
 /// by default; CI covers the same instance through the `theorem1` scenario
@@ -163,7 +194,7 @@ fn strict_rule_deflates_theorem1_clusters_and_keeps_stretch() {
 fn strict_rule_keeps_theorem1_16384_clusters_near_sqrt_n() {
     let (cg, _params) = build_worst_case_instance(16384, 0.5, 17);
     let g = &cg.graph;
-    let inclusive = LandmarkRouting::build(g, 0x7AFF1C);
+    let inclusive = LandmarkRouting::build_with(g, &inclusive_at_sqrt_n(g));
     let ai = inclusive.average_cluster_size();
     assert!(ai > 2000.0, "inclusive fattening regressed? avg {ai:.0}");
     let strict = LandmarkRouting::build_with(
