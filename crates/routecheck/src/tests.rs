@@ -168,6 +168,39 @@ fn out_of_range_mutation_is_flagged_at_one_byte_cells() {
     assert!(checker.class_of(mutation.source).is_broken());
 }
 
+/// The same out-of-range corruption on routing tables, at one-byte cells
+/// (a star of degree 251: the raw port 258 is stored as 254) and at
+/// two-byte cells (degree 300: 307 fits and is stored as is).  The audit
+/// names the stored port and the checker breaks the corrupted pair.
+#[test]
+fn out_of_range_table_mutation_is_flagged_at_one_and_two_byte_cells() {
+    for (leaves, cell_bytes, stored) in [(251, 1, 254), (300, 2, 307)] {
+        let g = generators::star(leaves);
+        let mut inst = build(SchemeKind::Table, &g, &GraphHints::none());
+        let any: &dyn std::any::Any = &*inst.routing;
+        let table = any
+            .downcast_ref::<routemodel::TableRouting>()
+            .expect("a table instance");
+        assert_eq!(table.cell_bytes(), cell_bytes, "star({leaves})");
+        let mutation = corrupt_instance(&mut inst, &g, 3, MutationKind::OutOfRange).unwrap();
+        let report = verify_instance(&g, None, &inst, "table", 2);
+        assert_eq!(report.verdict, Verdict::Unsound, "star({leaves})");
+        assert!(report.counterexample.is_some());
+        let expected = format!("port {stored} stored at node 0 ");
+        assert!(
+            report
+                .audit_findings
+                .iter()
+                .any(|f| f.contains(&expected) && f.contains(&format!("exceeds degree {leaves}"))),
+            "star({leaves}): {:?}",
+            report.audit_findings
+        );
+        let mut checker = Checker::new();
+        checker.check_dest(GraphView::full(&g), &*inst.routing, mutation.dest);
+        assert!(checker.class_of(mutation.source).is_broken());
+    }
+}
+
 #[test]
 fn isolated_destination_is_unreachable_not_livelock() {
     let g = generators::random_connected(32, 0.15, 2);

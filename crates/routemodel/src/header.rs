@@ -5,6 +5,7 @@
 //! label plus an arbitrary scheme-specific payload of machine words.
 
 use graphkit::NodeId;
+use std::hash::{Hash, Hasher};
 
 /// A routing header: the destination label plus optional scheme-specific data.
 ///
@@ -13,12 +14,36 @@ use graphkit::NodeId;
 ///   labeling (stored in the payload when it differs from the graph labels).
 /// * Hierarchical/landmark schemes store the destination's landmark and other
 ///   bookkeeping in `data`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub struct Header {
     /// Destination vertex (graph label, 0-based).
     pub dest: NodeId,
     /// Scheme-specific payload; unbounded, per the model.
     pub data: Vec<u64>,
+}
+
+/// Structural equality, with the empty payload — every hop of a plain table
+/// route — decided without comparing the payload buffers: a derived `==`
+/// reaches `memcmp` even at length 0, and the static verifier compares
+/// headers once per source, walk and hop.
+impl PartialEq for Header {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.dest == other.dest
+            && self.data.len() == other.data.len()
+            && (self.data.is_empty() || self.data == other.data)
+    }
+}
+
+impl Eq for Header {}
+
+/// Hashes exactly what [`PartialEq`] compares: the destination and the
+/// payload words (capacity never enters either).
+impl Hash for Header {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.dest.hash(state);
+        self.data.hash(state);
+    }
 }
 
 impl Header {
@@ -72,5 +97,42 @@ mod tests {
     fn headers_compare_structurally() {
         assert_eq!(Header::to_dest(4), Header::with_data(4, vec![]));
         assert_ne!(Header::to_dest(4), Header::with_data(4, vec![0]));
+    }
+
+    fn hash_of(h: &Header) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut s = DefaultHasher::new();
+        h.hash(&mut s);
+        s.finish()
+    }
+
+    #[test]
+    fn equality_ignores_payload_capacity() {
+        let mut wide = Vec::with_capacity(16);
+        wide.extend([5u64, 6]);
+        let (a, b) = (Header::with_data(1, wide), Header::with_data(1, vec![5, 6]));
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_ne!(a, Header::with_data(1, vec![5, 7]));
+        assert_ne!(a, Header::with_data(2, vec![5, 6]));
+    }
+
+    #[test]
+    fn empty_payloads_compare_equal_whatever_their_buffers() {
+        let (a, b) = (
+            Header::to_dest(9),
+            Header::with_data(9, Vec::with_capacity(4)),
+        );
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_ne!(a, Header::to_dest(8));
+    }
+
+    #[test]
+    fn an_empty_payload_differs_from_one_word() {
+        let (empty, one) = (Header::to_dest(3), Header::with_data(3, vec![0]));
+        assert_ne!(empty, one);
+        assert_ne!(one, empty);
+        assert_ne!(hash_of(&empty), hash_of(&one));
     }
 }

@@ -34,12 +34,15 @@
 //!   (`log₂ n!`, `log₂ C(n, k)`) used both by the encoders and by the
 //!   counting lower bounds of the paper;
 //! * [`table`] is the canonical universal routing function — the full routing
-//!   table — built from shortest-path trees with pluggable tie-breaking;
+//!   table — built from shortest-path trees with pluggable tie-breaking and
+//!   stored at the paper's width: one flat table of [`cell`]s, one byte per
+//!   port on every graph of maximum degree below 255;
 //! * [`labeling`] produces the "good" and "adversarial" port labelings whose
 //!   contrast on the complete graph motivates the whole problem.
 
 #![forbid(unsafe_code)]
 
+pub mod cell;
 pub mod coding;
 pub mod error;
 pub mod function;

@@ -10,7 +10,25 @@
 //! (BFS) trees, with a pluggable [`TieBreak`] rule so the adversarial
 //! experiments can explore different — but all shortest-path — routing
 //! functions on the same graph.
+//!
+//! # Layout
+//!
+//! The `n²` entries live in one flat vector of [`Cell`]s, **destination
+//! major**: entry `d·n + u` is the port of router `u` towards destination
+//! `d`.  The cell type is the narrowest [`Width`] whose maximum exceeds the
+//! graph's maximum degree (`u8` below degree 255, which covers every
+//! benchmark family); the maximum itself means "no port".  A router's row of
+//! the paper, `(n − 1)·⌈log₂ deg⌉` bits, is thus resident as `n` cells of
+//! `⌈log₂ deg⌉` rounded up to a byte width.
+//!
+//! Destination major because every bulk pass over the table is per
+//! destination: the streamed build computes one BFS per destination and
+//! fills that destination's contiguous column, and the static verifier
+//! sweeps every source towards one destination at a time, reading one
+//! column.  [`TableRouting::port_map`], a router's row, is a strided gather;
+//! only the memory accounting reads it.
 
+use crate::cell::{clamped_port, Cell, Width};
 use crate::function::{Action, RoutingFunction};
 use crate::header::Header;
 use crate::memory::{MemoryReport, PortMap};
@@ -31,13 +49,69 @@ pub enum TieBreak {
     Seeded(u64),
 }
 
-/// A complete next-port table for every (router, destination) pair.
+/// A complete next-port table for every (router, destination) pair, stored
+/// as one flat destination-major vector of narrow cells (see the module
+/// docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRouting {
-    /// `next_port[u][v]` = port used at `u` towards destination `v`
-    /// (`usize::MAX` on the diagonal and for unreachable pairs).
-    next_port: Vec<Vec<Port>>,
+    /// `ports[d·n + u]` = port used at `u` towards destination `d`; the cell
+    /// maximum on the diagonal and for unreachable pairs.
+    ports: Ports,
+    /// Number of vertices.
+    n: usize,
     name: String,
+}
+
+/// The flat table at the width the graph needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Ports {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+/// Runs `$body` with `$t` bound to the cell vector inside `$ports`.
+macro_rules! with_ports {
+    ($ports:expr, $t:ident => $body:expr) => {
+        match $ports {
+            Ports::U8($t) => $body,
+            Ports::U16($t) => $body,
+            Ports::U32($t) => $body,
+        }
+    };
+}
+
+/// Evaluates `$body`, a `Vec<$c>`, with the type `$c` bound to the cell type
+/// of `$width`, and wraps the result as [`Ports`].
+macro_rules! ports_at {
+    ($width:expr, $c:ident => $body:expr) => {
+        match $width {
+            Width::U8 => Ports::U8({
+                type $c = u8;
+                $body
+            }),
+            Width::U16 => Ports::U16({
+                type $c = u16;
+                $body
+            }),
+            Width::U32 => Ports::U32({
+                type $c = u32;
+                $body
+            }),
+        }
+    };
+}
+
+/// The port stored in `cell`, if any.
+#[inline]
+fn port_of<C: Cell>(cell: C) -> Option<Port> {
+    (cell != C::NONE).then(|| cell.get() as Port)
+}
+
+/// A port the width rule guarantees to fit, as a cell.
+#[inline]
+fn cell_of<C: Cell>(p: Port) -> C {
+    C::cell(p as u32)
 }
 
 const NO_PORT: Port = usize::MAX;
@@ -50,13 +124,15 @@ impl TableRouting {
     /// dense [`DistanceMatrix`]: BFS rows are computed for one block of 64
     /// destinations at a time (distances from `v` equal distances *to* `v`
     /// by symmetry) and turned into the block's ports towards those
-    /// destinations for every router.  The blocks are independent, so they
-    /// are computed on [`graphkit::par::default_threads`] workers and copied
-    /// into the table by [`graphkit::par::map_fold_ordered`]'s in-order fold;
-    /// each entry depends only on the graph, its destination's BFS row and
-    /// the tie rule, so the table is identical at every thread count.  Peak
-    /// transient memory is `O(block_rows · n)` per worker on top of the
-    /// table itself; the result is bit-identical to
+    /// destinations for every router — one contiguous range of the
+    /// destination-major table.  The blocks are independent, so they are
+    /// computed on [`graphkit::par::default_threads`] workers, each emitting
+    /// narrow cells, and copied into the table by
+    /// [`graphkit::par::map_fold_ordered`]'s in-order fold, one
+    /// `copy_from_slice` per block; each entry depends only on the graph,
+    /// its destination's BFS row and the tie rule, so the table is identical
+    /// at every thread count.  Peak transient memory is `O(block_rows · n)`
+    /// per worker on top of the table itself; the result is bit-identical to
     /// [`TableRouting::from_distances`] over the dense matrix (pinned by a
     /// test).
     pub fn shortest_paths(g: &Graph, tie: TieBreak) -> Self {
@@ -64,65 +140,78 @@ impl TableRouting {
     }
 
     fn shortest_paths_with_threads(g: &Graph, tie: TieBreak, threads: usize) -> Self {
+        TableRouting {
+            ports: ports_at!(Self::width_for(g), C => Self::stream::<C>(g, tie, threads)),
+            n: g.num_nodes(),
+            name: format!("routing-tables({tie:?})"),
+        }
+    }
+
+    /// The cell width of a table on `g`: the narrowest whose maximum exceeds
+    /// the maximum degree, so every port fits and the maximum is free as "no
+    /// port".
+    fn width_for(g: &Graph) -> Width {
+        Width::for_bounds(g.max_degree(), 0)
+    }
+
+    /// The streamed build of [`TableRouting::shortest_paths`] at cell type
+    /// `C`.
+    fn stream<C: Cell>(g: &Graph, tie: TieBreak, threads: usize) -> Vec<C> {
         const BLOCK_ROWS: usize = 64;
         let n = g.num_nodes();
-        let mut next_port = vec![vec![NO_PORT; n]; n];
+        let mut ports = vec![C::NONE; n * n];
         graphkit::par::map_fold_ordered(
             n.div_ceil(BLOCK_ROWS),
             threads,
             || (BfsScratch::with_capacity(n), DistanceBlock::new()),
-            |(scratch, block), b, ports: &mut Vec<Port>| {
+            |(scratch, block), b, out: &mut Vec<C>| {
                 let v0 = b * BLOCK_ROWS;
                 let rows = BLOCK_ROWS.min(n - v0);
                 block.recompute(g, v0, rows, scratch);
-                // Router-major, `rows` ports per router: the fold then copies
-                // one contiguous run into each `next_port[u]`.
-                ports.clear();
-                ports.resize(n * rows, NO_PORT);
-                for (u, out) in ports.chunks_exact_mut(rows).enumerate() {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        let v = v0 + j;
-                        if u == v {
-                            continue;
-                        }
-                        let row = block.row(v);
+                // The block's columns, `n` ports per destination: exactly
+                // the table's range `v0·n .. (v0 + rows)·n`.
+                out.clear();
+                out.resize(n * rows, C::NONE);
+                for (j, col) in out.chunks_exact_mut(n).enumerate() {
+                    let v = v0 + j;
+                    let row = block.row(v);
+                    for (u, slot) in col.iter_mut().enumerate() {
                         let duv = row.dist(u);
-                        if duv == INFINITY {
+                        if u == v || duv == INFINITY {
                             continue;
                         }
-                        *slot = Self::pick_port_with(g, |x| row.dist(x), u, v, duv, tie);
+                        let p = Self::pick_port_with(g, |x| row.dist(x), u, v, duv, tie);
+                        *slot = cell_of(p);
                     }
                 }
             },
-            |b, ports| {
-                let v0 = b * BLOCK_ROWS;
-                let rows = ports.len() / n;
-                for (row_u, src) in next_port.iter_mut().zip(ports.chunks_exact(rows)) {
-                    row_u[v0..v0 + rows].copy_from_slice(src);
-                }
+            |b, out| {
+                let at = b * BLOCK_ROWS * n;
+                ports[at..at + out.len()].copy_from_slice(out);
             },
         );
-        TableRouting {
-            next_port,
-            name: format!("routing-tables({tie:?})"),
-        }
+        ports
     }
 
     /// Builds shortest-path routing tables from a precomputed distance matrix.
     pub fn from_distances(g: &Graph, dm: &DistanceMatrix, tie: TieBreak) -> Self {
         let n = g.num_nodes();
-        let mut next_port = vec![vec![NO_PORT; n]; n];
-        for u in 0..n {
-            for v in 0..n {
-                if u == v || !dm.reachable(u, v) {
-                    continue;
+        let ports = ports_at!(Self::width_for(g), C => {
+            let mut ports = vec![C::NONE; n * n];
+            for (v, col) in ports.chunks_exact_mut(n.max(1)).enumerate() {
+                for (u, slot) in col.iter_mut().enumerate() {
+                    if u == v || !dm.reachable(u, v) {
+                        continue;
+                    }
+                    let p = Self::pick_port_with(g, |x| dm.dist(x, v), u, v, dm.dist(u, v), tie);
+                    *slot = cell_of(p);
                 }
-                next_port[u][v] =
-                    Self::pick_port_with(g, |x| dm.dist(x, v), u, v, dm.dist(u, v), tie);
             }
-        }
+            ports
+        });
         TableRouting {
-            next_port,
+            ports,
+            n,
             name: format!("routing-tables({tie:?})"),
         }
     }
@@ -175,8 +264,9 @@ impl TableRouting {
         }
     }
 
-    /// Builds a table routing from an explicit next-port matrix.  Entries on
-    /// the diagonal are ignored; every other entry must be a valid port.
+    /// Builds a table routing from an explicit router-major next-port matrix
+    /// (`next_port[u][v]`, `usize::MAX` for "no port").  Entries on the
+    /// diagonal are ignored; every other entry must be a valid port.
     pub fn from_next_ports(g: &Graph, next_port: Vec<Vec<Port>>, name: impl Into<String>) -> Self {
         let n = g.num_nodes();
         assert_eq!(next_port.len(), n);
@@ -188,67 +278,91 @@ impl TableRouting {
                 }
             }
         }
+        let ports = ports_at!(Self::width_for(g), C => {
+            let mut ports = vec![C::NONE; n * n];
+            for (u, row) in next_port.iter().enumerate() {
+                for (v, &p) in row.iter().enumerate() {
+                    if u != v && p != NO_PORT {
+                        ports[v * n + u] = cell_of(p);
+                    }
+                }
+            }
+            ports
+        });
         TableRouting {
-            next_port,
+            ports,
+            n,
             name: name.into(),
         }
     }
 
     /// The port stored for `(u, v)`, if any.
+    #[inline]
     pub fn next_port(&self, u: NodeId, v: NodeId) -> Option<Port> {
-        let p = self.next_port[u][v];
-        if p == NO_PORT {
-            None
-        } else {
-            Some(p)
-        }
+        let at = v * self.n + u;
+        with_ports!(&self.ports, t => port_of(t[at]))
     }
 
     /// Overrides a single table entry (used by the adversarial experiments to
-    /// produce *near*-shortest-path functions).
+    /// produce *near*-shortest-path functions, and by the mutation harness to
+    /// break a table).  A port that does not fit the cell width is stored as
+    /// the largest value that does, `maximum − 1`: the width rule keeps that
+    /// at or above every degree, so it stays an out-of-range port, never "no
+    /// port".
     pub fn set_next_port(&mut self, u: NodeId, v: NodeId, p: Port) {
-        self.next_port[u][v] = p;
+        let at = v * self.n + u;
+        with_ports!(&mut self.ports, t => t[at] = clamped_port(p));
     }
 
-    /// The local behaviour of router `u` as a [`PortMap`].
+    /// The local behaviour of router `u` as a [`PortMap`]: a strided gather
+    /// of row `u` across the destination-major columns.
     pub fn port_map(&self, g: &Graph, u: NodeId) -> PortMap {
-        let ports = self.next_port[u]
-            .iter()
-            .map(|&p| if p == NO_PORT { None } else { Some(p) })
-            .collect();
+        let ports = (0..self.n).map(|v| self.next_port(u, v)).collect();
         PortMap::new(u, g.degree(u), ports)
     }
 
-    /// Structural audit of the stored table against `g`: row shapes and port
+    /// Bytes per stored port: 1, 2 or 4, the narrowest width whose maximum
+    /// exceeds the graph's maximum degree.
+    pub fn cell_bytes(&self) -> usize {
+        fn size<C>(_: &[C]) -> usize {
+            std::mem::size_of::<C>()
+        }
+        with_ports!(&self.ports, t => size(t))
+    }
+
+    /// Resident heap bytes of the table, counted by capacity: `n²` cells
+    /// plus the name.  Compare with [`TableRouting::memory_raw`], the paper's
+    /// `(n − 1)·⌈log₂ deg⌉` bits per router.
+    pub fn heap_bytes(&self) -> usize {
+        with_ports!(&self.ports, t => t.capacity()) * self.cell_bytes() + self.name.capacity()
+    }
+
+    /// Structural audit of the stored table against `g`: shape and port
     /// validity.  Returns human-readable findings; empty means clean.  The
-    /// diagonal and `NO_PORT` entries are exempt — both mean "deliver here".
+    /// diagonal and "no port" entries are exempt — both mean "deliver here".
     pub fn audit(&self, g: &Graph) -> Vec<String> {
         let n = g.num_nodes();
-        let mut findings = Vec::new();
-        if self.next_port.len() != n {
-            findings.push(format!(
-                "table has {} rows for {n} vertices",
-                self.next_port.len()
-            ));
-            return findings;
+        let cells = with_ports!(&self.ports, t => t.len());
+        if self.n != n || cells != n * n {
+            return vec![format!(
+                "table has {cells} entries over {} vertices for a graph of {n} vertices",
+                self.n
+            )];
         }
-        for (u, row) in self.next_port.iter().enumerate() {
-            if row.len() != n {
-                findings.push(format!(
-                    "row {u} has {} entries for {n} vertices",
-                    row.len()
-                ));
-                continue;
-            }
-            for (v, &p) in row.iter().enumerate() {
-                if u != v && p != NO_PORT && p >= g.degree(u) {
-                    findings.push(format!(
-                        "port {p} stored at node {u} towards {v} exceeds degree {}",
-                        g.degree(u)
-                    ));
+        let mut findings = Vec::new();
+        with_ports!(&self.ports, t => {
+            for (v, col) in t.chunks_exact(n.max(1)).enumerate() {
+                for (u, &c) in col.iter().enumerate() {
+                    match port_of(c) {
+                        Some(p) if u != v && p >= g.degree(u) => findings.push(format!(
+                            "port {p} stored at node {u} towards {v} exceeds degree {}",
+                            g.degree(u)
+                        )),
+                        _ => {}
+                    }
                 }
             }
-        }
+        });
         findings
     }
 
@@ -475,6 +589,53 @@ mod tests {
         let after = route(&g, &r, 0, 2).unwrap();
         assert_eq!(after.path, vec![0, 3, 2]);
         assert_eq!(after.len(), 2);
+    }
+
+    /// The width rule at its boundary: a star whose centre has degree 254
+    /// stores one-byte ports, degree 255 needs two bytes (255 is the
+    /// one-byte "no port").  The table is `n²` cells either way.
+    #[test]
+    fn cell_width_follows_the_maximum_degree() {
+        for (leaves, bytes) in [(254, 1), (255, 2)] {
+            let g = generators::star(leaves);
+            let r = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
+            let n = g.num_nodes();
+            assert_eq!(r.cell_bytes(), bytes, "star({leaves})");
+            // The cells plus the name's buffer.
+            let cells = n * n * bytes;
+            assert!(
+                (cells..cells + 64).contains(&r.heap_bytes()),
+                "star({leaves})"
+            );
+            let p = g.port_to(0, leaves).unwrap();
+            assert_eq!(r.next_port(0, leaves), Some(p));
+            assert!(r.audit(&g).is_empty());
+        }
+    }
+
+    /// A port too large for the cells is stored as `maximum − 1`: at or
+    /// above every degree, so still out of range, and the audit names it.
+    #[test]
+    fn set_next_port_clamps_an_oversized_port_below_the_sentinel() {
+        for (leaves, stored) in [(10, 254), (300, 65534)] {
+            let g = generators::star(leaves);
+            let mut r = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
+            r.set_next_port(0, 1, usize::MAX);
+            assert_eq!(r.next_port(0, 1), Some(stored), "star({leaves})");
+            assert_eq!(
+                r.audit(&g),
+                vec![format!(
+                    "port {stored} stored at node 0 towards 1 exceeds degree {leaves}"
+                )]
+            );
+        }
+    }
+
+    #[test]
+    fn audit_flags_a_table_of_another_graph() {
+        let r = TableRouting::shortest_paths(&generators::path(4), TieBreak::LowestPort);
+        let findings = r.audit(&generators::path(5));
+        assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]

@@ -141,11 +141,27 @@ impl KIntervalRouting {
     }
 
     /// Fault injection for the mutation harness: overwrite the next-port
-    /// entry `(u, v)` of the underlying table with a raw, unvalidated port.
+    /// entry `(u, v)` of the underlying table with a raw, unvalidated port
+    /// (one too large for the table's cells is stored as the largest that
+    /// fits, still out of range; see [`TableRouting::set_next_port`]).
     /// Deliberately breaks the instance; exists so the static checker can
     /// prove it catches broken tables.
     pub fn corrupt_next_port(&mut self, u: NodeId, v: NodeId, p: Port) {
         self.table.set_next_port(u, v, p);
+    }
+
+    /// Resident heap bytes, counted by capacity: the next-port table
+    /// ([`TableRouting::heap_bytes`]) plus the labels and the interval
+    /// counts.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        self.table.heap_bytes()
+            + bytes(&self.label)
+            + bytes(&self.intervals)
+            + self.intervals.iter().map(bytes).sum::<usize>()
+            + self.name.capacity()
     }
 
     /// Memory report: every interval costs two labels, every arc additionally

@@ -112,7 +112,8 @@
 //! The paper charges a router `⌈log₂ deg⌉` bits per port
 //! ([`LandmarkRouting::memory`]).  The resident tables come close: the four
 //! wide tables — toward-landmark ports and distances, cluster ports and
-//! distances — store `u8`, `u16` or `u32` cells, the narrowest type whose
+//! distances — store `u8`, `u16` or `u32` cells ([`routemodel::cell`],
+//! shared with the routing tables), the narrowest type whose
 //! maximum exceeds both the maximum degree and `2·ecc(ℓ₀)` (every stored
 //! distance is at most that, by the triangle inequality through the first
 //! landmark `ℓ₀`).  The maximum itself is the sentinel.  The build reads
@@ -132,49 +133,25 @@ use graphkit::{
     BoundedBfsScratch, Dist, DistanceMatrix, FailureSet, Graph, GraphView, NodeId, Port,
     Xoshiro256, INFINITY,
 };
+use routemodel::cell::{clamped_port, Cell, Width};
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// One entry of the four wide tables (`toward_landmark`, `toward_dist`,
-/// `direct_ports`, `direct_dists`): `u8`, `u16` or `u32`, whichever
-/// [`Width::for_bounds`] picks for the graph.  Arithmetic stays in
-/// `Dist`/`u32`; only loads and stores are narrow.
-trait Cell: Copy + Ord + Default + Send + Sync + std::fmt::Debug + 'static {
-    /// The type's maximum as a `u32`.  It is the sentinel: "this router *is*
-    /// the landmark" in `toward_landmark`, and a dead member in
-    /// `direct_dists` during repair.  The width rule keeps every real port
-    /// and distance below it.
-    const SENTINEL: u32;
-    /// The sentinel as a cell.
-    const NONE: Self;
-    /// Stores `x`, which the width rule guarantees to fit: every port is
-    /// below the maximum degree and every distance at most `2·ecc(ℓ₀)`.
-    /// Checked anyway, since a silent truncation would corrupt the tables.
-    fn cell(x: u32) -> Self;
-    /// Loads the cell as a `u32`.
-    fn get(self) -> u32;
+/// [`Cell`] glue to the width enum [`Cells`] of this module's four wide
+/// tables (`toward_landmark`, `toward_dist`, `direct_ports`,
+/// `direct_dists`).
+trait TableCell: Cell {
     /// The [`Cells`] variant of this width.
     fn wrap(t: Tables<Self>) -> Cells;
     /// The tables inside `c` when they are of this width.
     fn unwrap_mut(c: &mut Cells) -> Option<&mut Tables<Self>>;
 }
 
-macro_rules! impl_cell {
+macro_rules! impl_table_cell {
     ($t:ty, $variant:ident) => {
-        impl Cell for $t {
-            const SENTINEL: u32 = <$t>::MAX as u32;
-            const NONE: Self = <$t>::MAX;
-            #[inline]
-            fn cell(x: u32) -> Self {
-                assert!(x <= Self::SENTINEL, "{x} does not fit the cell width");
-                x as $t
-            }
-            #[inline]
-            fn get(self) -> u32 {
-                u32::from(self)
-            }
+        impl TableCell for $t {
             fn wrap(t: Tables<Self>) -> Cells {
                 Cells::$variant(t)
             }
@@ -187,42 +164,17 @@ macro_rules! impl_cell {
         }
     };
 }
-impl_cell!(u8, U8);
-impl_cell!(u16, U16);
-impl_cell!(u32, U32);
+impl_table_cell!(u8, U8);
+impl_table_cell!(u16, U16);
+impl_table_cell!(u32, U32);
 
-/// Cell width of the wide tables, narrowest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Width {
-    U8,
-    U16,
-    U32,
-}
-
-impl Width {
-    /// The narrowest width whose maximum exceeds both the graph's maximum
-    /// degree (every port is below it) and `dist_bound`, a bound on every
-    /// stored distance.  The builds pass `2·ecc(ℓ₀)`: by the triangle
-    /// inequality through the first landmark, no distance exceeds it.  The
-    /// maximum itself stays free as the sentinel, and since it exceeds every
-    /// degree, `maximum − 1` is still an out-of-range port.
-    fn for_bounds(max_degree: usize, dist_bound: u64) -> Width {
-        let need = (max_degree as u64).max(dist_bound);
-        if need < u64::from(u8::SENTINEL) {
-            Width::U8
-        } else if need < u64::from(u16::SENTINEL) {
-            Width::U16
-        } else {
-            Width::U32
-        }
-    }
-
-    /// The width the graph `view` needs, given the distances from the first
-    /// landmark (the connectivity BFS every build and repair runs).
-    fn for_view(view: GraphView<'_>, dist_from_first: &[Dist]) -> Width {
-        let ecc = dist_from_first.iter().copied().max().unwrap_or(0);
-        Width::for_bounds(view.graph().max_degree(), 2 * u64::from(ecc))
-    }
+/// The width the graph `view` needs, given the distances from the first
+/// landmark (the connectivity BFS every build and repair runs): by the
+/// triangle inequality through the first landmark, no stored distance
+/// exceeds `2·ecc(ℓ₀)`.
+fn width_for_view(view: GraphView<'_>, dist_from_first: &[Dist]) -> Width {
+    let ecc = dist_from_first.iter().copied().max().unwrap_or(0);
+    Width::for_bounds(view.graph().max_degree(), 2 * u64::from(ecc))
 }
 
 /// The four wide tables at one cell width.
@@ -679,7 +631,7 @@ impl LandmarkRouting {
             "landmark routing requires a connected graph"
         );
 
-        match Width::for_view(view, &dist_l) {
+        match width_for_view(view, &dist_l) {
             Width::U8 => Self::build_cells::<u8>(view, cfg, threads, landmarks, scratch),
             Width::U16 => Self::build_cells::<u16>(view, cfg, threads, landmarks, scratch),
             Width::U32 => Self::build_cells::<u32>(view, cfg, threads, landmarks, scratch),
@@ -688,7 +640,7 @@ impl LandmarkRouting {
 
     /// The rest of [`LandmarkRouting::build_on_view`] after the
     /// connectivity check, storing cells of type `C`.
-    fn build_cells<C: Cell>(
+    fn build_cells<C: TableCell>(
         view: GraphView<'_>,
         cfg: &LandmarkConfig,
         threads: usize,
@@ -1102,7 +1054,7 @@ impl LandmarkRouting {
         // The cell width the new view needs.  Deletions only grow
         // distances, so this widens, never narrows; the tables are
         // re-encoded once, before any pass reads them.
-        let width = Width::for_view(view, &tmp);
+        let width = width_for_view(view, &tmp);
         if width > self.cells.width() {
             let cells = std::mem::replace(&mut self.cells, Cells::U8(Tables::default()));
             self.cells = cells.into_width(width);
@@ -1125,7 +1077,7 @@ impl LandmarkRouting {
     /// on tables of cell type `C`: `dist_to_set` and `home` already hold the
     /// new view's values, `old_dts` the old `d(·, L)`.  Returns the touched
     /// vertices and the landmarks whose column changed.
-    fn patch<C: Cell>(
+    fn patch<C: TableCell>(
         &mut self,
         view: GraphView<'_>,
         old_view: GraphView<'_>,
@@ -1844,11 +1796,7 @@ impl LandmarkRouting {
     /// reserved as the sentinel.  Repair widens the tables when the failed
     /// view needs more, so the width always equals a rebuild's.
     pub fn cell_bytes(&self) -> usize {
-        match self.cells.width() {
-            Width::U8 => 1,
-            Width::U16 => 2,
-            Width::U32 => 4,
-        }
+        self.cells.width().bytes()
     }
 
     /// Resident heap bytes, table by table, counted by capacity.  Compare
@@ -1997,11 +1945,8 @@ impl LandmarkRouting {
     pub fn corrupt_entry_for(&mut self, v: NodeId, dest: NodeId, port: u32) -> String {
         let lo = self.direct_offsets[v] as usize;
         let hi = self.direct_offsets[v + 1] as usize;
-        fn clamped<C: Cell>(port: u32) -> C {
-            C::cell(port.min(C::SENTINEL - 1))
-        }
         if let Some(e) = find_sorted(&self.direct_targets[lo..hi], dest as u32) {
-            with_tables!(&mut self.cells, t => t.direct_ports[lo + e] = clamped(port));
+            with_tables!(&mut self.cells, t => t.direct_ports[lo + e] = clamped_port(port as usize));
             return format!("cluster entry of router {v} for destination {dest}");
         }
         let idx = self
@@ -2009,7 +1954,7 @@ impl LandmarkRouting {
             .binary_search(&self.home[dest])
             .expect("every home is a landmark");
         let at = v * self.landmarks.len() + idx;
-        with_tables!(&mut self.cells, t => t.toward_landmark[at] = clamped(port));
+        with_tables!(&mut self.cells, t => t.toward_landmark[at] = clamped_port(port as usize));
         format!(
             "toward-landmark entry of router {v} for landmark {}",
             self.home[dest]

@@ -1,8 +1,9 @@
-//! `LandmarkRouting::heap_bytes` against the allocator's own count.
+//! `LandmarkRouting::heap_bytes`, `TableRouting::heap_bytes` and
+//! `KIntervalRouting::heap_bytes` against the allocator's own count.
 //!
 //! A counting global allocator tracks live heap bytes; the bytes still live
-//! after a landmark build (the instance, and nothing else) must match the
-//! instance's per-table report within 5%.  A single `#[test]` in a binary of
+//! after a build (the instance, and nothing else) must match the instance's
+//! report within 5%.  A single `#[test]` in a binary of
 //! its own, because the counter is global and concurrently running tests
 //! would bleed their allocations into the delta.
 
@@ -10,6 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use graphkit::generators;
+use routemodel::{TableRouting, TieBreak};
+use routeschemes::interval::general::KIntervalRouting;
 use routeschemes::landmark::{LandmarkConfig, LandmarkRouting};
 
 /// Pass-through to the system allocator that counts live bytes.  `unsafe`
@@ -71,4 +74,25 @@ fn heap_bytes_matches_the_allocator_within_five_percent() {
         assert_eq!(h.cell_bytes, [1, 2][i], "graph {i}");
         drop(r);
     }
+
+    // Routing tables on the Theorem 1 instance: n² one-byte cells.  The
+    // k-interval scheme holds the same table plus labels and interval
+    // counts.
+    let (cg, _) = constraints::theorem1::build_worst_case_instance(512, 0.5, 3);
+    let g = &cg.graph;
+    let within = |what: &str, counted: isize, reported: usize| {
+        let (counted, reported) = (counted as f64, reported as f64);
+        assert!(
+            (counted - reported).abs() <= 0.05 * counted,
+            "{what}: allocator counts {counted} live bytes, heap_bytes reports {reported}"
+        );
+    };
+    let before = live();
+    let table = TableRouting::shortest_paths(g, TieBreak::LowestPort);
+    within("table", live() - before, table.heap_bytes());
+    assert_eq!(table.cell_bytes(), 1);
+    drop(table);
+    let before = live();
+    let kir = KIntervalRouting::build(g, TieBreak::LowestPort);
+    within("k-interval", live() - before, kir.heap_bytes());
 }
