@@ -20,43 +20,76 @@
 
 use crate::graph_of_constraints::ConstraintGraph;
 use crate::matrix::ConstraintMatrix;
-use graphkit::traversal::{all_shortest_paths, bfs_distances};
-use graphkit::{Graph, NodeId};
+use graphkit::traversal::{all_shortest_paths, BLOCK_SOURCES};
+use graphkit::{BfsScratch, DistanceBlock, DistanceRow, Graph, NodeId};
 use routemodel::simulate::first_port;
 use routemodel::RoutingFunction;
+use std::convert::Infallible;
+
+/// Calls `visit(j, row)` for every target `b_j` in order `j = 0, 1, …`, with
+/// `row` the BFS distances from `b_j`.  The rows come from
+/// [`DistanceBlock`]s of up to 64 targets, one per maximal run of
+/// consecutive target ids ([`ConstraintGraph::build`] lays all targets out as
+/// `p..p + q`, so that is one traversal per 64 targets).  Stops at the first
+/// error `visit` returns.
+fn for_each_target_row<E>(
+    cg: &ConstraintGraph,
+    mut visit: impl FnMut(usize, DistanceRow<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let g = &cg.graph;
+    let targets = &cg.targets;
+    let mut scratch = BfsScratch::new();
+    let mut block = DistanceBlock::new();
+    let mut j = 0;
+    while j < targets.len() {
+        let first = targets[j];
+        let mut rows = 1;
+        while rows < BLOCK_SOURCES && j + rows < targets.len() && targets[j + rows] == first + rows
+        {
+            rows += 1;
+        }
+        block.recompute(g, first, rows, &mut scratch);
+        for k in 0..rows {
+            visit(j + k, block.row(first + k))?;
+        }
+        j += rows;
+    }
+    Ok(())
+}
 
 /// Checks the structural forcing property of a graph of constraints
 /// (the content of Lemma 2).  Returns a description of the first violation.
 pub fn verify_forcing_structure(cg: &ConstraintGraph) -> Result<(), String> {
     cg.check_port_labels()?;
     let g = &cg.graph;
-    for j in 0..cg.q() {
-        let b = cg.targets[j];
-        let dist_from_b = bfs_distances(g, b);
+    for_each_target_row(cg, |j, dist_from_b| {
         for i in 0..cg.p() {
             let a = cg.constrained[i];
-            if dist_from_b[a] != 2 {
-                return Err(format!("d(a_{i}, b_{j}) = {} instead of 2", dist_from_b[a]));
+            if dist_from_b.dist(a) != 2 {
+                return Err(format!(
+                    "d(a_{i}, b_{j}) = {} instead of 2",
+                    dist_from_b.dist(a)
+                ));
             }
             let forced_middle = g.port_target(a, cg.forced_port(i, j));
-            if dist_from_b[forced_middle] != 1 {
+            if dist_from_b.dist(forced_middle) != 1 {
                 return Err(format!(
                     "forced middle vertex of (a_{i}, b_{j}) is not adjacent to b_{j}"
                 ));
             }
             for &x in g.neighbors(a) {
                 let x = x as usize;
-                if x != forced_middle && dist_from_b[x] < 3 {
+                if x != forced_middle && dist_from_b.dist(x) < 3 {
                     return Err(format!(
                         "alternative neighbour {x} of a_{i} is at distance {} < 3 from b_{j}: \
                          a stretch-<2 routing could avoid the forced arc",
-                        dist_from_b[x]
+                        dist_from_b.dist(x)
                     ));
                 }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The largest stretch bound under which the matrix is forcing on its graph
@@ -67,22 +100,21 @@ pub fn forcing_stretch_bound(cg: &ConstraintGraph) -> f64 {
     // shortest alternative route length / distance, minimised over pairs
     let g = &cg.graph;
     let mut bound = f64::INFINITY;
-    for j in 0..cg.q() {
-        let b = cg.targets[j];
-        let dist_from_b = bfs_distances(g, b);
+    let Ok(()) = for_each_target_row::<Infallible>(cg, |j, dist_from_b| {
         for i in 0..cg.p() {
             let a = cg.constrained[i];
             let forced_middle = g.port_target(a, cg.forced_port(i, j));
-            let d = f64::from(dist_from_b[a]);
+            let d = f64::from(dist_from_b.dist(a));
             for &x in g.neighbors(a) {
                 let x = x as usize;
                 if x != forced_middle {
-                    let alt = 1.0 + f64::from(dist_from_b[x]);
+                    let alt = 1.0 + f64::from(dist_from_b.dist(x));
                     bound = bound.min(alt / d);
                 }
             }
         }
-    }
+        Ok(())
+    });
     bound
 }
 
@@ -203,6 +235,70 @@ mod tests {
             assert!(verify_forcing_structure(&cg).is_ok(), "seed {seed}");
             cg.pad_to_order(cg.graph.num_nodes() + 11);
             assert!(verify_forcing_structure(&cg).is_ok(), "padded, seed {seed}");
+        }
+    }
+
+    /// The forcing check as one allocating BFS per target, in `(j, i)`
+    /// order: the reference the block-streamed check must agree with.
+    fn per_target_forcing(cg: &ConstraintGraph) -> Result<(), String> {
+        cg.check_port_labels()?;
+        let g = &cg.graph;
+        for j in 0..cg.q() {
+            let dist_from_b = graphkit::traversal::bfs_distances(g, cg.targets[j]);
+            for i in 0..cg.p() {
+                let a = cg.constrained[i];
+                if dist_from_b[a] != 2 {
+                    return Err(format!("d(a_{i}, b_{j}) = {} instead of 2", dist_from_b[a]));
+                }
+                let forced_middle = g.port_target(a, cg.forced_port(i, j));
+                if dist_from_b[forced_middle] != 1 {
+                    return Err(format!(
+                        "forced middle vertex of (a_{i}, b_{j}) is not adjacent to b_{j}"
+                    ));
+                }
+                for &x in g.neighbors(a) {
+                    let x = x as usize;
+                    if x != forced_middle && dist_from_b[x] < 3 {
+                        return Err(format!(
+                            "alternative neighbour {x} of a_{i} is at distance {} < 3 from b_{j}: \
+                             a stretch-<2 routing could avoid the forced arc",
+                            dist_from_b[x]
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn block_streamed_check_reports_the_first_violation_of_the_per_target_check() {
+        // 150 targets: three blocks of consecutive ids, the last one partial.
+        let m = ConstraintMatrix::random(5, 150, 4, 7);
+        let pristine = ConstraintGraph::build(&m);
+        assert!(verify_forcing_structure(&pristine).is_ok());
+        let mut cases = Vec::new();
+        // Shortcuts in the second and third blocks, added out of order.
+        for pairs in [
+            vec![(3, 140), (1, 70)],
+            vec![(0, 64), (4, 64)],
+            vec![(2, 149)],
+        ] {
+            let mut cg = pristine.clone();
+            for (i, j) in pairs {
+                cg.graph.add_edge(cg.constrained[i], cg.targets[j]);
+            }
+            cases.push(cg);
+        }
+        // Targets out of id order split the runs into shorter blocks.
+        let mut shuffled = pristine.clone();
+        shuffled.targets.swap(10, 100);
+        shuffled.targets.swap(63, 64);
+        cases.push(shuffled);
+        for cg in &cases {
+            let expected = per_target_forcing(cg);
+            assert!(expected.is_err());
+            assert_eq!(verify_forcing_structure(cg), expected);
         }
     }
 

@@ -5,8 +5,8 @@
 //! the constraint verification checks `d(a_i, b_j) = 2`.  Two representations
 //! are provided:
 //!
-//! * [`DistanceMatrix`] — the dense `n × n` buffer, computed with one BFS per
-//!   source, fanning the sources out over the available CPU cores with
+//! * [`DistanceMatrix`] — the dense `n × n` buffer, fanning blocks of 64
+//!   sources out over the available CPU cores with
 //!   [`crate::par::map_fold_ordered`].  Convenient up to a few thousand
 //!   vertices; at `n ≳ 50_000` the `n²` buffer alone is tens of gigabytes.
 //! * [`DistanceBlock`] — a contiguous **block of source rows**
@@ -19,14 +19,29 @@
 //!   traffic of the sweep, and fall back to wide `u32` rows otherwise —
 //!   behind the same [`DistanceBlock::dist`] / [`DistanceRow`] accessors.
 //!
-//! Each worker owns one [`BfsScratch`] and BFSes into recycled row buffers,
-//! so both sweeps perform a constant number of allocations regardless of `n`
+//! Both fill their rows from one kernel, the bit-parallel
+//! [`bfs_block_into`]: one traversal per 64 consecutive sources, each level
+//! written straight into the rows.  Its work is the sum over levels of the
+//! frontier's arcs — at most 64 single BFSs, and about `diameter · 2m` on
+//! small-diameter graphs, where a block of 64 rows costs a few single BFSs.
+//! Each worker owns one [`BfsScratch`] and recycled row buffers, so both
+//! sweeps perform a constant number of allocations regardless of `n`
 //! (and [`DistanceBlock::recompute`] recycles block buffers across blocks).
 
 use crate::failure::Adjacency;
 use crate::graph::{Graph, NodeId};
-use crate::traversal::{bfs_distances_into, bfs_distances_u8_into, BfsScratch, NARROW_INFINITY};
+use crate::traversal::{bfs_block_into, BfsScratch, BLOCK_SOURCES, NARROW_INFINITY};
 use crate::{Dist, INFINITY};
+
+/// Writes `value` into column `v` of every row `i` whose bit is set in
+/// `bits` (rows of length `n`, row-major).
+#[inline]
+fn scatter<T: Copy>(cells: &mut [T], n: usize, v: NodeId, mut bits: u64, value: T) {
+    while bits != 0 {
+        cells[bits.trailing_zeros() as usize * n + v] = value;
+        bits &= bits - 1;
+    }
+}
 
 /// Widens one narrow (`u8`) distance cell to the canonical [`Dist`] value.
 #[inline]
@@ -131,10 +146,12 @@ impl DistanceBlock {
     /// Recomputes this block in place for a (possibly different) source
     /// range, reusing the existing buffers.
     ///
-    /// The narrow representation is attempted first on every call; if some
-    /// row holds a finite distance `>= 255` the whole block falls back to
-    /// wide rows (already-computed narrow rows are widened by copy, only the
-    /// overflowing row and the remaining rows are re-traversed).
+    /// One [`bfs_block_into`] traversal covers up to 64 sources (a block of
+    /// more rows takes one per 64) and writes each level straight into the
+    /// rows.  The narrow representation is attempted first on every call;
+    /// the first level of 255 widens the finished narrow cells into the wide
+    /// rows in place and the same traversal goes on writing wide cells, so
+    /// no source is traversed twice.
     pub fn recompute<A: Adjacency>(
         &mut self,
         g: A,
@@ -158,20 +175,28 @@ impl DistanceBlock {
         self.narrow.clear();
         self.narrow.resize(rows * n, NARROW_INFINITY);
         self.narrow_active = true;
-        for i in 0..rows {
-            if !bfs_distances_u8_into(g, start + i, scratch, &mut self.narrow[i * n..(i + 1) * n]) {
-                // Widen: copy the finished narrow rows, recompute the rest.
-                self.wide.clear();
-                self.wide.resize(rows * n, INFINITY);
-                for (w, &b) in self.wide[..i * n].iter_mut().zip(&self.narrow[..i * n]) {
-                    *w = widen(b);
+        let DistanceBlock {
+            narrow,
+            wide,
+            narrow_active,
+            ..
+        } = self;
+        for first in (0..rows).step_by(BLOCK_SOURCES) {
+            let count = BLOCK_SOURCES.min(rows - first);
+            let at = first * n;
+            bfs_block_into(g, start + first, count, scratch, |level, v, bits| {
+                if *narrow_active {
+                    if level < Dist::from(NARROW_INFINITY) {
+                        scatter(&mut narrow[at..], n, v, bits, level as u8);
+                        return;
+                    }
+                    // Widen: unreached narrow cells become INFINITY.
+                    wide.clear();
+                    wide.extend(narrow.iter().map(|&b| widen(b)));
+                    *narrow_active = false;
                 }
-                for j in i..rows {
-                    bfs_distances_into(g, start + j, scratch, &mut self.wide[j * n..(j + 1) * n]);
-                }
-                self.narrow_active = false;
-                return;
-            }
+                scatter(&mut wide[at..], n, v, bits, level);
+            });
         }
     }
 
@@ -232,11 +257,6 @@ impl Default for DistanceBlock {
     }
 }
 
-/// Source rows per work item of [`DistanceMatrix::all_pairs_with_threads`]:
-/// enough BFS work to amortize the item's handoff to the fold, even on
-/// graphs of a few hundred vertices.
-const ROWS_PER_ITEM: usize = 16;
-
 /// A dense `n × n` matrix of hop distances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
@@ -246,8 +266,8 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs distances sequentially (one BFS per source, zero
-    /// allocations per source).
+    /// Computes all-pairs distances sequentially (one bit-parallel BFS per
+    /// 64 sources, a constant number of allocations).
     pub fn all_pairs_sequential(g: &Graph) -> Self {
         Self::all_pairs_with_threads(g, 1)
     }
@@ -261,23 +281,26 @@ impl DistanceMatrix {
 
     /// Computes all-pairs distances with an explicit worker count
     /// (`threads <= 1` runs on the calling thread).  One work item per
-    /// 16 sources: a worker BFSes them into a recycled buffer,
-    /// and the in-order fold of [`crate::par::map_fold_ordered`] appends the
-    /// rows in source order.  The result does not depend on `threads`; tests
-    /// use this to exercise the parallel path on any machine.
+    /// 64 sources: a worker fills their wide rows in a recycled buffer with
+    /// one [`bfs_block_into`] traversal, and the in-order fold of
+    /// [`crate::par::map_fold_ordered`] appends the rows in source order.
+    /// The result does not depend on `threads`; tests use this to exercise
+    /// the parallel path on any machine.
     pub fn all_pairs_with_threads(g: &Graph, threads: usize) -> Self {
         let n = g.num_nodes();
         let mut data = Vec::with_capacity(n * n);
         crate::par::map_fold_ordered(
-            n.div_ceil(ROWS_PER_ITEM),
+            n.div_ceil(BLOCK_SOURCES),
             threads,
-            || BfsScratch::with_capacity(n),
+            BfsScratch::new,
             |scratch, item, rows: &mut Vec<Dist>| {
-                let sources = item * ROWS_PER_ITEM..((item + 1) * ROWS_PER_ITEM).min(n);
-                rows.resize(sources.len() * n, INFINITY);
-                for (u, row) in sources.zip(rows.chunks_exact_mut(n)) {
-                    bfs_distances_into(g, u, scratch, row);
-                }
+                let start = item * BLOCK_SOURCES;
+                let count = BLOCK_SOURCES.min(n - start);
+                rows.clear();
+                rows.resize(count * n, INFINITY);
+                bfs_block_into(g, start, count, scratch, |level, v, bits| {
+                    scatter(rows, n, v, bits, level);
+                });
             },
             |_, rows| data.extend_from_slice(rows),
         );
@@ -405,7 +428,73 @@ impl DistanceMatrix {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::traversal::bfs_distances;
+    use crate::traversal::{bfs_distances, bfs_distances_into};
+    use crate::{FailureSet, GraphView};
+
+    /// Checks every row of blocks of 1, 2, 63 and 64 sources of `g` against
+    /// per-source `bfs_distances_into`, at start offsets from 0 to the one
+    /// whose block ends at the last vertex, and the narrow/wide choice
+    /// against the rule "narrow iff every finite distance is below 255".
+    fn assert_blocks_match_per_source_bfs<A: Adjacency>(g: A, what: &str) {
+        let n = g.num_nodes();
+        let mut scratch = BfsScratch::new();
+        let mut expected = vec![INFINITY; n];
+        let mut block = DistanceBlock::new();
+        for rows in [1usize, 2, 63, 64] {
+            let rows = rows.min(n);
+            for start in [0, 1, n / 2 - rows / 2, n - rows] {
+                block.recompute(g, start, rows, &mut scratch);
+                let mut fits = true;
+                for u in start..start + rows {
+                    bfs_distances_into(g, u, &mut scratch, &mut expected);
+                    fits &= expected.iter().all(|&d| d == INFINITY || d < 255);
+                    assert_eq!(block.row(u).to_vec(), expected, "{what}: source {u}");
+                }
+                assert_eq!(block.is_narrow(), fits, "{what}: block {start}+{rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_rows_match_per_source_bfs_on_random_regular_and_grid_graphs() {
+        let random = generators::random_connected(200, 0.03, 5);
+        let regular = generators::random_regular_like(256, 4, 17);
+        let grid = generators::grid(12, 17);
+        assert_blocks_match_per_source_bfs(&random, "random");
+        assert_blocks_match_per_source_bfs(&regular, "regular");
+        assert_blocks_match_per_source_bfs(&grid, "grid");
+    }
+
+    #[test]
+    fn block_rows_match_per_source_bfs_when_the_overflow_comes_mid_traversal() {
+        // On P_300 a block's sources overflow at level 255 after many levels
+        // were already written narrow; some blocks fit, some widen.
+        let g = generators::path(300);
+        assert_blocks_match_per_source_bfs(&g, "path");
+        let b = DistanceBlock::compute(&g, 40, 64);
+        assert!(!b.is_narrow(), "source 40 reaches vertex 299 at 259");
+        let b = DistanceBlock::compute(&g, 45, 64);
+        assert!(
+            b.is_narrow(),
+            "sources 45..109 all have eccentricity <= 254"
+        );
+    }
+
+    #[test]
+    fn block_rows_match_per_source_bfs_on_masked_views() {
+        let g = generators::random_regular_like(300, 3, 8);
+        for (rate, seed) in [(0.05, 1u64), (0.3, 2), (0.6, 3)] {
+            let failures = FailureSet::sample(&g, rate, seed);
+            let view = GraphView::masked(&g, &failures);
+            assert_blocks_match_per_source_bfs(view, &format!("kill={rate}"));
+        }
+        let failures = FailureSet::sample(&g, 0.6, 3);
+        let view = GraphView::masked(&g, &failures);
+        assert!(
+            !crate::traversal::is_connected(view),
+            "the heaviest failure rate must disconnect the view"
+        );
+    }
 
     #[test]
     fn sequential_matches_bfs_rows() {

@@ -16,8 +16,10 @@
 //!   Petersen graph, complete graphs, outerplanar graphs, chordal graphs,
 //!   unit circular-arc graphs and random graphs,
 //! * breadth-first traversals, eccentricities and diameters ([`traversal`]),
-//!   built on a reusable zero-allocation workspace ([`BfsScratch`]), with
-//!   narrow `u8` distance rows for memory-bound sweeps, multi-source BFS
+//!   built on a reusable zero-allocation workspace ([`BfsScratch`]), with a
+//!   bit-parallel BFS of 64 sources per pass
+//!   ([`traversal::bfs_block_into`]) behind every all-pairs sweep,
+//!   nearest-source BFS
 //!   ([`traversal::bfs_from_sources_into`]) and pruned/bounded BFS
 //!   ([`traversal::bfs_bounded_into`]) for landmark-style sparse scheme
 //!   construction,

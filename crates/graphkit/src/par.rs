@@ -12,7 +12,8 @@
 //!   vertex whose cluster bound grew (gains), one per dead edge (suspects),
 //!   and one per block of 64 routers (the in-place patch);
 //! * `TableRouting::shortest_paths` — one item per block of 64 destinations;
-//! * [`crate::DistanceMatrix::all_pairs`] — one item per 16 source rows;
+//! * [`crate::DistanceMatrix::all_pairs`] — one item per 64 source rows (one
+//!   bit-parallel BFS block);
 //! * `routemodel`'s exact and sampled stretch sweeps — one item per run of
 //!   sources (or of 1024-pair sample blocks) carrying about 4096 pairs;
 //! * `constraints`' enumeration of canonical matrices — one item per range

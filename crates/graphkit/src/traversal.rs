@@ -8,25 +8,48 @@
 //!
 //! The BFS core is written for the CSR [`Graph`] hot path: a flat `Vec<u32>`
 //! queue walked by a head index (no `VecDeque` ring arithmetic), and a
-//! reusable [`BfsScratch`] workspace so that sweeps such as
-//! [`crate::distance::DistanceMatrix::all_pairs`] perform **zero heap
+//! reusable [`BfsScratch`] workspace so that sweeps perform **zero heap
 //! allocations per source** after the first.
+//!
+//! Every all-pairs sweep — [`crate::DistanceMatrix::all_pairs`],
+//! [`crate::DistanceBlock`] and through it the streamed routing tables, the
+//! stretch engine and the Lemma 2 forcing check — runs on one kernel,
+//! [`bfs_block_into`]: a bit-parallel BFS that traverses 64 consecutive
+//! sources per pass, scanning each level's frontier arcs once for all of
+//! them.  On the small-diameter graphs of the paper (the Theorem 1 instance
+//! has diameter 4) a block of 64 sources costs a few single BFSs.
 
 use crate::failure::Adjacency;
 use crate::graph::{Graph, NodeId, Port};
 use crate::{Dist, INFINITY};
 
-/// Reusable BFS workspace: a flat queue plus the distance buffer.
+/// Reusable BFS workspace: a flat queue plus the distance buffer, and the
+/// per-vertex source masks of the block kernel [`bfs_block_into`].
 ///
 /// One `BfsScratch` supports any number of consecutive traversals (of graphs
 /// of any size); buffers grow to the high-water mark and are then recycled.
+/// The masks and vertex lists of the block kernel are allocated on its first
+/// use only, so single-source callers never pay for them.
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
     /// Flat FIFO; consumed by advancing a head index instead of popping.
+    /// The block kernel keeps its list of reached vertices here.
     queue: Vec<u32>,
     /// Distance buffer for entry points that do not borrow one from the
     /// caller ([`bfs_distances_scratch`]).
     dist: Vec<Dist>,
+    /// Block kernel: per vertex `[seen, even, odd]` — the sources that have
+    /// reached it, and the sources that reach it at the current and at the
+    /// next level (the two swap roles with the level's parity).  All zero
+    /// between traversals.
+    masks: Vec<[u64; 3]>,
+    /// Block kernel: the current level's vertices.
+    frontier: Vec<u32>,
+    /// Block kernel: the next level's vertices.
+    discovered: Vec<u32>,
+    /// Block kernel of one source: whether the source has reached the
+    /// vertex.  All `false` between traversals.
+    visited: Vec<bool>,
 }
 
 impl BfsScratch {
@@ -40,7 +63,17 @@ impl BfsScratch {
         BfsScratch {
             queue: Vec::with_capacity(n),
             dist: Vec::with_capacity(n),
+            ..Self::default()
         }
+    }
+
+    /// Bytes the buffers of [`bfs_block_into`] reach on an `n`-vertex graph
+    /// for blocks of up to `rows` sources: per vertex, a `u32` queue entry
+    /// and a flag for one source; three `u64` masks and two more `u32` list
+    /// entries for more.
+    pub fn block_bytes(n: usize, rows: usize) -> u64 {
+        let per_vertex = if rows <= 1 { 5 } else { 37 };
+        (per_vertex * n) as u64
     }
 }
 
@@ -86,60 +119,150 @@ pub fn bfs_distances_into<A: Adjacency>(
 ///
 /// Narrow rows store finite distances `0..=254` directly; `255` means the
 /// vertex was not reached.  A finite distance of 255 or more cannot be
-/// represented — [`bfs_distances_u8_into`] detects that case and reports it so
-/// callers can fall back to the wide (`u32`) representation.
+/// represented: [`crate::DistanceBlock`] widens its rows to `u32` when
+/// [`bfs_block_into`] reports a level of 255.
 pub const NARROW_INFINITY: u8 = u8::MAX;
 
-/// Single-source BFS distances written into a caller-provided **`u8`** buffer.
+/// Most sources one [`bfs_block_into`] traversal covers: one bit of a `u64`
+/// mask each.
+pub const BLOCK_SOURCES: usize = 64;
+
+/// Bit-parallel BFS from the `rows <= 64` consecutive sources
+/// `start..start + rows` at once (the multi-source BFS of Then et al.,
+/// "The More the Merrier", PVLDB 2014).
 ///
-/// The narrow representation quarters the memory traffic of a distance sweep
-/// (one byte per vertex instead of four), which is what the block-streamed
-/// all-pairs pipelines in [`crate::distance`] ride on: on every workload in
-/// this repository the eccentricities fit comfortably below 255.
+/// Every vertex carries a `u64` mask of the sources that have reached it.
+/// A level scans the arcs of its frontier once for all sources: the
+/// frontier vertex `u` with level mask `f` hands `f & !seen[v]` to each live
+/// neighbour `v`.  `reached(level, v, bits)` is called once per level for
+/// every vertex some source reaches first at that level, with bit `i` of
+/// `bits` set for source `start + i`: that is `d(start + i, v) = level`.
+/// Level 0 reports the sources themselves; levels arrive in increasing
+/// order, and within a level the vertex order is unspecified.  Vertices no
+/// source reaches are never reported.
 ///
-/// Returns `true` on success.  Returns `false` — with the buffer contents
-/// unspecified — as soon as some vertex would need a finite distance `>= 255`;
-/// the caller must then redo the row with [`bfs_distances_into`].  Unreached
-/// vertices are left at [`NARROW_INFINITY`].  Allocation-free once `scratch`
-/// has warmed up.
-pub fn bfs_distances_u8_into<A: Adjacency>(
+/// **Cost.** The work is the sum over levels of the frontier's arcs.  A
+/// vertex joins a level's frontier once, whatever number of sources reach
+/// it there, so the work is never more than `rows` single-source BFSs, and
+/// about `diameter · 2m` on graphs of small diameter, where most sources
+/// reach most vertices at the same few levels.  Least is shared on long
+/// paths and grids, whose consecutive sources reach a vertex at distinct
+/// levels.  The frontier lists are the only per-level state, and the masks
+/// are reset for the reached vertices only, so a block costs what the
+/// traversal touches, not `n` words.  A block of one source has nothing to
+/// share and runs a plain queue BFS over one flag per vertex instead of the
+/// masks.  Allocation-free once `scratch` is warm.
+///
+/// Generic over [`Adjacency`], like [`bfs_distances_into`]: arcs are
+/// followed out of the frontier, so masked views work unchanged.
+pub fn bfs_block_into<A: Adjacency>(
+    g: A,
+    start: NodeId,
+    rows: usize,
+    scratch: &mut BfsScratch,
+    mut reached: impl FnMut(Dist, NodeId, u64),
+) {
+    let n = g.num_nodes();
+    assert!(rows <= BLOCK_SOURCES, "a block covers at most 64 sources");
+    assert!(start + rows <= n, "BFS source out of range");
+    if rows == 1 {
+        // Nothing to share: a plain queue BFS over one flag per vertex, which
+        // stays cache-resident where three masks per vertex would not.
+        return single_source_levels(g, start, scratch, reached);
+    }
+    let BfsScratch {
+        queue: touched,
+        masks,
+        frontier,
+        discovered,
+        ..
+    } = scratch;
+    if masks.len() < n {
+        masks.resize(n, [0; 3]);
+    }
+    debug_assert!(masks.iter().all(|&m| m == [0; 3]), "stale scratch");
+    touched.clear();
+    frontier.clear();
+    for i in 0..rows {
+        let s = start + i;
+        masks[s] = [1 << i, 1 << i, 0];
+        touched.push(s as u32);
+        frontier.push(s as u32);
+    }
+    let mut level: Dist = 0;
+    while !frontier.is_empty() {
+        let parity = (level & 1) as usize;
+        let (cur, nxt) = (1 + parity, 2 - parity);
+        discovered.clear();
+        // Take, report and expand each frontier vertex's level mask in one
+        // pass; the level masks are all zero again when the traversal ends.
+        for &u in frontier.iter() {
+            let fu = std::mem::take(&mut masks[u as usize][cur]);
+            reached(level, u as usize, fu);
+            g.for_each_live(u as usize, |_, v| {
+                let m = &mut masks[v];
+                let new = fu & !m[0];
+                if new != 0 {
+                    if m[0] == 0 {
+                        touched.push(v as u32);
+                    }
+                    if m[nxt] == 0 {
+                        discovered.push(v as u32);
+                    }
+                    m[0] |= new;
+                    m[nxt] |= new;
+                }
+            });
+        }
+        std::mem::swap(frontier, discovered);
+        level += 1;
+    }
+    for &v in touched.iter() {
+        masks[v as usize][0] = 0;
+    }
+}
+
+/// [`bfs_block_into`] for the single source `source`: reports every reached
+/// vertex with the mask `1`.
+fn single_source_levels<A: Adjacency>(
     g: A,
     source: NodeId,
     scratch: &mut BfsScratch,
-    dist: &mut [u8],
-) -> bool {
+    mut reached: impl FnMut(Dist, NodeId, u64),
+) {
     let n = g.num_nodes();
-    assert!(source < n, "BFS source out of range");
-    assert_eq!(dist.len(), n, "distance buffer has the wrong length");
-    dist.fill(NARROW_INFINITY);
-    let queue = &mut scratch.queue;
+    let BfsScratch { queue, visited, .. } = scratch;
+    if visited.len() < n {
+        visited.resize(n, false);
+    }
+    let visited = &mut visited[..n];
+    debug_assert!(visited.iter().all(|&f| !f), "stale scratch");
     queue.clear();
     queue.reserve(n);
-    dist[source] = 0;
     queue.push(source as u32);
-    let mut head = 0usize;
-    let mut overflow = false;
-    while head < queue.len() {
-        let u = queue[head] as usize;
-        head += 1;
-        // Visited vertices always hold a *finite* value < 255, so the
-        // sentinel test below is unambiguous.
-        let du = u16::from(dist[u]) + 1;
-        g.for_each_live(u, |_, v| {
-            if !overflow && dist[v] == NARROW_INFINITY {
-                if du >= u16::from(NARROW_INFINITY) {
-                    overflow = true;
-                    return;
+    visited[source] = true;
+    let (mut lo, mut level) = (0usize, 0 as Dist);
+    while lo < queue.len() {
+        let hi = queue.len();
+        for k in lo..hi {
+            let u = queue[k] as usize;
+            reached(level, u, 1);
+            g.for_each_live(u, |_, v| {
+                if !visited[v] {
+                    visited[v] = true;
+                    queue.push(v as u32);
                 }
-                dist[v] = du as u8;
-                queue.push(v as u32);
-            }
-        });
-        if overflow {
-            return false;
+            });
         }
+        (lo, level) = (hi, level + 1);
     }
-    true
+    // Reset what was reached, or the whole prefix when that is cheaper: one
+    // `memset` beats scattered writes long before the queue holds n.
+    if queue.len() < n / 16 {
+        queue.iter().for_each(|&v| visited[v as usize] = false);
+    } else {
+        visited.fill(false);
+    }
 }
 
 /// Multi-source BFS: distances to the **nearest source** and the identity of
@@ -666,8 +789,43 @@ mod tests {
         assert_eq!(bfs_distances_scratch(&h, 0, &mut scratch), &[0, 1, 2]);
     }
 
+    /// Per-source distances of `bfs_block_into` over `start..start + rows`,
+    /// collected into wide rows.
+    fn block_rows(
+        g: &Graph,
+        start: usize,
+        rows: usize,
+        scratch: &mut BfsScratch,
+    ) -> Vec<Vec<Dist>> {
+        let n = g.num_nodes();
+        let mut out = vec![vec![INFINITY; n]; rows];
+        let mut last_level = 0;
+        bfs_block_into(g, start, rows, scratch, |level, v, mut bits| {
+            assert!(
+                level >= last_level,
+                "levels must arrive in increasing order"
+            );
+            last_level = level;
+            assert_ne!(bits, 0, "a report names at least one source");
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                assert_eq!(
+                    out[i][v],
+                    INFINITY,
+                    "source {} reached {v} twice",
+                    start + i
+                );
+                out[i][v] = level;
+                bits &= bits - 1;
+            }
+        });
+        out
+    }
+
     #[test]
     fn narrow_bfs_matches_wide_bfs() {
+        // Single-source blocks of the bit-parallel kernel agree with the
+        // plain BFS, on connected and disconnected graphs alike.
         let mut scratch = BfsScratch::new();
         for g in [
             generators::cycle(40),
@@ -675,46 +833,63 @@ mod tests {
             generators::hypercube(5),
             generators::path(4).disjoint_union(&generators::cycle(3)),
         ] {
-            let n = g.num_nodes();
-            let mut narrow = vec![0u8; n];
-            for s in 0..n {
-                assert!(bfs_distances_u8_into(&g, s, &mut scratch, &mut narrow));
-                let wide = bfs_distances(&g, s);
-                for v in 0..n {
-                    let widened = if narrow[v] == NARROW_INFINITY {
-                        INFINITY
-                    } else {
-                        Dist::from(narrow[v])
-                    };
-                    assert_eq!(widened, wide[v], "source {s}, vertex {v}");
-                }
+            for s in 0..g.num_nodes() {
+                let rows = block_rows(&g, s, 1, &mut scratch);
+                assert_eq!(rows[0], bfs_distances(&g, s), "source {s}");
             }
         }
     }
 
     #[test]
     fn narrow_bfs_reports_overflow_on_long_paths() {
-        // A path with 300 vertices has eccentricity 299 > 254 from its ends.
+        // A path with 300 vertices has eccentricity 299 > 254 from its ends:
+        // the kernel reports every level up to 299, and the block widens.
         let g = generators::path(300);
         let mut scratch = BfsScratch::new();
-        let mut narrow = vec![0u8; 300];
-        assert!(!bfs_distances_u8_into(&g, 0, &mut scratch, &mut narrow));
+        let rows = block_rows(&g, 0, 1, &mut scratch);
+        assert_eq!(rows[0][299], 299);
+        assert!(!crate::DistanceBlock::compute(&g, 0, 1).is_narrow());
         // From the middle every distance is <= 150: the narrow row fits.
-        assert!(bfs_distances_u8_into(&g, 150, &mut scratch, &mut narrow));
-        assert_eq!(narrow[0], 150);
-        assert_eq!(narrow[299], 149);
+        let mid = crate::DistanceBlock::compute(&g, 150, 1);
+        assert!(mid.is_narrow());
+        assert_eq!(mid.dist(150, 0), 150);
+        assert_eq!(mid.dist(150, 299), 149);
     }
 
     #[test]
     fn narrow_bfs_distance_254_fits_255_does_not() {
         let g = generators::path(256);
-        let mut scratch = BfsScratch::new();
-        let mut narrow = vec![0u8; 256];
         // Eccentricity of vertex 1 is 254: representable.
-        assert!(bfs_distances_u8_into(&g, 1, &mut scratch, &mut narrow));
-        assert_eq!(narrow[255], 254);
+        let b = crate::DistanceBlock::compute(&g, 1, 1);
+        assert!(b.is_narrow());
+        assert_eq!(b.dist(1, 255), 254);
         // Eccentricity of vertex 0 is 255: the first unrepresentable value.
-        assert!(!bfs_distances_u8_into(&g, 0, &mut scratch, &mut narrow));
+        let b = crate::DistanceBlock::compute(&g, 0, 1);
+        assert!(!b.is_narrow());
+        assert_eq!(b.dist(0, 255), 255);
+    }
+
+    #[test]
+    fn block_kernel_matches_per_source_bfs() {
+        let mut scratch = BfsScratch::new();
+        for g in [
+            generators::random_connected(150, 0.04, 3),
+            generators::random_regular_like(128, 5, 9),
+            generators::grid(9, 13),
+            generators::path(300),
+            generators::path(5).disjoint_union(&generators::cycle(6)),
+        ] {
+            let n = g.num_nodes();
+            for rows in [1usize, 2, 63, 64] {
+                let rows = rows.min(n);
+                for start in [0, (n - rows) / 2, n - rows] {
+                    let got = block_rows(&g, start, rows, &mut scratch);
+                    for (i, row) in got.iter().enumerate() {
+                        assert_eq!(row, &bfs_distances(&g, start + i), "source {}", start + i);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!   depends only on the destination and never rewrites it, so the state is
 //!   just the current vertex.  The sweep memoizes classifications per vertex
 //!   with epoch-stamped arrays — each vertex is walked at most once per
-//!   destination, `O(n + m)` per destination including the reachability BFS,
-//!   zero allocations once the scratch is warm.
+//!   destination, `O(n)` walk steps per destination, zero allocations once
+//!   the scratch is warm.  The reachability BFS (`O(n + m)`) that tells an
+//!   [`SourceClass::Unreachable`] pair from a broken one runs only for a
+//!   destination where some source fails to prove; on a sound scheme no BFS
+//!   runs at all.
 //! * **Exotic headers.**  A walk whose header deviates from the canonical one
 //!   (source-dependent init or a rewriting `H`) falls back to explicit
 //!   `(vertex, header)` states with repeat detection, bounded by the hop
@@ -180,7 +183,8 @@ pub struct Checker {
     result: Vec<u8>,
     /// Canonical-state vertices of the walk in progress.
     path: Vec<u32>,
-    /// `d(s, dest)` reachability ground truth.
+    /// `d(s, dest)` reachability ground truth, filled once per destination
+    /// on its first non-proven source.
     dist: Vec<Dist>,
     bfs: BfsScratch,
     /// Canonical header of the current destination.
@@ -240,7 +244,7 @@ impl Checker {
     ) -> DestReport {
         let n = view.num_nodes();
         self.ensure_capacity(n);
-        bfs_distances_into(view, d, &mut self.bfs, &mut self.dist[..n]);
+        let mut dist_known = false;
         // Canonical header: the init of the lowest non-destination source.
         // Purely a memoization key — correctness never depends on how many
         // walks share it.
@@ -261,13 +265,20 @@ impl Checker {
                 self.walk(view, r, d, s)
             };
             // A pair with no live path is nobody's fault: no routing function
-            // can deliver it.  (The converse cannot happen — walks only cross
-            // live arcs, so a proven pair has a live path.)
-            let c = if self.dist[s] == INFINITY && c != SourceClass::Proven {
-                SourceClass::Unreachable
-            } else {
-                debug_assert!(!(self.dist[s] == INFINITY && c == SourceClass::Proven));
+            // can deliver it.  A proven pair needs no BFS: walks only cross
+            // live arcs, so it has a live path.
+            let c = if c == SourceClass::Proven {
                 c
+            } else {
+                if !dist_known {
+                    bfs_distances_into(view, d, &mut self.bfs, &mut self.dist[..n]);
+                    dist_known = true;
+                }
+                if self.dist[s] == INFINITY {
+                    SourceClass::Unreachable
+                } else {
+                    c
+                }
             };
             self.result[s] = c as u8;
             counts.add(c);

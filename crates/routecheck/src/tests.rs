@@ -2,9 +2,10 @@
 //! partitions under failures, the mutation harness, and exotic-header /
 //! wrong-hint edge cases.
 
-use graphkit::{generators, FailureSet, Graph, GraphView, NodeId};
+use graphkit::traversal::{bfs_distances_into, is_connected};
+use graphkit::{generators, BfsScratch, Dist, FailureSet, Graph, GraphView, NodeId, INFINITY};
 use routemodel::labeling::modular_complete_labeling;
-use routemodel::{Action, Header, RoutingFunction};
+use routemodel::{default_hop_limit, walk, Action, DeliveryOutcome, Header, RoutingFunction};
 use routeschemes::{corrupt_instance, GraphHints, MutationKind, SchemeInstance, SchemeKind};
 
 use crate::check::{check_routing, Checker, SourceClass};
@@ -221,6 +222,106 @@ fn isolated_destination_is_unreachable_not_livelock() {
     );
     assert_eq!(report.counts.broken(), 0, "{:?}", report.counts);
     assert!(report.first_broken.is_none());
+}
+
+/// A sample of `kill_rate · m` dead links plus every link of vertices 3 and
+/// `n / 2`, so the view is disconnected whatever the sample.
+fn disconnecting_failures(g: &Graph, kill_rate: f64, seed: u64) -> FailureSet {
+    let mut dead = FailureSet::sample(g, kill_rate, seed).dead_edges().to_vec();
+    for x in [3, g.num_nodes() / 2] {
+        dead.extend(g.neighbors(x).iter().map(|&v| (x as u32, v)));
+    }
+    FailureSet::from_edges(g, &dead)
+}
+
+/// The checker runs its reachability BFS only once some source of a
+/// destination fails to prove, because a proven walk crosses live arcs
+/// only.  Pin that on stale instances of every registry scheme over a view
+/// the failures disconnect: every proven pair has a live path.
+#[test]
+fn proven_pairs_are_reachable_on_disconnected_views() {
+    for kind in SchemeKind::ALL {
+        let (g, hints) = home_family(kind, 128);
+        let n = g.num_nodes();
+        let inst = build(kind, &g, &hints);
+        let failures = disconnecting_failures(&g, 0.3, 5);
+        let view = GraphView::masked(&g, &failures);
+        assert!(!is_connected(view), "{}", kind.key());
+        let mut checker = Checker::new();
+        let (mut scratch, mut dist) = (BfsScratch::new(), vec![0; n]);
+        let mut proven = 0;
+        for d in 0..n {
+            checker.check_dest(view, &*inst.routing, d);
+            bfs_distances_into(view, d, &mut scratch, &mut dist);
+            for s in (0..n).filter(|&s| s != d) {
+                if checker.class_of(s) == SourceClass::Proven {
+                    assert_ne!(dist[s], INFINITY, "{}: {s} -> {d}", kind.key());
+                    proven += 1;
+                }
+            }
+        }
+        assert!(proven > 0, "{}: some pair must still deliver", kind.key());
+    }
+}
+
+/// The class an oracle gives the pair `s -> d`: the outcome of the routing
+/// loop itself, then the reachability BFS, which it runs for every
+/// destination.  (A table's canonical headers never grow, and a walk longer
+/// than the hop budget has repeated a vertex.)
+fn oracle_class<R: RoutingFunction + ?Sized>(
+    view: GraphView<'_>,
+    r: &R,
+    s: NodeId,
+    d: NodeId,
+    dist_from_d: &[Dist],
+    header: &mut Header,
+) -> SourceClass {
+    let n = view.num_nodes();
+    let raw = match walk(view, r, s, d, default_hop_limit(n), header, None) {
+        Ok((DeliveryOutcome::Delivered, _)) => SourceClass::Proven,
+        Ok((DeliveryOutcome::LinkDown { .. }, _)) | Err(_) => SourceClass::DeadPort,
+        Ok((DeliveryOutcome::HopLimit { .. }, _)) => SourceClass::Livelock,
+        Ok((DeliveryOutcome::WrongDelivery { .. }, _)) => SourceClass::WrongDelivery,
+    };
+    if raw != SourceClass::Proven && dist_from_d[s] == INFINITY {
+        SourceClass::Unreachable
+    } else {
+        raw
+    }
+}
+
+/// On mutated tables over disconnected views, the per-source classes of the
+/// lazy-BFS checker equal the always-BFS oracle's, pair by pair.
+#[test]
+fn per_source_classes_match_an_always_bfs_oracle_on_mutated_tables() {
+    for (n, seed) in [(40usize, 1u64), (64, 2), (96, 3)] {
+        let g = generators::random_connected(n, 5.0 / n as f64, seed);
+        for mutation_kind in [MutationKind::Misroute, MutationKind::OutOfRange] {
+            let mut inst = build(SchemeKind::Table, &g, &GraphHints::none());
+            corrupt_instance(&mut inst, &g, seed, mutation_kind).unwrap();
+            let failures = disconnecting_failures(&g, 0.2, seed);
+            let view = GraphView::masked(&g, &failures);
+            let mut checker = Checker::new();
+            let (mut scratch, mut dist) = (BfsScratch::new(), vec![0; n]);
+            let mut header = Header::to_dest(0);
+            let mut seen = [0usize; 6];
+            for d in 0..n {
+                checker.check_dest(view, &*inst.routing, d);
+                bfs_distances_into(view, d, &mut scratch, &mut dist);
+                for s in (0..n).filter(|&s| s != d) {
+                    let expected = oracle_class(view, &*inst.routing, s, d, &dist, &mut header);
+                    assert_eq!(
+                        checker.class_of(s),
+                        expected,
+                        "n = {n}, {mutation_kind:?}: {s} -> {d}"
+                    );
+                    seen[expected as usize] += 1;
+                }
+            }
+            let [proven, _, dead_port, _, _, unreachable] = seen;
+            assert!(proven > 0 && dead_port > 0 && unreachable > 0, "{seen:?}");
+        }
+    }
 }
 
 /// Forwards on port 0 forever, never delivering; canonical (identity)

@@ -167,8 +167,9 @@ pub struct WorkloadReport {
     /// Blocks whose BFS rows fit the narrow `u8` representation.
     pub narrow_blocks: usize,
     /// Peak-memory proxy: bytes of the workload plan plus, per worker, the
-    /// largest block's distance rows with its routing header and trace
-    /// buffers, the metric counters and the BFS scratch.  Any worker may draw
+    /// largest block's distance rows, BFS buffers
+    /// ([`BfsScratch::block_bytes`]: masks and vertex lists), routing header
+    /// and trace buffers, and the metric counters.  Any worker may draw
     /// the largest block, so each is charged for it; the figure depends on
     /// the worker count but not on which worker drew which block.  This is
     /// what replaces the dense matrix's `4 n²` bytes.
@@ -237,8 +238,8 @@ struct BlockOut {
     sources: Vec<StretchAccumulator>,
     /// The routing-model violation that ended the block early, if any.
     error: Option<RoutingError>,
-    /// Bytes a fresh worker needs for this block: its distance rows, routing
-    /// header and trace.
+    /// Bytes a fresh worker needs for this block: its distance rows, BFS
+    /// buffers, routing header and trace.
     bytes: u64,
 }
 
@@ -346,8 +347,7 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     }
     let per_worker = block_bytes
         + congestion.as_ref().map_or(0, |c| c.bytes())
-        + 8 * lengths.counts().len() as u64
-        + 4 * n as u64; // BFS scratch queue
+        + 8 * lengths.counts().len() as u64;
 
     Ok(WorkloadReport {
         stretch: total.into_report(),
@@ -439,7 +439,7 @@ fn run_block<R: RoutingFunction + Sync + ?Sized>(
     } else {
         cells * (1 + std::mem::size_of::<Dist>() as u64)
     };
-    out.bytes = row_bytes + header.bytes() + trace.bytes();
+    out.bytes = row_bytes + BfsScratch::block_bytes(n, b.rows) + header.bytes() + trace.bytes();
 }
 
 /// Convenience wrapper: the exact stretch factor over **all pairs**, computed

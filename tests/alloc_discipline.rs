@@ -4,7 +4,8 @@
 //! that never touch the heap: `routemodel::walk` rewrites one reused header
 //! in place (and, when a trace is asked for, one reused `RouteTrace`), and
 //! `Checker::check_dest` reuses its epoch-stamped arrays across
-//! destinations.  Those promises are load-bearing — the throughput
+//! destinations, and `DistanceBlock::recompute` reuses its row buffers and
+//! the bit-parallel BFS masks of its `BfsScratch` across blocks.  Those promises are load-bearing — the throughput
 //! and sweep numbers in CI assume them — so this test counts every
 //! `alloc`/`realloc` crossing the global allocator and fails if a warm
 //! iteration performs even one.
@@ -16,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use graphkit::{generators, GraphView};
+use graphkit::{generators, BfsScratch, DistanceBlock, GraphView};
 use routecheck::Checker;
 use routemodel::{default_hop_limit, walk, Header, RouteTrace};
 use routeschemes::{GraphHints, SchemeKind};
@@ -126,6 +127,35 @@ fn warm_hot_loops_do_not_allocate() {
         "warm check_dest allocated {sweep_allocs} times across {} \
          destinations; the sweep must be allocation-free per destination",
         n - 8
+    );
+
+    // --- DistanceBlock::recompute: zero allocations per block once warm,
+    // at every block size, and across narrow and wide blocks -------------
+    let path = generators::path(300);
+    let mut scratch = BfsScratch::new();
+    let mut block = DistanceBlock::new();
+    let blocks = |block: &mut DistanceBlock, scratch: &mut BfsScratch, sink: &mut u64| {
+        for rows in [64usize, 1, 2, 63] {
+            for start in (0..=n - rows).step_by(rows.max(16)) {
+                block.recompute(view, start, rows, scratch);
+                *sink += u64::from(block.dist(start, n - 1));
+            }
+        }
+        // P_300: the block from 0 widens mid-traversal, the one from 118
+        // stays narrow.
+        for start in [0, 118] {
+            block.recompute(&path, start, 64, scratch);
+            *sink += u64::from(block.is_narrow());
+        }
+    };
+    blocks(&mut block, &mut scratch, &mut sink);
+    let before = allocations();
+    blocks(&mut block, &mut scratch, &mut sink);
+    let block_allocs = allocations() - before;
+    assert_eq!(
+        block_allocs, 0,
+        "warm DistanceBlock::recompute allocated {block_allocs} times; \
+         the block sweep must be allocation-free per block"
     );
 
     // Keep the routed work observable so nothing above is optimised away.
