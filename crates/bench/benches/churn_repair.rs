@@ -28,6 +28,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, FailureSet, Graph, GraphView};
 use routeschemes::landmark::{LandmarkConfig, LandmarkRouting};
+use routeschemes::SchemeRouting;
 use routing_bench::quick_criterion;
 use std::time::Instant;
 

@@ -16,7 +16,7 @@ use graphkit::{generators, Graph};
 use routeschemes::{GraphHints, LandmarkConfig, LandmarkCount, SchemeSpec};
 use routing_bench::quick_criterion;
 use std::time::Instant;
-use trafficlab::{run_workload, EngineConfig, Workload, LANDMARK_SWEEP_KS};
+use trafficlab::{run_workload, EngineConfig, WorkloadSpec, LANDMARK_SWEEP_KS};
 
 /// One snapshot entry.
 struct Entry {
@@ -29,7 +29,7 @@ struct Entry {
     avg_stretch: f64,
 }
 
-fn run_point(g: &Graph, k: usize, workload: &Workload, block_rows: usize) -> Entry {
+fn run_point(g: &Graph, k: usize, workload: &WorkloadSpec, block_rows: usize) -> Entry {
     let spec = SchemeSpec::Landmark(LandmarkConfig {
         landmarks: LandmarkCount::Count(k),
         ..LandmarkConfig::default()
@@ -76,7 +76,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     // `trafficlab run landmark-sweep`).
     {
         let g = generators::random_connected(4096, 8.0 / 4096.0, 0xC5A);
-        let workload = Workload::SampledSources {
+        let workload = WorkloadSpec::SampledSources {
             sources: 128,
             dests_per_source: 128,
             seed: 21,
@@ -91,7 +91,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     // matrix anywhere.
     {
         let g = generators::random_regular_like(131_072, 8, 0xB16);
-        let workload = Workload::SampledSources {
+        let workload = WorkloadSpec::SampledSources {
             sources: 32,
             dests_per_source: 128,
             seed: 11,

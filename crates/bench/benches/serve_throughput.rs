@@ -19,14 +19,14 @@ use routeschemes::spec::SchemeSpec;
 use routeschemes::{GraphHints, SchemeKind};
 use routeserve::{serve, ServeConfig, ServeStats};
 use routing_bench::quick_criterion;
-use trafficlab::{run_workload, EngineConfig, GraphSpec, Workload, WorkloadPlan};
+use trafficlab::{run_workload, EngineConfig, GraphSpec, WorkloadPlan, WorkloadSpec};
 
 fn serve_graph(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
 }
 
 fn uniform_plan(n: usize, messages: u64) -> WorkloadPlan {
-    Workload::Uniform { messages, seed: 1 }.compile(n)
+    WorkloadSpec::Uniform { messages, seed: 1 }.compile(n)
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -90,7 +90,7 @@ const SWEEP_MESSAGES: u64 = 200_000;
 
 /// The sampled stretch workload of a sweep point: 48 BFS sources, 800
 /// destinations each.
-const SWEEP_STRETCH: Workload = Workload::SampledSources {
+const SWEEP_STRETCH: WorkloadSpec = WorkloadSpec::SampledSources {
     sources: 48,
     dests_per_source: 800,
     seed: 21,

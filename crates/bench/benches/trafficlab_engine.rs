@@ -18,7 +18,7 @@ use routemodel::{stretch_factor, TableRouting, TieBreak};
 use routeschemes::{CompactScheme, EcubeScheme, SchemeInstance, SpanningTreeScheme};
 use routing_bench::quick_criterion;
 use std::time::Instant;
-use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, Workload};
+use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, WorkloadSpec};
 
 fn workload_graph(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
@@ -33,7 +33,7 @@ fn bench_uniform_throughput(c: &mut Criterion) {
     for &n in &[256usize, 1024] {
         let g = workload_graph(n);
         let inst = tree_instance(&g);
-        let plan = Workload::Uniform {
+        let plan = WorkloadSpec::Uniform {
             messages: 20_000,
             seed: 1,
         }
@@ -90,7 +90,7 @@ fn run_entry(
     name: &'static str,
     g: &Graph,
     inst: &SchemeInstance,
-    workload: &Workload,
+    workload: &WorkloadSpec,
     cfg: &EngineConfig,
 ) -> Entry {
     let plan = workload.compile(g.num_nodes());
@@ -123,7 +123,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             "uniform-20k-tree",
             &g,
             &inst,
-            &Workload::Uniform {
+            &WorkloadSpec::Uniform {
                 messages: 20_000,
                 seed: 1,
             },
@@ -139,7 +139,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             "uniform-1m-tree",
             &g,
             &inst,
-            &Workload::Uniform {
+            &WorkloadSpec::Uniform {
                 messages: 1_000_000,
                 seed: 7,
             },
@@ -157,7 +157,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             "bisection-200k-ecube",
             &g,
             &inst,
-            &Workload::Bisection {
+            &WorkloadSpec::Bisection {
                 messages: 200_000,
                 seed: 5,
             },
@@ -167,7 +167,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             "worstperm-64r-ecube",
             &g,
             &inst,
-            &Workload::WorstPerm {
+            &WorkloadSpec::WorstPerm {
                 rounds: 64,
                 seed: 13,
             },
@@ -183,7 +183,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             "sharded-130k-sampled",
             &g,
             &inst,
-            &Workload::SampledSources {
+            &WorkloadSpec::SampledSources {
                 sources: 64,
                 dests_per_source: 64,
                 seed: 11,

@@ -134,6 +134,42 @@ fn every_seeded_mutation_is_flagged_with_its_counterexample() {
     }
 }
 
+/// On a complete graph no shortest route relays a message and the spanning
+/// tree is a star with no internal non-root router, so no scheme's own hook
+/// has anything to hit: every applicable scheme falls back to the pointwise
+/// corruption, which the checker flags.
+#[test]
+fn one_hop_graphs_fall_back_to_pointwise_corruption() {
+    let g = modular_complete_labeling(64);
+    let mut corrupted = Vec::new();
+    for kind in SchemeKind::ALL {
+        for mutation_kind in [MutationKind::Misroute, MutationKind::OutOfRange] {
+            let Ok(mut inst) = kind.default_spec().build(&g, &GraphHints::none()) else {
+                continue;
+            };
+            let mutation = corrupt_instance(&mut inst, &g, 3, mutation_kind)
+                .unwrap_or_else(|e| panic!("{}: {e}", kind.key()));
+            let report = verify_instance(&g, None, &inst, kind.key(), 2);
+            assert_eq!(report.verdict, Verdict::Unsound, "{}", kind.key());
+            let mut checker = Checker::new();
+            checker.check_dest(GraphView::full(&g), &*inst.routing, mutation.dest);
+            assert!(
+                checker.class_of(mutation.source).is_broken(),
+                "{}: {}",
+                kind.key(),
+                mutation.description
+            );
+            corrupted.push(kind.key());
+        }
+    }
+    corrupted.dedup();
+    assert_eq!(
+        corrupted,
+        ["table", "tree", "interval", "landmark", "complete"],
+        "every scheme that applies to a complete graph"
+    );
+}
+
 /// An out-of-range corruption on a landmark instance with one-byte cells,
 /// at a router of degree 251: the raw port `251 + 7` does not fit a byte,
 /// so it is stored as 254 — still out of range, never the "no port"
@@ -142,10 +178,8 @@ fn every_seeded_mutation_is_flagged_with_its_counterexample() {
 fn out_of_range_mutation_is_flagged_at_one_byte_cells() {
     let g = generators::star(251);
     let mut inst = build(SchemeKind::Landmark, &g, &GraphHints::none());
-    let any: &dyn std::any::Any = &*inst.routing;
-    let lm = any
-        .downcast_ref::<routeschemes::landmark::LandmarkRouting>()
-        .expect("a landmark instance");
+    // A twin build: the cell width is a function of the graph.
+    let lm = routeschemes::landmark::LandmarkRouting::build_with(&g, &Default::default());
     assert_eq!(lm.cell_bytes(), 1);
     let mutation = corrupt_instance(&mut inst, &g, 3, MutationKind::OutOfRange).unwrap();
     assert!(
@@ -178,10 +212,8 @@ fn out_of_range_table_mutation_is_flagged_at_one_and_two_byte_cells() {
     for (leaves, cell_bytes, stored) in [(251, 1, 254), (300, 2, 307)] {
         let g = generators::star(leaves);
         let mut inst = build(SchemeKind::Table, &g, &GraphHints::none());
-        let any: &dyn std::any::Any = &*inst.routing;
-        let table = any
-            .downcast_ref::<routemodel::TableRouting>()
-            .expect("a table instance");
+        // A twin build: the cell width is a function of the graph.
+        let table = routemodel::TableRouting::shortest_paths(&g, routemodel::TieBreak::LowestPort);
         assert_eq!(table.cell_bytes(), cell_bytes, "star({leaves})");
         let mutation = corrupt_instance(&mut inst, &g, 3, MutationKind::OutOfRange).unwrap();
         let report = verify_instance(&g, None, &inst, "table", 2);

@@ -22,12 +22,10 @@ pub enum Action {
 ///
 /// Implementations must be deterministic: the paper's memory lower bounds are
 /// statements about what any fixed local decision procedure must store.
-///
-/// [`std::any::Any`] is a supertrait so that owners of a boxed
-/// `dyn RoutingFunction` (the scheme instances) can recover the concrete
-/// scheme state for in-place repair after link failures; it costs
-/// implementors nothing beyond the usual `'static` bound of trait objects.
-pub trait RoutingFunction: std::any::Any {
+/// What a built scheme can do beyond `R` — repair after link failures, table
+/// audits, fault injection — lives on `routeschemes::scheme::SchemeRouting`,
+/// which extends this trait.
+pub trait RoutingFunction {
     /// The initialization function `I(u, v)`: the header the source `u`
     /// attaches to a message for destination `v`.
     fn init(&self, source: NodeId, dest: NodeId) -> Header;
@@ -130,9 +128,9 @@ where
 
 impl<FI, FP, FH> RoutingFunction for FnRouting<FI, FP, FH>
 where
-    FI: Fn(NodeId, NodeId) -> Header + 'static,
-    FP: Fn(NodeId, &Header) -> Action + 'static,
-    FH: Fn(NodeId, &Header) -> Header + 'static,
+    FI: Fn(NodeId, NodeId) -> Header,
+    FP: Fn(NodeId, &Header) -> Action,
+    FH: Fn(NodeId, &Header) -> Header,
 {
     fn init(&self, source: NodeId, dest: NodeId) -> Header {
         (self.init_fn)(source, dest)

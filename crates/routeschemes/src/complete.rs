@@ -13,7 +13,7 @@
 //! their memory to reproduce the `MEM_local(K_n, 1) = O(log n)` vs
 //! `Θ(n log n)`-for-bad-labelings contrast.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
 use graphkit::Graph;
 use routemodel::coding::{bits_for_values, log2_factorial};
 use routemodel::labeling::is_modular_complete_labeling;
@@ -60,6 +60,9 @@ impl RoutingFunction for ModularCompleteRouting {
         &self.name
     }
 }
+
+/// Pure address arithmetic: nothing stored, so nothing to repair or audit.
+impl SchemeRouting for ModularCompleteRouting {}
 
 /// The `O(log n)`-bit complete-graph scheme (modular labeling required).
 #[derive(Debug, Clone, Copy, Default)]

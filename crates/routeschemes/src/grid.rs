@@ -7,8 +7,8 @@
 //! whose local memory requirement is exponentially below the Theorem 1
 //! worst case.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
-use graphkit::{Graph, NodeId};
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
+use graphkit::{Graph, NodeId, Port};
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 
@@ -32,6 +32,7 @@ const EAST: usize = 0;
 const WEST: usize = 1;
 const SOUTH: usize = 2;
 const NORTH: usize = 3;
+const NAMES: [&str; 4] = ["east", "west", "south", "north"];
 
 impl DimensionOrderRouting {
     /// Builds XY routing for the given grid graph.
@@ -72,14 +73,13 @@ impl DimensionOrderRouting {
         (r as usize, c as usize)
     }
 
-    /// Fault injection for the mutation harness: overwrite the direction
-    /// entry the decision logic takes at router `v` for `dest` with a raw,
-    /// unvalidated port.  Deliberately breaks the instance; exists so the
-    /// static checker can prove it catches broken tables.
-    pub fn corrupt_step(&mut self, v: NodeId, dest: NodeId, port: usize) -> String {
+    /// The direction XY routing takes at `v` toward `dest`: correct the
+    /// column first (X), then the row (Y).
+    #[inline]
+    fn direction(&self, v: NodeId, dest: NodeId) -> usize {
         let (r, c) = self.coords(v);
         let (dr, dc) = self.coords(dest);
-        let dir = if dc > c {
+        if dc > c {
             EAST
         } else if dc < c {
             WEST
@@ -87,10 +87,7 @@ impl DimensionOrderRouting {
             SOUTH
         } else {
             NORTH
-        };
-        self.ports[v][dir] = Some(port);
-        const NAMES: [&str; 4] = ["east", "west", "south", "north"];
-        format!("{} port of router {v}", NAMES[dir])
+        }
     }
 }
 
@@ -103,19 +100,7 @@ impl RoutingFunction for DimensionOrderRouting {
         if node == header.dest {
             return Action::Deliver;
         }
-        let (r, c) = self.coords(node);
-        let (dr, dc) = self.coords(header.dest);
-        // correct the column first (X), then the row (Y)
-        let dir = if dc > c {
-            EAST
-        } else if dc < c {
-            WEST
-        } else if dr > r {
-            SOUTH
-        } else {
-            NORTH
-        };
-        match self.ports[node][dir] {
+        match self.ports[node][self.direction(node, header.dest)] {
             Some(p) => Action::Forward(p),
             None => Action::Deliver, // impossible on well-formed grids
         }
@@ -131,6 +116,46 @@ impl RoutingFunction for DimensionOrderRouting {
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+/// The direction table is the grid's only stored state; its memory is
+/// charged from the grid dimensions, not recounted.
+impl SchemeRouting for DimensionOrderRouting {
+    /// Every stored port is below the router's degree and leads to the
+    /// neighbour its direction names.
+    fn audit(&self, g: &Graph) -> Vec<String> {
+        let mut f = Vec::new();
+        for (v, ports) in self.ports.iter().enumerate() {
+            let (r, c) = self.coords(v);
+            for (dir, &port) in ports.iter().enumerate() {
+                let Some(p) = port else { continue };
+                let named = p < g.degree(v) && {
+                    let (tr, tc) = self.coords(g.port_target(v, p));
+                    match dir {
+                        EAST => (tr, tc) == (r, c + 1),
+                        WEST => (tr, tc + 1) == (r, c),
+                        SOUTH => (tr, tc) == (r + 1, c),
+                        _ => (tr + 1, tc) == (r, c),
+                    }
+                };
+                if !named {
+                    let (name, degree) = (NAMES[dir], g.degree(v));
+                    f.push(format!(
+                        "{name} port {p} at router {v} (degree {degree}) misses its {name} neighbour"
+                    ));
+                }
+            }
+        }
+        f
+    }
+
+    /// Overwrites the direction entry the decision logic takes at router
+    /// `v` for `dest`.
+    fn corrupt_entry(&mut self, v: NodeId, dest: NodeId, port: Port) -> Option<String> {
+        let dir = self.direction(v, dest);
+        self.ports[v][dir] = Some(port);
+        Some(format!("{} port of router {v}", NAMES[dir]))
     }
 }
 
@@ -214,6 +239,27 @@ mod tests {
         assert!(inst.memory.local() >= 1);
         let tables = crate::table_scheme::TableScheme::default().build(&g);
         assert!(inst.memory.local() * 10 < tables.memory.local());
+    }
+
+    #[test]
+    fn audit_flags_corrupted_direction_entries() {
+        use crate::mutate::{corrupt_instance, MutationKind};
+        let g = generators::grid(6, 5);
+        assert!(DimensionOrderScheme::new(6, 5)
+            .build(&g)
+            .audit(&g)
+            .is_empty());
+        for kind in [MutationKind::OutOfRange, MutationKind::Misroute] {
+            let mut inst = DimensionOrderScheme::new(6, 5).build(&g);
+            let mutation = corrupt_instance(&mut inst, &g, 3, kind).unwrap();
+            let findings = inst.audit(&g);
+            assert_eq!(findings.len(), 1, "{kind:?}: {findings:?}");
+            // "east port of router 1" names the entry the audit flags.
+            let (dir, router) = mutation.description.split_once(" port of router ").unwrap();
+            let entry = format!("{dir} port ");
+            assert!(findings[0].starts_with(&entry), "{findings:?}");
+            assert!(findings[0].contains(&format!(" at router {router} ")));
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! towards destination `v` is simply the index of the lowest bit in which the
 //! router's address and `v` differ.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
 use graphkit::{Graph, NodeId};
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
@@ -59,6 +59,9 @@ impl RoutingFunction for EcubeRouting {
         &self.name
     }
 }
+
+/// Pure address arithmetic: nothing stored, so nothing to repair or audit.
+impl SchemeRouting for EcubeRouting {}
 
 /// Checks whether `g` is a hypercube with the dimension-port labeling (port
 /// `i` flips bit `i`); returns its dimension.

@@ -16,7 +16,7 @@
 //! `n ≥ 10^5` scenarios even though its transient memory is small.
 
 use crate::interval::group_into_cyclic_intervals;
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
 use graphkit::{Graph, NodeId, Port};
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction, TableRouting, TieBreak};
@@ -111,11 +111,49 @@ impl KIntervalRouting {
         self.intervals.iter().flat_map(|r| r.iter()).sum()
     }
 
+    /// Resident heap bytes, counted by capacity: the next-port table
+    /// ([`TableRouting::heap_bytes`]) plus the labels and the interval
+    /// counts.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        self.table.heap_bytes()
+            + bytes(&self.label)
+            + bytes(&self.intervals)
+            + self.intervals.iter().map(bytes).sum::<usize>()
+            + self.name.capacity()
+    }
+}
+
+impl RoutingFunction for KIntervalRouting {
+    fn init(&self, source: NodeId, dest: NodeId) -> Header {
+        self.table.init(source, dest)
+    }
+
+    fn port(&self, node: NodeId, header: &Header) -> Action {
+        self.table.port(node, header)
+    }
+
+    fn init_into(&self, source: NodeId, dest: NodeId, header: &mut Header) {
+        self.table.init_into(source, dest, header);
+    }
+
+    fn next_header_into(&self, node: NodeId, header: &mut Header) {
+        self.table.next_header_into(node, header);
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl SchemeRouting for KIntervalRouting {
     /// Structural audit against `g`: labels a permutation, the interval-count
     /// matrix shaped like the port space, and the underlying next-port table
     /// clean under [`TableRouting::audit`].  Returns human-readable findings;
     /// empty means clean.
-    pub fn audit(&self, g: &Graph) -> Vec<String> {
+    fn audit(&self, g: &Graph) -> Vec<String> {
         let n = g.num_nodes();
         let mut f = self.table.audit(g);
         let mut seen = vec![false; n];
@@ -140,62 +178,26 @@ impl KIntervalRouting {
         f
     }
 
-    /// Fault injection for the mutation harness: overwrite the next-port
-    /// entry `(u, v)` of the underlying table with a raw, unvalidated port
+    /// Overwrites the next-port entry `(v, dest)` of the underlying table
     /// (one too large for the table's cells is stored as the largest that
     /// fits, still out of range; see [`TableRouting::set_next_port`]).
-    /// Deliberately breaks the instance; exists so the static checker can
-    /// prove it catches broken tables.
-    pub fn corrupt_next_port(&mut self, u: NodeId, v: NodeId, p: Port) {
-        self.table.set_next_port(u, v, p);
-    }
-
-    /// Resident heap bytes, counted by capacity: the next-port table
-    /// ([`TableRouting::heap_bytes`]) plus the labels and the interval
-    /// counts.
-    pub fn heap_bytes(&self) -> usize {
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
-        self.table.heap_bytes()
-            + bytes(&self.label)
-            + bytes(&self.intervals)
-            + self.intervals.iter().map(bytes).sum::<usize>()
-            + self.name.capacity()
+    fn corrupt_entry(&mut self, v: NodeId, dest: NodeId, port: Port) -> Option<String> {
+        self.table.set_next_port(v, dest, port);
+        Some(format!(
+            "next-port entry ({v}, {dest}) behind the interval sets"
+        ))
     }
 
     /// Memory report: every interval costs two labels, every arc additionally
     /// names its port, and the router stores its own label.
-    pub fn memory(&self, g: &Graph) -> MemoryReport {
+    fn memory(&self, g: &Graph) -> Option<MemoryReport> {
         let n = g.num_nodes();
         let label_bits = u64::from(bits_for_values(n as u64));
-        MemoryReport::from_fn(n, |u| {
+        Some(MemoryReport::from_fn(n, |u| {
             let port_bits = u64::from(bits_for_values(g.degree(u) as u64));
             let iv: u64 = self.intervals[u].iter().map(|&c| c as u64).sum();
             label_bits + iv * 2 * label_bits + g.degree(u) as u64 * port_bits
-        })
-    }
-}
-
-impl RoutingFunction for KIntervalRouting {
-    fn init(&self, source: NodeId, dest: NodeId) -> Header {
-        self.table.init(source, dest)
-    }
-
-    fn port(&self, node: NodeId, header: &Header) -> Action {
-        self.table.port(node, header)
-    }
-
-    fn init_into(&self, source: NodeId, dest: NodeId, header: &mut Header) {
-        self.table.init_into(source, dest, header);
-    }
-
-    fn next_header_into(&self, node: NodeId, header: &mut Header) {
-        self.table.next_header_into(node, header);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+        }))
     }
 }
 
@@ -268,7 +270,9 @@ impl CompactScheme for KIntervalScheme {
                 });
             }
         }
-        let memory = routing.memory(g);
+        let memory = routing
+            .memory(g)
+            .expect("interval sets recount their memory");
         Ok(SchemeInstance::new(Box::new(routing), memory, Some(1.0)))
     }
 }

@@ -7,7 +7,10 @@
 //! `O(d log n)` bits on a router of degree `d`, with stretch 1 on the tree.
 //! This is the Table 1 entry for acyclic graphs.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
+use crate::mutate::{Corruption, MutationKind};
+use crate::scheme::{
+    BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance, SchemeRouting,
+};
 use graphkit::{Adjacency, FailureSet, Graph, GraphView, NodeId, Port};
 use routemodel::coding::bits_for_values;
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
@@ -34,74 +37,125 @@ impl TreeIntervalRouting {
     pub fn build(g: &Graph, root: NodeId) -> Self {
         let n = g.num_nodes();
         assert!(root < n);
-        let mut label = vec![usize::MAX; n];
-        let mut subtree = vec![0usize; n];
+        // Iterative DFS: a vertex's parent is the first vertex to reach it;
+        // neighbours are pushed in reverse port order so that low ports are
+        // explored first (deterministic labeling).
         let mut parent = vec![None; n];
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        // Iterative DFS assigning preorder labels over a spanning tree.
-        let mut next_label = 0usize;
+        let mut reached = 1;
         let mut stack = vec![root];
-        let mut visited = vec![false; n];
-        visited[root] = true;
         while let Some(u) = stack.pop() {
-            label[u] = next_label;
-            next_label += 1;
-            order.push(u);
-            // push neighbours in reverse port order so that low ports are
-            // explored first (deterministic labeling)
             for p in (0..g.degree(u)).rev() {
                 let v = g.port_target(u, p);
-                if !visited[v] {
-                    visited[v] = true;
+                if v != root && parent[v].is_none() {
                     parent[v] = Some(u);
+                    reached += 1;
                     stack.push(v);
                 }
             }
         }
         assert!(
-            order.len() == n,
+            reached == n,
             "graph must be connected to build a tree interval scheme"
         );
-        // subtree sizes by processing vertices in reverse preorder
+        let mut routing = TreeIntervalRouting {
+            label: Vec::new(),
+            children: Vec::new(),
+            parent_port: Vec::new(),
+            root,
+            name: "tree-interval-routing".to_string(),
+        };
+        routing.relabel(g, &parent);
+        routing
+    }
+
+    /// Recomputes the DFS preorder labels, the child intervals and the
+    /// parent ports over the tree `parent` rooted at `self.root`, visiting
+    /// the children of a vertex in ascending port order — the order in
+    /// which [`TreeIntervalRouting::build`]'s DFS first reaches them.
+    fn relabel(&mut self, g: &Graph, parent: &[Option<NodeId>]) {
+        let n = g.num_nodes();
+        let mut kids: Vec<Vec<(Port, NodeId)>> = vec![Vec::new(); n];
+        for v in 0..n {
+            if let Some(p) = parent[v] {
+                kids[p].push((g.port_to(p, v).expect("tree edge must exist"), v));
+            }
+        }
+        let mut label = vec![usize::MAX; n];
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        let mut stack = vec![self.root];
+        while let Some(u) = stack.pop() {
+            label[u] = order.len();
+            order.push(u);
+            kids[u].sort_unstable();
+            stack.extend(kids[u].iter().rev().map(|&(_, v)| v));
+        }
+        debug_assert_eq!(order.len(), n, "the tree must span the graph");
+        let mut subtree = vec![1usize; n];
         for &u in order.iter().rev() {
-            subtree[u] += 1;
             if let Some(p) = parent[u] {
                 subtree[p] += subtree[u];
             }
         }
-        let mut children = vec![Vec::new(); n];
-        let mut parent_port = vec![None; n];
-        for &u in &order {
-            if let Some(p) = parent[u] {
-                parent_port[u] = g.port_to(u, p);
-                let port_at_parent = g.port_to(p, u).expect("tree edge must exist");
-                children[p].push((port_at_parent, label[u], label[u] + subtree[u] - 1));
-            }
-        }
-        TreeIntervalRouting {
-            label,
-            children,
-            parent_port,
-            root,
-            name: "tree-interval-routing".to_string(),
-        }
+        self.children = kids
+            .iter()
+            .map(|k| {
+                k.iter()
+                    .map(|&(port, v)| (port, label[v], label[v] + subtree[v] - 1))
+                    .collect()
+            })
+            .collect();
+        self.parent_port = (0..n)
+            .map(|v| parent[v].and_then(|p| g.port_to(v, p)))
+            .collect();
+        self.label = label;
     }
 
     /// The DFS label of a vertex.
     pub fn label_of(&self, v: NodeId) -> usize {
         self.label[v]
     }
+}
 
-    /// The root used by the construction.
-    pub fn root(&self) -> NodeId {
-        self.root
+impl RoutingFunction for TreeIntervalRouting {
+    fn init(&self, _source: NodeId, dest: NodeId) -> Header {
+        // The header carries the destination's DFS label; vertex labels are
+        // part of the scheme, exactly as in interval routing.
+        Header::with_data(dest, vec![self.label[dest] as u64])
     }
 
-    /// Number of intervals stored at `u` (one per child arc).
-    pub fn intervals_at(&self, u: NodeId) -> usize {
-        self.children[u].len()
+    fn port(&self, node: NodeId, header: &Header) -> Action {
+        if node == header.dest {
+            return Action::Deliver;
+        }
+        let target = header.data[0] as usize;
+        for &(port, lo, hi) in &self.children[node] {
+            if lo <= target && target <= hi {
+                return Action::Forward(port);
+            }
+        }
+        match self.parent_port[node] {
+            Some(p) => Action::Forward(p),
+            // The root with no matching child: the destination does not exist
+            // in the tree; deliver (flagged as WrongDelivery by the simulator).
+            None => Action::Deliver,
+        }
     }
 
+    fn init_into(&self, _source: NodeId, dest: NodeId, header: &mut Header) {
+        header.dest = dest;
+        header.data.clear();
+        header.data.push(self.label[dest] as u64);
+    }
+
+    // The DFS label rides unchanged for the whole route.
+    fn next_header_into(&self, _node: NodeId, _header: &mut Header) {}
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl SchemeRouting for TreeIntervalRouting {
     /// Repairs the tree after link failures: every subtree hanging off a dead
     /// parent arc is re-hung onto the surviving tree through live links, and
     /// the DFS labels/intervals are recomputed over the new parent structure
@@ -111,12 +165,13 @@ impl TreeIntervalRouting {
     /// build on the masked view — the surviving parent structure is
     /// deliberately preserved so the re-hang only moves the orphaned
     /// subtrees — but routing on the repaired tree delivers along tree paths
-    /// of the view exactly as a fresh build would.  Pass the *complete*
-    /// failure set each time: arcs that were already dead are never tree
-    /// arcs, so cumulative calls compose.
-    pub fn repair(
+    /// of the view exactly as a fresh build would.  `adapted_to` is not
+    /// consulted: arcs that were already dead are never tree arcs, so
+    /// cumulative calls with the *complete* failure set compose.
+    fn repair(
         &mut self,
         g: &Graph,
+        _adapted_to: &FailureSet,
         failures: &FailureSet,
     ) -> Result<RepairOutcome, BuildError> {
         let n = g.num_nodes();
@@ -179,50 +234,7 @@ impl TreeIntervalRouting {
             });
         }
 
-        // Relabel over the new parent structure, visiting children in
-        // ascending port order exactly as `build` does.
-        let mut kids: Vec<Vec<(Port, NodeId)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            if let Some(p) = new_parent[v] {
-                let port_at_parent = g.port_to(p, v).expect("tree edge must exist");
-                kids[p].push((port_at_parent, v));
-            }
-        }
-        for k in kids.iter_mut() {
-            k.sort_unstable();
-        }
-        let mut label = vec![usize::MAX; n];
-        let mut subtree = vec![0usize; n];
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        let mut next_label = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(u) = stack.pop() {
-            label[u] = next_label;
-            next_label += 1;
-            order.push(u);
-            for &(_, v) in kids[u].iter().rev() {
-                stack.push(v);
-            }
-        }
-        debug_assert_eq!(order.len(), n, "re-hung structure must span the graph");
-        for &u in order.iter().rev() {
-            subtree[u] += 1;
-            if let Some(p) = new_parent[u] {
-                subtree[p] += subtree[u];
-            }
-        }
-        let mut children = vec![Vec::new(); n];
-        let mut parent_port = vec![None; n];
-        for &u in &order {
-            if let Some(p) = new_parent[u] {
-                parent_port[u] = g.port_to(u, p);
-                let port_at_parent = g.port_to(p, u).expect("tree edge must exist");
-                children[p].push((port_at_parent, label[u], label[u] + subtree[u] - 1));
-            }
-        }
-        self.label = label;
-        self.children = children;
-        self.parent_port = parent_port;
+        self.relabel(g, &new_parent);
         Ok(RepairOutcome {
             vertices_touched: orphans,
             landmarks_rebuilt: 0,
@@ -234,7 +246,7 @@ impl TreeIntervalRouting {
     /// parent/child ports in range, the root parentless, every child interval
     /// well-formed (`lo ≤ hi`, in label range) and disjoint from its
     /// siblings.  Returns human-readable findings; empty means clean.
-    pub fn audit(&self, g: &Graph) -> Vec<String> {
+    fn audit(&self, g: &Graph) -> Vec<String> {
         let n = g.num_nodes();
         let mut f = Vec::new();
         let mut seen = vec![false; n];
@@ -290,41 +302,12 @@ impl TreeIntervalRouting {
         f
     }
 
-    /// Fault injection for the mutation harness: shrink the `child`-th
-    /// interval stored at router `v` by one from the top (`hi -= 1`), so the
-    /// subtree vertex whose DFS label was the old `hi` falls through to the
-    /// parent arc.  Returns the graph vertex whose delivery the corruption
-    /// breaks.  Deliberately breaks the instance; exists so the static
-    /// checker can prove it catches broken tables.
-    pub fn corrupt_child_interval(&mut self, v: NodeId, child: usize) -> NodeId {
-        let (_, _, hi) = self.children[v][child];
-        assert!(hi >= 1, "child intervals never contain the root label 0");
-        self.children[v][child].2 = hi - 1;
-        self.label
-            .iter()
-            .position(|&l| l == hi)
-            .expect("labels form a permutation")
-    }
-
-    /// Fault injection for the mutation harness: overwrite the port of the
-    /// `child`-th arc stored at router `v` with a raw, unvalidated port.
-    /// Returns the subtree vertex whose DFS label tops the child's interval
-    /// (one of the destinations the corruption strands).
-    pub fn corrupt_child_port(&mut self, v: NodeId, child: usize, port: Port) -> NodeId {
-        let (_, _, hi) = self.children[v][child];
-        self.children[v][child].0 = port;
-        self.label
-            .iter()
-            .position(|&l| l == hi)
-            .expect("labels form a permutation")
-    }
-
     /// Memory report: every router stores its own label, one interval
     /// (two labels) per child arc and the parent port.
-    pub fn memory(&self, g: &Graph) -> MemoryReport {
+    fn memory(&self, g: &Graph) -> Option<MemoryReport> {
         let n = g.num_nodes();
         let label_bits = u64::from(bits_for_values(n as u64));
-        MemoryReport::from_fn(n, |u| {
+        Some(MemoryReport::from_fn(n, |u| {
             let port_bits = u64::from(bits_for_values(g.degree(u) as u64));
             let child_bits = self.children[u].len() as u64 * (2 * label_bits + port_bits);
             let parent_bits = if self.parent_port[u].is_some() {
@@ -333,46 +316,43 @@ impl TreeIntervalRouting {
                 0
             };
             label_bits + child_bits + parent_bits
-        })
-    }
-}
-
-impl RoutingFunction for TreeIntervalRouting {
-    fn init(&self, _source: NodeId, dest: NodeId) -> Header {
-        // The header carries the destination's DFS label; vertex labels are
-        // part of the scheme, exactly as in interval routing.
-        Header::with_data(dest, vec![self.label[dest] as u64])
+        }))
     }
 
-    fn port(&self, node: NodeId, header: &Header) -> Action {
-        if node == header.dest {
-            return Action::Deliver;
-        }
-        let target = header.data[0] as usize;
-        for &(port, lo, hi) in &self.children[node] {
-            if lo <= target && target <= hi {
-                return Action::Forward(port);
+    /// Breaks the routing of the top vertex of one child interval at a
+    /// seeded non-root router `v` with children: the interval shrinks by one
+    /// from the top (the vertex falls through to the parent arc at `v`,
+    /// whose parent routes it straight back down), or the child's port is
+    /// sent out of range.  Every route from the root to that vertex passes
+    /// its ancestor `v`.  `None` when every non-root vertex is a leaf.
+    fn corrupt(&mut self, g: &Graph, seed: u64, kind: MutationKind) -> Option<Corruption> {
+        let n = g.num_nodes();
+        let v = (0..n)
+            .map(|i| (seed as usize + i) % n)
+            .find(|&v| v != self.root && !self.children[v].is_empty())?;
+        let child = seed as usize % self.children[v].len();
+        let (_, _, hi) = self.children[v][child];
+        let description = match kind {
+            MutationKind::Misroute => {
+                // Child intervals never contain the root label 0.
+                self.children[v][child].2 = hi - 1;
+                format!("child interval {child} of router {v} shrunk by one")
             }
-        }
-        match self.parent_port[node] {
-            Some(p) => Action::Forward(p),
-            // The root with no matching child: the destination does not exist
-            // in the tree; deliver (flagged as WrongDelivery by the simulator).
-            None => Action::Deliver,
-        }
-    }
-
-    fn init_into(&self, _source: NodeId, dest: NodeId, header: &mut Header) {
-        header.dest = dest;
-        header.data.clear();
-        header.data.push(self.label[dest] as u64);
-    }
-
-    // The DFS label rides unchanged for the whole route.
-    fn next_header_into(&self, _node: NodeId, _header: &mut Header) {}
-
-    fn name(&self) -> &str {
-        &self.name
+            MutationKind::OutOfRange => {
+                self.children[v][child].0 = g.degree(v) + 7;
+                format!("child port {child} of router {v} sent out of range")
+            }
+        };
+        let dest = self
+            .label
+            .iter()
+            .position(|&l| l == hi)
+            .expect("labels form a permutation");
+        Some(Corruption {
+            description,
+            source: self.root,
+            dest,
+        })
     }
 }
 
@@ -398,7 +378,9 @@ impl CompactScheme for TreeIntervalScheme {
             });
         }
         let routing = TreeIntervalRouting::build(g, 0);
-        let memory = routing.memory(g);
+        let memory = routing
+            .memory(g)
+            .expect("tree intervals recount their memory");
         Ok(SchemeInstance::new(Box::new(routing), memory, Some(1.0)))
     }
 }
@@ -416,7 +398,7 @@ mod tests {
         let mut labels: Vec<usize> = (0..g.num_nodes()).map(|v| r.label_of(v)).collect();
         labels.sort_unstable();
         assert_eq!(labels, (0..g.num_nodes()).collect::<Vec<_>>());
-        assert_eq!(r.label_of(r.root()), 0);
+        assert_eq!(r.label_of(r.root), 0);
     }
 
     #[test]
@@ -444,7 +426,7 @@ mod tests {
         let r = TreeIntervalRouting::build(&g, 0);
         for u in 0..g.num_nodes() {
             // #children intervals + (parent arc has no explicit interval)
-            assert!(r.intervals_at(u) <= g.degree(u));
+            assert!(r.children[u].len() <= g.degree(u));
         }
     }
 
@@ -515,7 +497,7 @@ mod tests {
                 continue;
             }
             let mut r = TreeIntervalRouting::build(&g, 0);
-            let out = r.repair(&g, &failures).unwrap();
+            let out = r.repair(&g, &FailureSet::empty(&g), &failures).unwrap();
             assert!(!out.full_rebuild);
             // The repaired tree must only use live arcs...
             for v in 0..g.num_nodes() {
@@ -558,7 +540,7 @@ mod tests {
             .expect("petersen has non-tree edges");
         let before = (r.label.clone(), r.parent_port.clone());
         let failures = FailureSet::from_edges(&g, &[non_tree]);
-        let out = r.repair(&g, &failures).unwrap();
+        let out = r.repair(&g, &FailureSet::empty(&g), &failures).unwrap();
         assert_eq!(out.vertices_touched, 0);
         assert_eq!((r.label, r.parent_port), before);
     }
@@ -569,7 +551,7 @@ mod tests {
         let mut r = TreeIntervalRouting::build(&g, 0);
         let failures = FailureSet::from_edges(&g, &[(3, 4)]);
         assert!(matches!(
-            r.repair(&g, &failures),
+            r.repair(&g, &FailureSet::empty(&g), &failures),
             Err(BuildError::Disconnected { .. })
         ));
     }

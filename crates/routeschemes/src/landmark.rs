@@ -126,7 +126,9 @@
 //! dispatches once per table lookup.  [`LandmarkRouting::heap_bytes`]
 //! reports the resident bytes table by table.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance};
+use crate::scheme::{
+    BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance, SchemeRouting,
+};
 use graphkit::traversal::bfs_distances_into;
 use graphkit::{
     bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, par, Adjacency, BfsScratch,
@@ -923,69 +925,6 @@ impl LandmarkRouting {
         let mut landmarks = rng.sample_indices(n, k.min(n));
         landmarks.sort_unstable();
         landmarks
-    }
-
-    /// Incrementally repairs the instance after link failures: the result is
-    /// **bit-identical** to [`LandmarkRouting::build_on_view`] of the masked
-    /// view (the pinned repair tests assert exactly that), at a cost
-    /// proportional to the damage rather than to the graph.
-    ///
-    /// `adapted_to` is the failure set the tables currently account for
-    /// (empty at build time) and `failures` the complete new one.  The
-    /// incremental path requires `adapted_to ⊆ failures` (churn only kills
-    /// links) and the inclusive cluster rule; otherwise the repair is a
-    /// from-scratch rebuild on the view, reported as such.
-    ///
-    /// The incremental path leans on three facts:
-    ///
-    /// * **Ports are a function of distances.**  Every BFS in this module
-    ///   scans neighbours in port order, so each stored port is provably the
-    ///   *smallest live* port `p` with `d(target(p), v) = d(w, v) − 1`.
-    ///   Equivalently, along the cluster BFS the first hop of `v` satisfies
-    ///   `fh(v) = min { fh(z) : z a tight in-neighbour of v }` — a local
-    ///   recurrence over stored state, so ports can be re-derived exactly
-    ///   where distances moved, without re-running the BFS.
-    /// * **Clusters are metrically closed.**  Any vertex `x` on an old
-    ///   shortest path from `w` to a member `v ∈ S(w)` is itself in `S(w)`
-    ///   (`d(w, x) ≤ d(v, L) − d(x, v) ≤ d(x, L)` since `d(·, L)` is
-    ///   1-Lipschitz).  Hence a source's output can only change if some dead
-    ///   edge has *both* endpoints inside its stored cluster, at consecutive
-    ///   distances — and `{ w : x ∈ S_old(w) }` is just the old ball around
-    ///   `x` of radius `d_old(x, L)`, so the affected sources are found by
-    ///   two bounded BFS per dead edge.
-    /// * **Deletions are monotone.**  Distances and `d(·, L)` only grow, so
-    ///   each affected source is patched by a decremental worklist over its
-    ///   stored member distances; a member whose support would leave the
-    ///   stored cluster is evicted outright (its distance provably exceeds
-    ///   its bound), and membership can only *grow* around vertices whose
-    ///   `d(v, L)` grew — the gaining sources are exactly the new-view
-    ///   annulus `old bound < d(w, v) ≤ new bound`, whose discovery BFS
-    ///   already carries the new member's exact distance, so the member is
-    ///   spliced in and only first hops are re-derived.  Fresh pruned BFS is
-    ///   reserved for the dead-edge endpoints themselves.
-    ///
-    /// The tables are patched **in place**: distance and first-hop edits land
-    /// directly in the stored CSR (phase A), and one relocation sweep then
-    /// splices gains in and compacts evictions out, moving each surviving
-    /// entry at most once (phase B) — the repair never reallocates the
-    /// gigabyte-scale cluster arrays a large instance carries.
-    ///
-    /// Phase A and the passes before it run on
-    /// [`graphkit::par::default_threads`] workers (see the module docs): a
-    /// source's patch reads and writes only that source's slice, so each
-    /// block of 64 routers patches its own contiguous range of
-    /// `direct_dists`/`direct_ports`, handed to it by `split_at_mut`.  Phase
-    /// B runs on the calling thread and moves surviving members in runs —
-    /// one `copy_from_slice` per stretch between gain insertion points and
-    /// evictions.
-    pub fn repair(
-        &mut self,
-        g: &Graph,
-        adapted_to: &FailureSet,
-        failures: &FailureSet,
-    ) -> Result<RepairOutcome, BuildError> {
-        let threads = par::default_threads(g.num_nodes());
-        self.repair_threads(g, adapted_to, failures, threads)
     }
 
     /// [`LandmarkRouting::repair`] on an explicit worker count; neither the
@@ -1824,37 +1763,7 @@ impl LandmarkRouting {
         }
     }
 
-    /// Structural audit of the stored tables against `g`: landmark set
-    /// ascending/unique, homes pointing at landmarks, the toward-landmark
-    /// matrix shaped `n × k` with `NO_PORT` exactly on the diagonal
-    /// landmarks, cluster CSR offsets monotone with members sorted and
-    /// deduped, every stored port below the router's degree.  Returns
-    /// human-readable findings; empty means clean.
-    ///
-    /// Each toward-landmark row and each cluster slice is first checked by
-    /// slice-wide tests that vectorise; only a row or slice that fails them
-    /// is walked entry by entry to word its findings.
-    pub fn audit(&self, g: &Graph) -> Vec<String> {
-        let n = g.num_nodes();
-        let mut f = Vec::new();
-        if !self.landmarks.windows(2).all(|w| w[0] < w[1]) {
-            f.push("landmark set is not strictly ascending".to_string());
-        }
-        for &l in &self.landmarks {
-            if l >= n {
-                f.push(format!("landmark {l} out of range for {n} vertices"));
-            }
-        }
-        for (v, &h) in self.home.iter().enumerate() {
-            if self.landmarks.binary_search(&h).is_err() {
-                f.push(format!("home of {v} ({h}) is not a landmark"));
-            }
-        }
-        with_tables!(&self.cells, t => self.audit_tables(g, t, &mut f));
-        f
-    }
-
-    /// The table part of [`LandmarkRouting::audit`], at cell type `C`.
+    /// The table part of [`SchemeRouting::audit`], at cell type `C`.
     fn audit_tables<C: Cell>(&self, g: &Graph, t: &Tables<C>, f: &mut Vec<String>) {
         let n = g.num_nodes();
         let k = self.landmarks.len();
@@ -1930,56 +1839,6 @@ impl LandmarkRouting {
                 }
             }
         }
-    }
-
-    /// Fault injection for the mutation harness: overwrite the single table
-    /// entry that governs routing of `dest` at router `v` with a raw,
-    /// unvalidated `port` — the cluster entry when `dest ∈ S(v)`, the
-    /// toward-landmark entry for `dest`'s home otherwise (the same priority
-    /// [`RoutingFunction::port`] uses).  Returns a description of the entry
-    /// hit.  This deliberately breaks the instance; it exists so the static
-    /// checker can prove it catches broken tables.  A `port` at or above the
-    /// cell width's sentinel is stored as `sentinel − 1`, which the width
-    /// rule keeps at or above every degree: still out of range, never "no
-    /// port".
-    pub fn corrupt_entry_for(&mut self, v: NodeId, dest: NodeId, port: u32) -> String {
-        let lo = self.direct_offsets[v] as usize;
-        let hi = self.direct_offsets[v + 1] as usize;
-        if let Some(e) = find_sorted(&self.direct_targets[lo..hi], dest as u32) {
-            with_tables!(&mut self.cells, t => t.direct_ports[lo + e] = clamped_port(port as usize));
-            return format!("cluster entry of router {v} for destination {dest}");
-        }
-        let idx = self
-            .landmarks
-            .binary_search(&self.home[dest])
-            .expect("every home is a landmark");
-        let at = v * self.landmarks.len() + idx;
-        with_tables!(&mut self.cells, t => t.toward_landmark[at] = clamped_port(port as usize));
-        format!(
-            "toward-landmark entry of router {v} for landmark {}",
-            self.home[dest]
-        )
-    }
-
-    /// Memory report: landmark table + cluster table + own address.
-    pub fn memory(&self, g: &Graph) -> MemoryReport {
-        let n = g.num_nodes();
-        let label_bits = u64::from(bits_for_values(n as u64));
-        MemoryReport::from_fn(n, |w| {
-            // A port names one of `degree` values; an isolated router (the
-            // single-vertex graph is the one connected case) has no ports at
-            // all, so its port fields cost 0 bits and the whole report stays
-            // well-defined instead of charging phantom entries.
-            let degree = g.degree(w) as u64;
-            let port_bits = if degree == 0 {
-                0
-            } else {
-                u64::from(bits_for_values(degree))
-            };
-            let landmark_entries = self.landmarks.len() as u64 * (label_bits + port_bits);
-            let cluster_entries = self.cluster_size(w) as u64 * (label_bits + port_bits);
-            label_bits + landmark_entries + cluster_entries
-        })
     }
 }
 
@@ -2157,6 +2016,149 @@ impl RoutingFunction for LandmarkRouting {
     }
 }
 
+impl SchemeRouting for LandmarkRouting {
+    /// Incrementally repairs the instance after link failures: the result is
+    /// **bit-identical** to [`LandmarkRouting::build_on_view`] of the masked
+    /// view (the pinned repair tests assert exactly that), at a cost
+    /// proportional to the damage rather than to the graph.
+    ///
+    /// `adapted_to` is the failure set the tables currently account for
+    /// (empty at build time) and `failures` the complete new one.  The
+    /// incremental path requires `adapted_to ⊆ failures` (churn only kills
+    /// links) and the inclusive cluster rule; otherwise the repair is a
+    /// from-scratch rebuild on the view, reported as such.
+    ///
+    /// The incremental path leans on three facts:
+    ///
+    /// * **Ports are a function of distances.**  Every BFS in this module
+    ///   scans neighbours in port order, so each stored port is provably the
+    ///   *smallest live* port `p` with `d(target(p), v) = d(w, v) − 1`.
+    ///   Equivalently, along the cluster BFS the first hop of `v` satisfies
+    ///   `fh(v) = min { fh(z) : z a tight in-neighbour of v }` — a local
+    ///   recurrence over stored state, so ports can be re-derived exactly
+    ///   where distances moved, without re-running the BFS.
+    /// * **Clusters are metrically closed.**  Any vertex `x` on an old
+    ///   shortest path from `w` to a member `v ∈ S(w)` is itself in `S(w)`
+    ///   (`d(w, x) ≤ d(v, L) − d(x, v) ≤ d(x, L)` since `d(·, L)` is
+    ///   1-Lipschitz).  Hence a source's output can only change if some dead
+    ///   edge has *both* endpoints inside its stored cluster, at consecutive
+    ///   distances — and `{ w : x ∈ S_old(w) }` is just the old ball around
+    ///   `x` of radius `d_old(x, L)`, so the affected sources are found by
+    ///   two bounded BFS per dead edge.
+    /// * **Deletions are monotone.**  Distances and `d(·, L)` only grow, so
+    ///   each affected source is patched by a decremental worklist over its
+    ///   stored member distances; a member whose support would leave the
+    ///   stored cluster is evicted outright (its distance provably exceeds
+    ///   its bound), and membership can only *grow* around vertices whose
+    ///   `d(v, L)` grew — the gaining sources are exactly the new-view
+    ///   annulus `old bound < d(w, v) ≤ new bound`, whose discovery BFS
+    ///   already carries the new member's exact distance, so the member is
+    ///   spliced in and only first hops are re-derived.  Fresh pruned BFS is
+    ///   reserved for the dead-edge endpoints themselves.
+    ///
+    /// The tables are patched **in place**: distance and first-hop edits land
+    /// directly in the stored CSR (phase A), and one relocation sweep then
+    /// splices gains in and compacts evictions out, moving each surviving
+    /// entry at most once (phase B) — the repair never reallocates the
+    /// gigabyte-scale cluster arrays a large instance carries.
+    ///
+    /// Phase A and the passes before it run on
+    /// [`graphkit::par::default_threads`] workers (see the module docs): a
+    /// source's patch reads and writes only that source's slice, so each
+    /// block of 64 routers patches its own contiguous range of
+    /// `direct_dists`/`direct_ports`, handed to it by `split_at_mut`.  Phase
+    /// B runs on the calling thread and moves surviving members in runs —
+    /// one `copy_from_slice` per stretch between gain insertion points and
+    /// evictions.
+    fn repair(
+        &mut self,
+        g: &Graph,
+        adapted_to: &FailureSet,
+        failures: &FailureSet,
+    ) -> Result<RepairOutcome, BuildError> {
+        let threads = par::default_threads(g.num_nodes());
+        self.repair_threads(g, adapted_to, failures, threads)
+    }
+
+    /// Structural audit of the stored tables against `g`: landmark set
+    /// ascending/unique, homes pointing at landmarks, the toward-landmark
+    /// matrix shaped `n × k` with `NO_PORT` exactly on the diagonal
+    /// landmarks, cluster CSR offsets monotone with members sorted and
+    /// deduped, every stored port below the router's degree.  Returns
+    /// human-readable findings; empty means clean.
+    ///
+    /// Each toward-landmark row and each cluster slice is first checked by
+    /// slice-wide tests that vectorise; only a row or slice that fails them
+    /// is walked entry by entry to word its findings.
+    fn audit(&self, g: &Graph) -> Vec<String> {
+        let n = g.num_nodes();
+        let mut f = Vec::new();
+        if !self.landmarks.windows(2).all(|w| w[0] < w[1]) {
+            f.push("landmark set is not strictly ascending".to_string());
+        }
+        for &l in &self.landmarks {
+            if l >= n {
+                f.push(format!("landmark {l} out of range for {n} vertices"));
+            }
+        }
+        for (v, &h) in self.home.iter().enumerate() {
+            if self.landmarks.binary_search(&h).is_err() {
+                f.push(format!("home of {v} ({h}) is not a landmark"));
+            }
+        }
+        with_tables!(&self.cells, t => self.audit_tables(g, t, &mut f));
+        f
+    }
+
+    /// Overwrites the cluster entry when `dest ∈ S(v)`, the toward-landmark
+    /// entry for `dest`'s home otherwise (the same priority
+    /// [`RoutingFunction::port`] uses).  A `port` at or above the
+    /// cell width's sentinel is stored as `sentinel − 1`, which the width
+    /// rule keeps at or above every degree: still out of range, never "no
+    /// port".
+    fn corrupt_entry(&mut self, v: NodeId, dest: NodeId, port: Port) -> Option<String> {
+        let lo = self.direct_offsets[v] as usize;
+        let hi = self.direct_offsets[v + 1] as usize;
+        if let Some(e) = find_sorted(&self.direct_targets[lo..hi], dest as u32) {
+            with_tables!(&mut self.cells, t => t.direct_ports[lo + e] = clamped_port(port));
+            return Some(format!(
+                "cluster entry of router {v} for destination {dest}"
+            ));
+        }
+        let idx = self
+            .landmarks
+            .binary_search(&self.home[dest])
+            .expect("every home is a landmark");
+        let at = v * self.landmarks.len() + idx;
+        with_tables!(&mut self.cells, t => t.toward_landmark[at] = clamped_port(port));
+        Some(format!(
+            "toward-landmark entry of router {v} for landmark {}",
+            self.home[dest]
+        ))
+    }
+
+    /// Memory report: landmark table + cluster table + own address.
+    fn memory(&self, g: &Graph) -> Option<MemoryReport> {
+        let n = g.num_nodes();
+        let label_bits = u64::from(bits_for_values(n as u64));
+        Some(MemoryReport::from_fn(n, |w| {
+            // A port names one of `degree` values; an isolated router (the
+            // single-vertex graph is the one connected case) has no ports at
+            // all, so its port fields cost 0 bits and the whole report stays
+            // well-defined instead of charging phantom entries.
+            let degree = g.degree(w) as u64;
+            let port_bits = if degree == 0 {
+                0
+            } else {
+                u64::from(bits_for_values(degree))
+            };
+            let landmark_entries = self.landmarks.len() as u64 * (label_bits + port_bits);
+            let cluster_entries = self.cluster_size(w) as u64 * (label_bits + port_bits);
+            label_bits + landmark_entries + cluster_entries
+        }))
+    }
+}
+
 /// The landmark routing scheme (universal, stretch `≤ 3`; strictly below 3
 /// under the inclusive cluster rule).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -2209,7 +2211,9 @@ impl CompactScheme for LandmarkScheme {
             });
         }
         let routing = LandmarkRouting::build_with(g, &self.config);
-        let memory = routing.memory(g);
+        let memory = routing
+            .memory(g)
+            .expect("landmark tables recount their memory");
         Ok(SchemeInstance::new(Box::new(routing), memory, Some(3.0)))
     }
 }
@@ -2962,7 +2966,7 @@ mod tests {
             assert!(trace.is_empty());
             // Degenerate memory report: one router of degree 0 stores 0-bit
             // labels and 0-bit ports — well-defined, not a phantom charge.
-            let mem = r.memory(&g);
+            let mem = r.memory(&g).unwrap();
             assert_eq!(mem.local(), 0);
             assert_eq!(mem.global(), 0);
             assert!(mem.average().is_finite());

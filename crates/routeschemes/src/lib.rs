@@ -50,7 +50,9 @@ pub use interval::tree::TreeIntervalScheme;
 pub use landmark::{ClusterRule, LandmarkConfig, LandmarkCount, LandmarkScheme};
 pub use mutate::{corrupt_instance, Mutation, MutationKind};
 pub use registry::{applicable_schemes, GraphHints, SchemeKind};
-pub use scheme::{BuildError, CompactScheme, RepairOutcome, RepairStats, SchemeInstance};
+pub use scheme::{
+    BuildError, CompactScheme, RepairOutcome, RepairStats, SchemeInstance, SchemeRouting,
+};
 pub use spec::{SchemeSpec, SpecError};
 pub use table_scheme::TableScheme;
 pub use tree_routing::SpanningTreeScheme;

@@ -14,23 +14,23 @@
 //!   beyond the router's degree (caught both by the structural audits and by
 //!   the sweep's `DeadPort` class).
 //!
-//! Table-backed schemes (routing tables, k-interval, landmark, the grid's
-//! direction table) are corrupted *in their stored tables* via the
-//! fault-injection hooks each scheme exposes; the tree-interval scheme gets
-//! a structural corruption (one child interval bound shrunk, so a subtree
+//! Each scheme corrupts its own stored state through
+//! [`SchemeRouting::corrupt`]: table-backed schemes (routing tables,
+//! k-interval, landmark, the grid's direction table) overwrite one entry
+//! through [`SchemeRouting::corrupt_entry`]; the tree-interval scheme makes a
+//! structural corruption (one child interval bound shrunk, so a subtree
 //! destination falls through to the parent arc and bounces).  Schemes with
 //! no stored tables at all (e-cube, the modular complete labeling — pure
 //! address arithmetic) are corrupted *pointwise*: the boxed routing function
 //! is wrapped so exactly one `(router, destination)` decision is flipped,
 //! which is the closest analogue of a single-entry corruption a closed-form
-//! scheme admits.
+//! scheme admits.  Every scheme falls back to the pointwise corruption when
+//! its own hook finds nothing to hit, as on a complete graph, where every
+//! route is one hop long and no router relays a message.
 
-use crate::interval::general::KIntervalRouting;
-use crate::interval::tree::TreeIntervalRouting;
-use crate::landmark::LandmarkRouting;
-use crate::scheme::SchemeInstance;
-use graphkit::{Graph, NodeId};
-use routemodel::{Action, Header, RoutingFunction, TableRouting};
+use crate::scheme::{SchemeInstance, SchemeRouting};
+use graphkit::{Graph, NodeId, Port};
+use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 
 /// Which corruption to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,33 @@ pub struct Mutation {
     pub dest: NodeId,
 }
 
+impl MutationKind {
+    /// The port this corruption writes into router `v`'s decision, where
+    /// `v` was reached from `back`: the arc back to `back` (a guaranteed
+    /// `back ↔ v` cycle while `back` still forwards to `v`), or one past
+    /// the port space.
+    pub(crate) fn port(self, g: &Graph, v: NodeId, back: NodeId) -> Port {
+        match self {
+            MutationKind::Misroute => g
+                .port_to(v, back)
+                .expect("back reached v over an edge, the reverse arc exists"),
+            MutationKind::OutOfRange => g.degree(v) + 7,
+        }
+    }
+}
+
+/// What a scheme's [`SchemeRouting::corrupt`] hook did: the entry it hit and
+/// a `(source, dest)` pair whose delivery the corruption provably breaks.
+#[derive(Debug, Clone)]
+pub struct Corruption {
+    /// Which table entry was overwritten.
+    pub description: String,
+    /// A source whose message to [`Corruption::dest`] no longer arrives.
+    pub source: NodeId,
+    /// The destination whose routing state was corrupted.
+    pub dest: NodeId,
+}
+
 /// The routing function kept in the instance while the original box is being
 /// wrapped (never invoked).
 struct Placeholder;
@@ -71,10 +98,13 @@ impl RoutingFunction for Placeholder {
     }
 }
 
-/// Pointwise corruption wrapper for closed-form schemes: delegates every
-/// decision to the wrapped function except the one `(node, dest)` pair.
+impl SchemeRouting for Placeholder {}
+
+/// Pointwise corruption wrapper for schemes whose own hook found nothing to
+/// hit: delegates every decision to the wrapped function except the one
+/// `(node, dest)` pair.
 struct CorruptAt {
-    inner: Box<dyn RoutingFunction + Send + Sync>,
+    inner: Box<dyn SchemeRouting>,
     node: NodeId,
     dest: NodeId,
     action: Action,
@@ -109,27 +139,21 @@ impl RoutingFunction for CorruptAt {
     }
 }
 
-/// The first hop `R` takes from `u` toward `d` on the pristine graph, if it
-/// forwards through a valid port.
-fn first_hop(
-    r: &(dyn RoutingFunction + Send + Sync),
-    g: &Graph,
-    u: NodeId,
-    d: NodeId,
-    h: &mut Header,
-) -> Option<NodeId> {
-    r.init_into(u, d, h);
-    match r.port(u, h) {
-        Action::Forward(p) if p < g.degree(u) => Some(g.port_target(u, p)),
-        _ => None,
+/// The wrapped tables are intact: they audit and recount as before.
+impl SchemeRouting for CorruptAt {
+    fn audit(&self, g: &Graph) -> Vec<String> {
+        self.inner.audit(g)
+    }
+    fn memory(&self, g: &Graph) -> Option<MemoryReport> {
+        self.inner.memory(g)
     }
 }
 
 /// A seeded `(source, first_hop, dest)` triple whose route has length ≥ 2
-/// (the first hop is neither endpoint), or `None` when the instance routes
-/// every pair in one hop (complete graphs).
-fn pick_two_hop_pair(
-    r: &(dyn RoutingFunction + Send + Sync),
+/// (the first hop, through a valid port, is neither endpoint), or `None`
+/// when the instance routes every pair in one hop (complete graphs).
+pub(crate) fn pick_two_hop_pair<R: RoutingFunction + ?Sized>(
+    r: &R,
     g: &Graph,
     seed: u64,
 ) -> Option<(NodeId, NodeId, NodeId)> {
@@ -142,7 +166,13 @@ fn pick_two_hop_pair(
             if u == d {
                 continue;
             }
-            if let Some(v) = first_hop(r, g, u, d, &mut h) {
+            r.init_into(u, d, &mut h);
+            if let Action::Forward(p) = r.port(u, &h) {
+                let v = if p < g.degree(u) {
+                    g.port_target(u, p)
+                } else {
+                    u
+                };
                 if v != d && v != u {
                     return Some((u, v, d));
                 }
@@ -152,17 +182,9 @@ fn pick_two_hop_pair(
     None
 }
 
-/// Which in-table fault-injection hook the instance's concrete type offers.
-enum Target {
-    Table,
-    KInterval,
-    Landmark,
-    Grid,
-    Tree,
-    Opaque,
-}
-
-/// Applies one seeded single-entry corruption of `kind` to the instance.
+/// Applies one seeded single-entry corruption of `kind` to the instance:
+/// the scheme's own [`SchemeRouting::corrupt`] hook when it has one that
+/// applies, the pointwise wrapper otherwise.
 ///
 /// On success the returned [`Mutation`] names the corrupted entry and a
 /// `(source, dest)` pair whose delivery is now provably broken — the pair the
@@ -179,184 +201,64 @@ pub fn corrupt_instance(
         return Err("graph too small to corrupt".to_string());
     }
     let scheme = inst.routing.name().to_string();
-    let target = {
-        let routing: &(dyn RoutingFunction + Send + Sync) = &*inst.routing;
-        let any: &dyn std::any::Any = routing;
-        if any.is::<TableRouting>() {
-            Target::Table
-        } else if any.is::<KIntervalRouting>() {
-            Target::KInterval
-        } else if any.is::<LandmarkRouting>() {
-            Target::Landmark
-        } else if any.is::<crate::grid::DimensionOrderRouting>() {
-            Target::Grid
-        } else if any.is::<TreeIntervalRouting>() {
-            Target::Tree
-        } else {
-            Target::Opaque
-        }
-    };
-
-    // The tree scheme routes by interval containment, not per-destination
-    // entries: shrink one stored child interval (or break one child port)
-    // so a subtree destination misroutes at its ancestor.
-    if matches!(target, Target::Tree) {
-        return corrupt_tree(inst, g, seed, kind, scheme);
-    }
-
-    let pair = pick_two_hop_pair(&*inst.routing, g, seed);
-    let routing: &mut (dyn RoutingFunction + Send + Sync) = &mut *inst.routing;
-    let any: &mut dyn std::any::Any = routing;
-    let with_pair = |(u, _, d): (NodeId, NodeId, NodeId), description: String| Mutation {
-        kind,
-        scheme: scheme.clone(),
+    let Corruption {
         description,
-        source: u,
-        dest: d,
+        source,
+        dest,
+    } = match inst.routing.corrupt(g, seed, kind) {
+        Some(hit) => hit,
+        None => corrupt_pointwise(inst, g, seed, kind, &scheme),
     };
-    match target {
-        Target::Table | Target::KInterval | Target::Landmark | Target::Grid => {
-            let (u, v, d) = pair.ok_or_else(|| "no multi-hop pair to corrupt".to_string())?;
-            // Redirect v's entry for d back toward u (a guaranteed 2-cycle:
-            // u still forwards to v), or past the port space.
-            let port = match kind {
-                MutationKind::Misroute => g
-                    .port_to(v, u)
-                    .expect("u reached v over an edge, the reverse arc exists"),
-                MutationKind::OutOfRange => g.degree(v) + 7,
-            };
-            let description = match target {
-                Target::Table => {
-                    let t = any.downcast_mut::<TableRouting>().expect("probed above");
-                    t.set_next_port(v, d, port);
-                    format!("next-port entry ({v}, {d})")
-                }
-                Target::KInterval => {
-                    let k = any
-                        .downcast_mut::<KIntervalRouting>()
-                        .expect("probed above");
-                    k.corrupt_next_port(v, d, port);
-                    format!("next-port entry ({v}, {d}) behind the interval sets")
-                }
-                Target::Landmark => {
-                    let lm = any.downcast_mut::<LandmarkRouting>().expect("probed above");
-                    lm.corrupt_entry_for(v, d, port as u32)
-                }
-                Target::Grid => {
-                    let dor = any
-                        .downcast_mut::<crate::grid::DimensionOrderRouting>()
-                        .expect("probed above");
-                    dor.corrupt_step(v, d, port)
-                }
-                Target::Tree | Target::Opaque => unreachable!("handled elsewhere"),
-            };
-            Ok(with_pair((u, v, d), description))
-        }
-        Target::Opaque => {
-            // Closed-form scheme: flip exactly one (router, destination)
-            // decision by wrapping the boxed function.
-            let (node, source, dest, action, what) = match (pair, kind) {
-                (Some((u, v, d)), MutationKind::Misroute) => {
-                    let back = g
-                        .port_to(v, u)
-                        .expect("u reached v over an edge, the reverse arc exists");
-                    (v, u, d, Action::Forward(back), "redirected back")
-                }
-                (Some((u, v, d)), MutationKind::OutOfRange) => (
-                    v,
-                    u,
-                    d,
-                    Action::Forward(g.degree(v) + 7),
-                    "sent out of range",
-                ),
-                (None, MutationKind::Misroute) => {
-                    // One-hop world (complete graph): the only single-decision
-                    // break is a premature delivery at the source.
-                    let s = seed as usize % n;
-                    (s, s, (s + 1) % n, Action::Deliver, "delivered prematurely")
-                }
-                (None, MutationKind::OutOfRange) => {
-                    let s = seed as usize % n;
-                    let d = (s + 1) % n;
-                    (
-                        s,
-                        s,
-                        d,
-                        Action::Forward(g.degree(s) + 7),
-                        "sent out of range",
-                    )
-                }
-            };
-            let inner = std::mem::replace(
-                &mut inst.routing,
-                Box::new(Placeholder) as Box<dyn RoutingFunction + Send + Sync>,
-            );
-            let name = format!("corrupted({scheme})");
-            inst.routing = Box::new(CorruptAt {
-                inner,
-                node,
-                dest,
-                action,
-                name,
-            });
-            Ok(Mutation {
-                kind,
-                scheme,
-                description: format!("decision of router {node} for destination {dest} {what}"),
-                source,
-                dest,
-            })
-        }
-        Target::Tree => unreachable!("handled above"),
-    }
-}
-
-/// Tree-interval corruption: pick a seeded non-root router with children and
-/// break the routing of the top vertex of one child interval.
-fn corrupt_tree(
-    inst: &mut SchemeInstance,
-    g: &Graph,
-    seed: u64,
-    kind: MutationKind,
-    scheme: String,
-) -> Result<Mutation, String> {
-    let n = g.num_nodes();
-    let routing: &mut (dyn RoutingFunction + Send + Sync) = &mut *inst.routing;
-    let any: &mut dyn std::any::Any = routing;
-    let tree = any
-        .downcast_mut::<TreeIntervalRouting>()
-        .expect("caller probed the type");
-    let root = tree.root();
-    // Seeded scan for an internal non-root vertex.
-    let v = (0..n)
-        .map(|i| (seed as usize + i) % n)
-        .find(|&v| v != root && tree.intervals_at(v) > 0)
-        .ok_or_else(|| "tree has no internal non-root vertex".to_string())?;
-    let child = seed as usize % tree.intervals_at(v);
-    let (description, dest) = match kind {
-        MutationKind::Misroute => {
-            // The subtree vertex with the old top label now falls through to
-            // the parent arc at v; the parent still routes it down to v.
-            let dest = tree.corrupt_child_interval(v, child);
-            (
-                format!("child interval {child} of router {v} shrunk by one"),
-                dest,
-            )
-        }
-        MutationKind::OutOfRange => {
-            let dest = tree.corrupt_child_port(v, child, g.degree(v) + 7);
-            (
-                format!("child port {child} of router {v} sent out of range"),
-                dest,
-            )
-        }
-    };
-    // Every route from the root to `dest` passes its ancestor `v`.
     Ok(Mutation {
         kind,
         scheme,
         description,
-        source: root,
+        source,
         dest,
     })
+}
+
+/// Flips exactly one `(router, destination)` decision by wrapping the boxed
+/// function: at the first hop of a seeded two-hop route, or — in a one-hop
+/// world such as a complete graph — at the source itself.
+fn corrupt_pointwise(
+    inst: &mut SchemeInstance,
+    g: &Graph,
+    seed: u64,
+    kind: MutationKind,
+    scheme: &str,
+) -> Corruption {
+    let (node, source, dest) = match pick_two_hop_pair(&*inst.routing, g, seed) {
+        Some((u, v, d)) => (v, u, d),
+        None => {
+            let s = seed as usize % g.num_nodes();
+            (s, s, (s + 1) % g.num_nodes())
+        }
+    };
+    let (action, what) = match kind {
+        // At the source, the only single-decision misroute is a premature
+        // delivery.
+        MutationKind::Misroute if node == source => (Action::Deliver, "delivered prematurely"),
+        MutationKind::Misroute => (
+            Action::Forward(kind.port(g, node, source)),
+            "redirected back",
+        ),
+        MutationKind::OutOfRange => (
+            Action::Forward(kind.port(g, node, source)),
+            "sent out of range",
+        ),
+    };
+    let inner = std::mem::replace(&mut inst.routing, Box::new(Placeholder));
+    inst.routing = Box::new(CorruptAt {
+        inner,
+        node,
+        dest,
+        action,
+        name: format!("corrupted({scheme})"),
+    });
+    Corruption {
+        description: format!("decision of router {node} for destination {dest} {what}"),
+        source,
+        dest,
+    }
 }

@@ -1,12 +1,21 @@
-//! The [`CompactScheme`] trait: a routing scheme in the paper's sense.
+//! The [`CompactScheme`] trait: a routing scheme in the paper's sense, and
+//! [`SchemeRouting`]: what a scheme builds.
 //!
 //! Construction is **fallible by design**: [`CompactScheme::try_build`]
 //! returns a typed [`BuildError`] instead of the historical panic/`Option`
 //! split, so sweep harnesses can distinguish "the scheme does not apply to
 //! this graph" from "a required generator hint is missing" from "a configured
 //! quality cap was not met" — and report each accordingly.
+//!
+//! A built routing function is a [`SchemeRouting`]: the paper's
+//! `R = (I, H, P)` plus the hooks a scheme with stored tables offers —
+//! repair after link failures, a structural audit, a recount of its memory
+//! and an in-table corruption for the mutation harness.  The provided
+//! methods are the answers of a scheme that stores nothing, so a
+//! closed-form scheme implements none of them.
 
-use graphkit::{FailureSet, Graph};
+use crate::mutate::{self, Corruption, MutationKind};
+use graphkit::{FailureSet, Graph, NodeId, Port};
 use routemodel::{MemoryReport, RoutingFunction};
 
 /// Structural facts about a graph that its generator knows but the [`Graph`]
@@ -179,11 +188,75 @@ impl std::fmt::Display for RepairStats {
     }
 }
 
+/// A routing function built by a scheme, with the hooks behind
+/// [`SchemeInstance::repair`], [`SchemeInstance::audit`] and
+/// [`crate::mutate::corrupt_instance`].
+///
+/// Every provided method answers for a scheme with no tables of its own:
+/// no repair strategy, nothing to audit, no canonical memory recount, and
+/// corruption pointwise (the harness wraps the function instead).
+pub trait SchemeRouting: RoutingFunction + Send + Sync {
+    /// Adapts the stored tables to the links of `failures` being dead, on
+    /// the pristine graph `g`.  `adapted_to` is the failure set the tables
+    /// currently account for; `failures` is the complete new one.
+    fn repair(
+        &mut self,
+        _g: &Graph,
+        _adapted_to: &FailureSet,
+        _failures: &FailureSet,
+    ) -> Result<RepairOutcome, BuildError> {
+        Err(BuildError::NotApplicable {
+            scheme: "repair",
+            reason: format!(
+                "{} has no repair strategy (rebuild from scratch instead)",
+                self.name()
+            ),
+        })
+    }
+
+    /// Structural audit of the stored tables against `g` (ports in range,
+    /// intervals well-formed, CSR shapes consistent).  Returns
+    /// human-readable findings; empty means clean.
+    fn audit(&self, _g: &Graph) -> Vec<String> {
+        Vec::new()
+    }
+
+    /// The memory report recounted from the stored tables.  `None` when the
+    /// report is not a function of the tables alone: routing tables are
+    /// charged raw or run-length depending on the scheme that built them.
+    fn memory(&self, _g: &Graph) -> Option<MemoryReport> {
+        None
+    }
+
+    /// Fault injection: overwrites the stored entry that governs router
+    /// `v`'s decision for `dest` with a raw, unvalidated `port`, and names
+    /// the entry hit.  `None` when no such entry is stored.
+    fn corrupt_entry(&mut self, _v: NodeId, _dest: NodeId, _port: Port) -> Option<String> {
+        None
+    }
+
+    /// Fault injection: one seeded delivery-breaking corruption of `kind` in
+    /// the stored state.  The default hits [`SchemeRouting::corrupt_entry`]
+    /// at router `v` of a seeded route `u → v → … → d` with `v ≠ d`,
+    /// redirecting it back to `u` or past the port space.  `None` when
+    /// there is no such route (every pair one hop apart) or no stored entry:
+    /// the harness then corrupts pointwise.
+    fn corrupt(&mut self, g: &Graph, seed: u64, kind: MutationKind) -> Option<Corruption> {
+        let (source, v, dest) = mutate::pick_two_hop_pair(self, g, seed)?;
+        let description = self.corrupt_entry(v, dest, kind.port(g, v, source))?;
+        Some(Corruption {
+            description,
+            source,
+            dest,
+        })
+    }
+}
+
 /// The result of instantiating a scheme on one graph: a routing function plus
 /// the memory report of the encoding the scheme commits to.
 pub struct SchemeInstance {
     /// The routing function `R` produced by the scheme for this graph.
-    pub routing: Box<dyn RoutingFunction + Send + Sync>,
+    pub routing: Box<dyn SchemeRouting>,
     /// Bits stored by each router under the scheme's own encoding.
     pub memory: MemoryReport,
     /// The stretch bound guaranteed by the scheme's analysis (`None` when the
@@ -198,7 +271,7 @@ pub struct SchemeInstance {
 impl SchemeInstance {
     /// Convenience constructor.
     pub fn new(
-        routing: Box<dyn RoutingFunction + Send + Sync>,
+        routing: Box<dyn SchemeRouting>,
         memory: MemoryReport,
         guaranteed_stretch: Option<f64>,
     ) -> Self {
@@ -219,12 +292,8 @@ impl SchemeInstance {
     ///
     /// `g` must be the pristine graph the instance was built on; `failures`
     /// is the **complete** current failure set, not a delta (pass the same
-    /// set again and the repair is a no-op).  Schemes with an incremental
-    /// strategy (landmark under the inclusive rule, spanning-tree interval
-    /// routing) patch their tables in place; the landmark scheme falls back
-    /// to a from-scratch rebuild on the masked view when the new failure set
-    /// does not contain the one it already adapted to (links resurrecting)
-    /// or under the strict cluster rule.  The memory report is refreshed to
+    /// set again and the repair is a no-op).  The work is
+    /// [`SchemeRouting::repair`]'s; the memory report is then refreshed from
     /// the repaired tables.
     ///
     /// Errors are typed: a view split by the failures is
@@ -236,26 +305,10 @@ impl SchemeInstance {
     pub fn repair(&mut self, g: &Graph, failures: &FailureSet) -> Result<RepairStats, BuildError> {
         let start = std::time::Instant::now();
         let old = FailureSet::from_edges(g, &self.adapted_to);
-        let routing: &mut (dyn RoutingFunction + Send + Sync) = &mut *self.routing;
-        let any: &mut dyn std::any::Any = routing;
-        let outcome = if let Some(lm) = any.downcast_mut::<crate::landmark::LandmarkRouting>() {
-            let out = lm.repair(g, &old, failures)?;
-            self.memory = lm.memory(g);
-            out
-        } else if let Some(tree) = any.downcast_mut::<crate::interval::tree::TreeIntervalRouting>()
-        {
-            let out = tree.repair(g, failures)?;
-            self.memory = tree.memory(g);
-            out
-        } else {
-            return Err(BuildError::NotApplicable {
-                scheme: "repair",
-                reason: format!(
-                    "{} has no repair strategy (rebuild from scratch instead)",
-                    self.routing.name()
-                ),
-            });
-        };
+        let outcome = self.routing.repair(g, &old, failures)?;
+        if let Some(memory) = self.routing.memory(g) {
+            self.memory = memory;
+        }
         self.adapted_to = failures.dead_edges().to_vec();
         Ok(RepairStats {
             vertices_touched: outcome.vertices_touched,
@@ -265,44 +318,17 @@ impl SchemeInstance {
         })
     }
 
-    /// Structural audit of the instance's stored tables against the graph it
-    /// was built on: per-scheme table invariants (cluster CSR sorted and
-    /// deduped, ports in range, intervals well-formed) plus a
-    /// memory-accounting cross-check of [`SchemeInstance::memory`] against a
-    /// recount from the tables, for the schemes with a canonical per-instance
-    /// accounting.  Address-arithmetic schemes (e-cube, modular complete)
-    /// store no tables and always audit clean.  Returns human-readable
-    /// findings; empty means clean.
+    /// Structural audit of the instance against the graph it was built on:
+    /// [`SchemeRouting::audit`]'s table invariants, plus a check of
+    /// [`SchemeInstance::memory`] against [`SchemeRouting::memory`]'s recount
+    /// where the scheme has one.  Returns human-readable findings; empty
+    /// means clean.
     pub fn audit(&self, g: &Graph) -> Vec<String> {
-        let routing: &(dyn RoutingFunction + Send + Sync) = &*self.routing;
-        let any: &dyn std::any::Any = routing;
-        if let Some(lm) = any.downcast_ref::<crate::landmark::LandmarkRouting>() {
-            let mut f = lm.audit(g);
-            if lm.memory(g) != self.memory {
-                f.push("memory accounting drifted from the stored tables".to_string());
-            }
-            f
-        } else if let Some(tree) = any.downcast_ref::<crate::interval::tree::TreeIntervalRouting>()
-        {
-            let mut f = tree.audit(g);
-            if tree.memory(g) != self.memory {
-                f.push("memory accounting drifted from the stored tables".to_string());
-            }
-            f
-        } else if let Some(kir) = any.downcast_ref::<crate::interval::general::KIntervalRouting>() {
-            let mut f = kir.audit(g);
-            if kir.memory(g) != self.memory {
-                f.push("memory accounting drifted from the stored tables".to_string());
-            }
-            f
-        } else if let Some(t) = any.downcast_ref::<routemodel::TableRouting>() {
-            // Structural only: table instances are encoded either raw or
-            // run-length depending on the scheme, so the stored report is not
-            // uniquely recomputable from the table alone.
-            t.audit(g)
-        } else {
-            Vec::new()
+        let mut f = self.routing.audit(g);
+        if self.routing.memory(g).is_some_and(|m| m != self.memory) {
+            f.push("memory accounting drifted from the stored tables".to_string());
         }
+        f
     }
 }
 
@@ -369,6 +395,8 @@ mod tests {
             "trivial"
         }
     }
+
+    impl SchemeRouting for TrivialRouting {}
 
     impl CompactScheme for TrivialScheme {
         fn name(&self) -> &str {

@@ -6,8 +6,8 @@
 //! is optimal for every stretch factor `s < 2`: routing tables cannot be
 //! locally compressed in the worst case.
 
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
-use graphkit::Graph;
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
+use graphkit::{Graph, NodeId, Port};
 use routemodel::{TableRouting, TieBreak};
 
 /// Shortest-path routing tables with a configurable tie-break rule.
@@ -41,6 +41,20 @@ impl CompactScheme for TableScheme {
         let table = TableRouting::shortest_paths(g, self.tie);
         let memory = table.memory_raw(g);
         Ok(SchemeInstance::new(Box::new(table), memory, Some(1.0)))
+    }
+}
+
+/// No memory recount: a table is charged raw here and run-length by
+/// [`crate::complete::AdversarialCompleteScheme`], so its report is not a
+/// function of the table alone.
+impl SchemeRouting for TableRouting {
+    fn audit(&self, g: &Graph) -> Vec<String> {
+        TableRouting::audit(self, g)
+    }
+
+    fn corrupt_entry(&mut self, v: NodeId, dest: NodeId, port: Port) -> Option<String> {
+        self.set_next_port(v, dest, port);
+        Some(format!("next-port entry ({v}, {dest})"))
     }
 }
 

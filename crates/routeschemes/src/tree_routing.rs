@@ -8,7 +8,7 @@
 //! below 2.
 
 use crate::interval::tree::TreeIntervalRouting;
-use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance};
+use crate::scheme::{BuildError, CompactScheme, GraphHints, SchemeInstance, SchemeRouting};
 use graphkit::Graph;
 
 /// The single-spanning-tree scheme (universal, no stretch guarantee).
@@ -46,7 +46,9 @@ impl CompactScheme for SpanningTreeScheme {
             });
         }
         let routing = TreeIntervalRouting::build(g, self.root);
-        let memory = routing.memory(g);
+        let memory = routing
+            .memory(g)
+            .expect("tree intervals recount their memory");
         Ok(SchemeInstance::new(Box::new(routing), memory, None))
     }
 }

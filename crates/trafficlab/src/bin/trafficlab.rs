@@ -40,7 +40,7 @@ use routeschemes::spec::{vocabulary, SchemeSpec};
 use std::process::ExitCode;
 use trafficlab::{
     find_scenario, named_scenarios, run_scenario, suggest_scenarios, ChurnSpec, GraphSpec,
-    Scenario, ScenarioSpec, StretchMode, WorkloadSpec,
+    ScenarioSpec, StretchMode, WorkloadSpec,
 };
 
 fn usage() {
@@ -241,7 +241,7 @@ fn run_named(
 }
 
 fn run_one(
-    mut scenario: Scenario,
+    mut scenario: ScenarioSpec,
     threads: usize,
     json_path: Option<String>,
     schemes_override: Option<Vec<SchemeSpec>>,

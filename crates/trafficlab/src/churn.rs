@@ -240,7 +240,7 @@ pub fn run_churn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::workload::WorkloadSpec;
     use graphkit::generators;
     use routeschemes::{CompactScheme, LandmarkScheme, SpanningTreeScheme, TableScheme};
 
@@ -299,7 +299,7 @@ mod tests {
     fn churn_rounds_degrade_then_recover() {
         let g = generators::random_connected(140, 0.06, 11);
         let mut instance = LandmarkScheme::default().build(&g);
-        let plan = Workload::AllPairs.compile(g.num_nodes());
+        let plan = WorkloadSpec::AllPairs.compile(g.num_nodes());
         let cfg = EngineConfig {
             threads: 1,
             block_rows: 16,
@@ -341,7 +341,7 @@ mod tests {
     fn spanning_tree_churn_recovers_too() {
         let g = generators::random_connected(90, 0.08, 5);
         let mut instance = SpanningTreeScheme::default().build(&g);
-        let plan = Workload::SampledSources {
+        let plan = WorkloadSpec::SampledSources {
             sources: 20,
             dests_per_source: 30,
             seed: 2,
@@ -364,7 +364,7 @@ mod tests {
     fn unrepairable_schemes_surface_as_unsupported() {
         let g = generators::random_connected(40, 0.12, 1);
         let mut instance = TableScheme::default().build(&g);
-        let plan = Workload::AllPairs.compile(g.num_nodes());
+        let plan = WorkloadSpec::AllPairs.compile(g.num_nodes());
         let churn = ChurnSpec {
             kill: 0.05,
             rounds: 1,
@@ -381,7 +381,7 @@ mod tests {
         // A path dies on its first cut; the run halts instead of erroring.
         let g = generators::path(30);
         let mut instance = SpanningTreeScheme::default().build(&g);
-        let plan = Workload::AllPairs.compile(g.num_nodes());
+        let plan = WorkloadSpec::AllPairs.compile(g.num_nodes());
         let churn = ChurnSpec {
             kill: 0.2,
             rounds: 5,

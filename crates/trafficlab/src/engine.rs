@@ -454,7 +454,7 @@ pub fn stretch_factor_blocked<'a, R: RoutingFunction + Sync + ?Sized>(
     block_rows: usize,
 ) -> Result<StretchReport, RoutingError> {
     let g = g.into();
-    let plan = crate::workload::Workload::AllPairs.compile(g.num_nodes());
+    let plan = crate::workload::WorkloadSpec::AllPairs.compile(g.num_nodes());
     let cfg = EngineConfig {
         threads,
         block_rows,
@@ -466,7 +466,7 @@ pub fn stretch_factor_blocked<'a, R: RoutingFunction + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::workload::WorkloadSpec;
     use graphkit::{generators, DistanceMatrix, FailureSet, Graph};
     use routemodel::{stretch_factor_with_threads, Action, Header, TableRouting, TieBreak};
 
@@ -531,7 +531,7 @@ mod tests {
                 Action::Forward(g2.port_to(node, (node + 1) % n).unwrap())
             }
         });
-        let plan = Workload::Uniform {
+        let plan = WorkloadSpec::Uniform {
             messages: 5_000,
             seed: 5,
         }
@@ -548,7 +548,7 @@ mod tests {
     fn whole_report_is_identical_across_thread_and_block_choices() {
         let g = generators::random_connected(60, 0.08, 8);
         let r = table_routing(&g);
-        let plan = Workload::Zipf {
+        let plan = WorkloadSpec::Zipf {
             messages: 3_000,
             exponent: 1.0,
             seed: 2,
@@ -623,7 +623,7 @@ mod tests {
     fn sparse_sources_process_few_blocks() {
         let g = generators::random_connected(400, 0.02, 4);
         let r = table_routing(&g);
-        let plan = Workload::SampledSources {
+        let plan = WorkloadSpec::SampledSources {
             sources: 5,
             dests_per_source: 8,
             seed: 13,
@@ -651,7 +651,7 @@ mod tests {
     fn unreachable_destinations_are_skipped_and_counted() {
         let h = generators::path(4).disjoint_union(&generators::path(4));
         let r = table_routing(&h);
-        let plan = Workload::AllPairs.compile(8);
+        let plan = WorkloadSpec::AllPairs.compile(8);
         let rep = run_workload(&h, &r, &plan, &EngineConfig::default()).unwrap();
         // 8·7 ordered pairs, half of them cross the component boundary.
         assert_eq!(rep.routed_messages + rep.skipped_unreachable, 56);
@@ -696,7 +696,7 @@ mod tests {
         });
         let failures = FailureSet::from_edges(&g, &[(3, 4)]);
         let view = GraphView::masked(&g, &failures);
-        let plan = Workload::AllPairs.compile(n);
+        let plan = WorkloadSpec::AllPairs.compile(n);
         let rep = run_workload(view, &r, &plan, &EngineConfig::default()).unwrap();
         // The view stays connected (it is a path), so no pair is skipped.
         assert_eq!(rep.skipped_unreachable, 0);
@@ -719,7 +719,7 @@ mod tests {
         let failures = FailureSet::sample(&g, 0.08, 7);
         let view = GraphView::masked(&g, &failures);
         let r = table_routing(&g); // stale: built for the full graph
-        let plan = Workload::AllPairs.compile(50);
+        let plan = WorkloadSpec::AllPairs.compile(50);
         let base = run_workload(
             view,
             &r,
@@ -755,7 +755,7 @@ mod tests {
     fn healthy_runs_report_full_delivery() {
         let g = generators::random_connected(40, 0.1, 3);
         let r = table_routing(&g);
-        let plan = Workload::AllPairs.compile(40);
+        let plan = WorkloadSpec::AllPairs.compile(40);
         let rep = run_workload(&g, &r, &plan, &EngineConfig::default()).unwrap();
         assert_eq!(rep.outcomes.delivered, rep.routed_messages);
         assert_eq!(rep.outcomes.attempted(), rep.routed_messages);
@@ -766,7 +766,7 @@ mod tests {
     fn broadcast_congestion_concentrates_at_the_root() {
         let g = generators::star(16);
         let r = table_routing(&g);
-        let plan = Workload::Broadcast { roots: vec![0] }.compile(17);
+        let plan = WorkloadSpec::Broadcast { roots: vec![0] }.compile(17);
         let rep = run_workload(&g, &r, &plan, &EngineConfig::default()).unwrap();
         let cong = rep.congestion.unwrap();
         // The root sends one message down each of its 16 arcs.

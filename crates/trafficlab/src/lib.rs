@@ -58,8 +58,7 @@ pub use files::ScenarioFileError;
 pub use metrics::{CongestionCounters, CongestionReport, LengthHistogram};
 pub use scenario::{
     find_scenario, landmark_strict, landmark_with_k, named_scenarios, run_scenario,
-    suggest_scenarios, Case, CaseResult, CaseSpec, GraphSpec, ResilienceResult, Scenario,
-    ScenarioReport, ScenarioSpec, StretchMode, LANDMARK_SWEEP_KS, SAMPLED_STRETCH_PAIRS,
-    SAMPLED_STRETCH_THRESHOLD,
+    suggest_scenarios, CaseResult, CaseSpec, GraphSpec, ResilienceResult, ScenarioReport,
+    ScenarioSpec, StretchMode, LANDMARK_SWEEP_KS, SAMPLED_STRETCH_PAIRS, SAMPLED_STRETCH_THRESHOLD,
 };
-pub use workload::{SourceDests, Workload, WorkloadPlan, WorkloadSpec};
+pub use workload::{SourceDests, WorkloadPlan, WorkloadSpec};

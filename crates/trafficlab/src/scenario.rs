@@ -19,7 +19,7 @@
 
 use crate::churn::{run_churn, ChurnError, ChurnRound, ChurnSpec};
 use crate::engine::{run_workload, EngineConfig, WorkloadReport};
-use crate::workload::{Workload, WorkloadSpec};
+use crate::workload::WorkloadSpec;
 use analysis::report::{fmt_f64, json_escape, json_f64, Table};
 use constraints::theorem1::build_worst_case_instance;
 use graphkit::{generators, Graph, NodeId};
@@ -636,11 +636,6 @@ pub struct ScenarioSpec {
     pub cases: Vec<CaseSpec>,
 }
 
-/// Pre-spec-language names, kept so existing call sites read naturally.
-pub type Case = CaseSpec;
-/// See [`Case`].
-pub type Scenario = ScenarioSpec;
-
 /// The landmark counts the `landmark-sweep` scenario (and its bench twin)
 /// walks at n = 4096: one decade upward from the measured bit-optimal
 /// point.  On this graph the clusters average `≈ 3n/k`, which puts the
@@ -693,13 +688,13 @@ pub fn landmark_strict() -> SchemeSpec {
 /// * `adversarial` — the `bisection` and `worstperm` patterns on the grid
 ///   and the hypercube; read with `--report congestion` for the
 ///   congestion-vs-stretch trade-off across schemes.
-pub fn named_scenarios() -> Vec<Scenario> {
+pub fn named_scenarios() -> Vec<ScenarioSpec> {
     crate::files::builtin_scenarios()
 }
 
 /// Looks a scenario up by name (ASCII case-insensitive, so a shouted
 /// `--scenario SMOKE` still runs).
-pub fn find_scenario(name: &str) -> Option<Scenario> {
+pub fn find_scenario(name: &str) -> Option<ScenarioSpec> {
     named_scenarios()
         .into_iter()
         .find(|s| s.name.eq_ignore_ascii_case(name))
@@ -831,7 +826,7 @@ pub const LARGE_GRAPH_THRESHOLD: usize = 50_000;
 /// Inapplicable schemes — and schemes whose construction cannot scale to the
 /// case's graph — become [`ScenarioReport::skipped`] notes; routing failures
 /// become [`ScenarioReport::errors`] entries instead of aborting the sweep.
-pub fn run_scenario(scenario: &Scenario, threads: usize) -> ScenarioReport {
+pub fn run_scenario(scenario: &ScenarioSpec, threads: usize) -> ScenarioReport {
     let mut out = ScenarioReport {
         scenario: scenario.name.clone(),
         ..Default::default()
@@ -934,7 +929,7 @@ pub fn run_scenario(scenario: &Scenario, threads: usize) -> ScenarioReport {
                     let (stretch, stretch_mode) = match resolved_stretch {
                         StretchMode::Sampled { pairs, seed } => {
                             let sources = ((pairs as f64).sqrt().ceil() as usize).clamp(1, n);
-                            let probe = Workload::SampledSources {
+                            let probe = WorkloadSpec::SampledSources {
                                 sources,
                                 dests_per_source: (pairs as usize).div_ceil(sources),
                                 seed,
@@ -1492,10 +1487,10 @@ mod tests {
 
     #[test]
     fn mini_scenario_runs_end_to_end() {
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "mini".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::RandomConnected {
                     n: 48,
                     avg_deg: 6.0,
@@ -1535,7 +1530,7 @@ mod tests {
 
     #[test]
     fn verify_axis_passes_sound_schemes_through_unchanged() {
-        let case = |verify| Case {
+        let case = |verify| CaseSpec {
             graph: GraphSpec::RandomConnected {
                 n: 48,
                 avg_deg: 6.0,
@@ -1556,7 +1551,7 @@ mod tests {
         };
         let run = |verify| {
             run_scenario(
-                &Scenario {
+                &ScenarioSpec {
                     name: "verified".into(),
                     description: "test".into(),
                     cases: vec![case(verify)],
@@ -1615,10 +1610,10 @@ mod tests {
         // bits while every point keeps the stretch promise, and every report
         // row carries its full spec.
         let ks = [64usize, 128, 256, 320];
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "mini-sweep".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::RandomConnected {
                     n: 1024,
                     avg_deg: 8.0,
@@ -1730,7 +1725,7 @@ mod tests {
         // dedicated probe (deterministic per seed), the row carries the
         // resolved spec as its note, and the guarantee is judged against
         // the probe's fold.
-        let case = |stretch| Case {
+        let case = |stretch| CaseSpec {
             graph: GraphSpec::RandomConnected {
                 n: 96,
                 avg_deg: 6.0,
@@ -1746,7 +1741,7 @@ mod tests {
             stretch,
             verify: false,
         };
-        let scenario = |stretch| Scenario {
+        let scenario = |stretch| ScenarioSpec {
             name: "probe".into(),
             description: "test".into(),
             cases: vec![case(stretch)],
@@ -1796,10 +1791,10 @@ mod tests {
     fn invalid_workloads_become_errors_not_panics() {
         // Programmatically-built scenarios get the same guard as files: an
         // out-of-range broadcast root is an error entry, not an assert panic.
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "bad-root".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::Grid { rows: 4, cols: 4 },
                 workload: WorkloadSpec::Broadcast { roots: vec![0, 99] },
                 schemes: vec![SchemeSpec::default_for(SchemeKind::SpanningTree)],
@@ -1818,10 +1813,10 @@ mod tests {
             rep.errors[0]
         );
         // Sub-2-vertex graphs are rejected the same way.
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "too-small".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::Grid { rows: 1, cols: 1 },
                 workload: WorkloadSpec::AllPairs,
                 schemes: vec![SchemeSpec::default_for(SchemeKind::SpanningTree)],
@@ -1841,10 +1836,10 @@ mod tests {
     fn build_failures_become_typed_skip_notes() {
         // A spec whose cap cannot be met is a skip with the typed reason,
         // not an error, and not a panic.
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "capped".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::RandomConnected {
                     n: 48,
                     avg_deg: 6.0,
@@ -1874,10 +1869,10 @@ mod tests {
 
     #[test]
     fn theorem1_probes_route_constrained_pairs() {
-        let scenario = Scenario {
+        let scenario = ScenarioSpec {
             name: "t1-mini".into(),
             description: "test".into(),
-            cases: vec![Case {
+            cases: vec![CaseSpec {
                 graph: GraphSpec::Theorem1 {
                     n: 128,
                     theta: 0.5,

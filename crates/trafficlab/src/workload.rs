@@ -484,10 +484,6 @@ fn compile_per_source_rng(
     }
 }
 
-/// The pre-codec name of [`WorkloadSpec`], kept so existing call sites read
-/// naturally; the two are the same type.
-pub type Workload = WorkloadSpec;
-
 /// Backing of a compiled plan.
 #[derive(Debug, Clone, PartialEq)]
 enum PlanKind {
@@ -611,7 +607,7 @@ mod tests {
 
     #[test]
     fn all_pairs_plan_counts_every_ordered_pair() {
-        let plan = Workload::AllPairs.compile(10);
+        let plan = WorkloadSpec::AllPairs.compile(10);
         assert!(plan.is_all_pairs());
         assert_eq!(plan.messages(), 90);
         assert!(matches!(plan.dests(3), SourceDests::AllOthers));
@@ -619,7 +615,7 @@ mod tests {
 
     #[test]
     fn uniform_plan_spreads_sources_and_avoids_self_loops() {
-        let plan = Workload::Uniform {
+        let plan = WorkloadSpec::Uniform {
             messages: 103,
             seed: 7,
         }
@@ -641,17 +637,17 @@ mod tests {
     #[test]
     fn plans_are_deterministic_per_seed() {
         for w in [
-            Workload::Uniform {
+            WorkloadSpec::Uniform {
                 messages: 500,
                 seed: 3,
             },
-            Workload::Zipf {
+            WorkloadSpec::Zipf {
                 messages: 500,
                 exponent: 1.1,
                 seed: 3,
             },
-            Workload::Permutations { rounds: 4, seed: 3 },
-            Workload::SampledSources {
+            WorkloadSpec::Permutations { rounds: 4, seed: 3 },
+            WorkloadSpec::SampledSources {
                 sources: 12,
                 dests_per_source: 9,
                 seed: 3,
@@ -659,12 +655,12 @@ mod tests {
         ] {
             assert_eq!(w.compile(40), w.compile(40), "{}", w.key());
         }
-        let a = Workload::Uniform {
+        let a = WorkloadSpec::Uniform {
             messages: 500,
             seed: 3,
         }
         .compile(40);
-        let b = Workload::Uniform {
+        let b = WorkloadSpec::Uniform {
             messages: 500,
             seed: 4,
         }
@@ -675,7 +671,7 @@ mod tests {
     #[test]
     fn zipf_concentrates_on_popular_destinations() {
         let n = 64;
-        let plan = Workload::Zipf {
+        let plan = WorkloadSpec::Zipf {
             messages: 20_000,
             exponent: 1.2,
             seed: 11,
@@ -700,7 +696,7 @@ mod tests {
     fn permutation_rounds_send_at_most_one_message_per_source() {
         let n = 30;
         let rounds = 5;
-        let plan = Workload::Permutations { rounds, seed: 9 }.compile(n);
+        let plan = WorkloadSpec::Permutations { rounds, seed: 9 }.compile(n);
         let pairs = explicit_pairs(&plan);
         // Each round is a permutation minus its fixed points.
         assert!(pairs.len() <= rounds as usize * n);
@@ -716,7 +712,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_once_per_root() {
-        let plan = Workload::Broadcast { roots: vec![2, 5] }.compile(8);
+        let plan = WorkloadSpec::Broadcast { roots: vec![2, 5] }.compile(8);
         let pairs = explicit_pairs(&plan);
         assert_eq!(pairs.len(), 14);
         for root in [2usize, 5] {
@@ -733,7 +729,7 @@ mod tests {
 
     #[test]
     fn sampled_sources_touch_few_sources() {
-        let plan = Workload::SampledSources {
+        let plan = WorkloadSpec::SampledSources {
             sources: 6,
             dests_per_source: 11,
             seed: 21,

@@ -81,7 +81,5 @@ pub mod prelude {
         SchemeSpec, SpecError, TableScheme, TreeIntervalScheme,
     };
     pub use speclang;
-    pub use trafficlab::{
-        run_workload, EngineConfig, GraphSpec, ScenarioSpec, Workload, WorkloadSpec,
-    };
+    pub use trafficlab::{run_workload, EngineConfig, GraphSpec, ScenarioSpec, WorkloadSpec};
 }

@@ -7,7 +7,7 @@
 use graphkit::generators;
 use routeschemes::landmark::{LandmarkConfig, LandmarkRouting, LandmarkScheme};
 use routeschemes::{CompactScheme, GraphHints, SchemeKind};
-use trafficlab::{run_workload, EngineConfig, Workload};
+use trafficlab::{run_workload, EngineConfig, WorkloadSpec};
 
 /// Seed-for-seed, the sparse builder must reproduce the dense builder's
 /// `landmarks`/`home`/`toward_landmark`/`direct` tables bit for bit: same
@@ -45,7 +45,7 @@ fn sparse_and_dense_builders_agree_on_every_family_and_seed() {
 fn sparse_landmark_scheme_keeps_stretch_under_three_all_pairs() {
     let g = generators::random_connected(512, 8.0 / 512.0, 0xC5A);
     let inst = LandmarkScheme::default().build(&g);
-    let plan = Workload::AllPairs.compile(g.num_nodes());
+    let plan = WorkloadSpec::AllPairs.compile(g.num_nodes());
     let rep = run_workload(
         &g,
         inst.routing.as_ref(),
@@ -93,7 +93,7 @@ fn landmark_scheme_builds_and_routes_at_131072() {
     let n = 131_072;
     let g = generators::random_regular_like(n, 8, 0xB16);
     let inst = LandmarkScheme::default().build(&g);
-    let plan = Workload::SampledSources {
+    let plan = WorkloadSpec::SampledSources {
         sources: 64,
         dests_per_source: 256,
         seed: 11,

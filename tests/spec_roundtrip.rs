@@ -1,14 +1,14 @@
 //! The spec language end to end: seeded-fuzz round trips for all three
 //! codecs (`parse ∘ spec_string = id` for graphs and workloads,
-//! `parse_toml ∘ to_toml = id` for scenarios), and the refactor pin — the
-//! built-in scenarios, now loaded from their TOML files, must be *exactly*
-//! the scenarios that used to be compiled into `named_scenarios()`, so every
-//! report they produce is identical to the pre-refactor output.
+//! `parse_toml ∘ to_toml = id` for scenarios), and the book pin — the
+//! built-in scenarios, loaded from their TOML files, must be *exactly* the
+//! golden list of spec strings, so every report they produce stays
+//! identical.
 
 use graphkit::Xoshiro256;
 use trafficlab::{
-    find_scenario, landmark_strict, landmark_with_k, named_scenarios, run_scenario, Case,
-    ChurnSpec, GraphSpec, Scenario, ScenarioSpec, StretchMode, WorkloadSpec, LANDMARK_SWEEP_KS,
+    find_scenario, landmark_strict, landmark_with_k, named_scenarios, run_scenario, CaseSpec,
+    ChurnSpec, GraphSpec, ScenarioSpec, StretchMode, WorkloadSpec, LANDMARK_SWEEP_KS,
     SAMPLED_STRETCH_PAIRS,
 };
 
@@ -166,7 +166,7 @@ fn random_scenario_specs_round_trip_through_toml() {
         "",
     ];
     for iter in 0..200 {
-        let cases: Vec<Case> = (0..1 + rng.gen_range(4))
+        let cases: Vec<CaseSpec> = (0..1 + rng.gen_range(4))
             .map(|_| {
                 let mut graph = fuzz_graph_spec(&mut rng);
                 if graph.num_nodes() < 2 {
@@ -185,7 +185,7 @@ fn random_scenario_specs_round_trip_through_toml() {
                         *r %= n;
                     }
                 }
-                Case {
+                CaseSpec {
                     graph,
                     workload,
                     schemes: (0..1 + rng.gen_range(4))
@@ -213,303 +213,141 @@ fn random_scenario_specs_round_trip_through_toml() {
     }
 }
 
-/// The scenario book exactly as it was compiled into `named_scenarios()`
-/// before the TOML refactor (PR 4 state).  Everything the runner measures is
-/// a deterministic function of these values, so `loaded == pre_refactor`
-/// pins every built-in report bit-for-bit to its pre-refactor output.  The
-/// one later addition is the static-verification axis: smoke's cases carry
-/// `verify: true`, which gates (but never changes) the measurement.
-fn pre_refactor_scenarios() -> Vec<Scenario> {
-    let d = SchemeSpec::default_for;
-    let universal = vec![
-        d(SchemeKind::Table),
-        d(SchemeKind::SpanningTree),
-        d(SchemeKind::KInterval),
-        d(SchemeKind::Landmark),
-    ];
-    vec![
-        Scenario {
-            name: "smoke".into(),
-            description: "every registry scheme exercised once at n = 1024".into(),
-            cases: vec![
-                Case {
-                    graph: GraphSpec::RandomConnected {
-                        n: 1024,
-                        avg_deg: 8.0,
-                        seed: 0xC5A,
-                    },
-                    workload: WorkloadSpec::Uniform {
-                        messages: 20_000,
-                        seed: 1,
-                    },
-                    schemes: universal.clone(),
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: true,
-                },
-                Case {
-                    graph: GraphSpec::Hypercube { dim: 10 },
-                    workload: WorkloadSpec::Uniform {
-                        messages: 20_000,
-                        seed: 2,
-                    },
-                    schemes: vec![d(SchemeKind::Ecube), d(SchemeKind::SpanningTree)],
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: true,
-                },
-                Case {
-                    graph: GraphSpec::Grid { rows: 32, cols: 32 },
-                    workload: WorkloadSpec::Uniform {
-                        messages: 20_000,
-                        seed: 3,
-                    },
-                    schemes: vec![d(SchemeKind::DimensionOrder), d(SchemeKind::SpanningTree)],
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: true,
-                },
-                Case {
-                    graph: GraphSpec::CompleteModular { n: 256 },
-                    workload: WorkloadSpec::Uniform {
-                        messages: 20_000,
-                        seed: 4,
-                    },
-                    schemes: vec![d(SchemeKind::ModularComplete), d(SchemeKind::Table)],
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: true,
-                },
-            ],
-        },
-        Scenario {
-            name: "uniform-1m".into(),
-            description: "one million uniform messages on an n = 4096 random graph".into(),
-            cases: vec![Case {
-                graph: GraphSpec::RandomConnected {
-                    n: 4096,
-                    avg_deg: 8.0,
-                    seed: 0xC5A,
-                },
-                workload: WorkloadSpec::Uniform {
-                    messages: 1_000_000,
-                    seed: 7,
-                },
-                schemes: vec![d(SchemeKind::SpanningTree)],
-                block_rows: 0,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "sharded-130k".into(),
-            description: "block-streamed sweep at n = 131072 — no dense matrix can exist".into(),
-            cases: vec![Case {
-                graph: GraphSpec::RandomRegular {
-                    n: 131_072,
-                    degree: 8,
-                    seed: 0xB16,
-                },
-                workload: WorkloadSpec::SampledSources {
-                    sources: 64,
-                    dests_per_source: 256,
-                    seed: 11,
-                },
-                schemes: vec![d(SchemeKind::SpanningTree)],
-                block_rows: 1,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "landmark-130k".into(),
-            description: "landmark routing (stretch < 3) built sparsely at n = 131072".into(),
-            cases: vec![Case {
-                graph: GraphSpec::RandomRegular {
-                    n: 131_072,
-                    degree: 8,
-                    seed: 0xB16,
-                },
-                workload: WorkloadSpec::SampledSources {
-                    sources: 64,
-                    dests_per_source: 256,
-                    seed: 11,
-                },
-                schemes: vec![
-                    d(SchemeKind::Landmark),
-                    landmark_strict(),
-                    d(SchemeKind::SpanningTree),
-                ],
-                block_rows: 1,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "landmark-sweep".into(),
-            description: "bits-vs-stretch curve: landmark k swept over a decade at n = 4096".into(),
-            cases: vec![Case {
-                graph: GraphSpec::RandomConnected {
-                    n: 4096,
-                    avg_deg: 8.0,
-                    seed: 0xC5A,
-                },
-                workload: WorkloadSpec::SampledSources {
-                    sources: 128,
-                    dests_per_source: 128,
-                    seed: 21,
-                },
-                schemes: LANDMARK_SWEEP_KS
-                    .iter()
-                    .map(|&k| landmark_with_k(k))
-                    .collect(),
-                block_rows: 0,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "zipf-hotspot".into(),
-            description: "Zipf-skewed destinations vs uniform on the same graph".into(),
-            cases: vec![
-                Case {
-                    graph: GraphSpec::RandomConnected {
-                        n: 2048,
-                        avg_deg: 8.0,
-                        seed: 0xC5A,
-                    },
-                    workload: WorkloadSpec::Zipf {
-                        messages: 200_000,
-                        exponent: 1.1,
-                        seed: 5,
-                    },
-                    schemes: universal.clone(),
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: false,
-                },
-                Case {
-                    graph: GraphSpec::RandomConnected {
-                        n: 2048,
-                        avg_deg: 8.0,
-                        seed: 0xC5A,
-                    },
-                    workload: WorkloadSpec::Uniform {
-                        messages: 200_000,
-                        seed: 5,
-                    },
-                    schemes: universal,
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: false,
-                },
-            ],
-        },
-        Scenario {
-            name: "broadcast".into(),
-            description: "one-to-all broadcasts; congestion concentrates near the roots".into(),
-            cases: vec![Case {
-                graph: GraphSpec::RandomTree { n: 4096, seed: 9 },
-                workload: WorkloadSpec::Broadcast {
-                    roots: vec![0, 1, 2, 3],
-                },
-                schemes: vec![d(SchemeKind::SpanningTree)],
-                block_rows: 1,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "permutation-cube".into(),
-            description: "random permutation rounds on the 10-cube".into(),
-            cases: vec![Case {
-                graph: GraphSpec::Hypercube { dim: 10 },
-                workload: WorkloadSpec::Permutations {
-                    rounds: 64,
-                    seed: 13,
-                },
-                schemes: vec![d(SchemeKind::Ecube), d(SchemeKind::Table)],
-                block_rows: 0,
-                churn: None,
-                stretch: StretchMode::Auto,
-                verify: false,
-            }],
-        },
-        Scenario {
-            name: "theorem1".into(),
-            description: "constrained-vertex probes on Theorem 1 worst-case instances".into(),
-            cases: vec![
-                Case {
-                    graph: GraphSpec::Theorem1 {
-                        n: 1024,
-                        theta: 0.5,
-                        seed: 17,
-                    },
-                    workload: WorkloadSpec::ConstrainedProbes,
-                    schemes: vec![
-                        d(SchemeKind::Table),
-                        d(SchemeKind::SpanningTree),
-                        d(SchemeKind::Landmark),
-                        landmark_strict(),
-                    ],
-                    block_rows: 0,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: false,
-                },
-                Case {
-                    graph: GraphSpec::Theorem1 {
-                        n: 16384,
-                        theta: 0.5,
-                        seed: 17,
-                    },
-                    workload: WorkloadSpec::ConstrainedProbes,
-                    schemes: vec![
-                        d(SchemeKind::Landmark),
-                        landmark_strict(),
-                        d(SchemeKind::SpanningTree),
-                    ],
-                    block_rows: 8,
-                    churn: None,
-                    stretch: StretchMode::Auto,
-                    verify: false,
-                },
-            ],
-        },
-    ]
+/// Every built-in scenario, one line per case: the spec strings of its
+/// graph, workload and schemes, then its engine knobs (see [`case_line`]).
+/// Every report is a deterministic function of these values and every spec
+/// string parses back to the value it renders, so this list pins every
+/// built-in report.  The entries up to `theorem1` are the book that was
+/// compiled into `named_scenarios()` before the scenarios moved to TOML
+/// files; smoke's `verify=true` gates (but never changes) the measurement.
+const BOOK: &[(&str, &str, &[&str])] = &[
+    (
+        "smoke",
+        "every registry scheme exercised once at n = 1024",
+        &[
+            "random?n=1024&seed=3162 | uniform?messages=20000&seed=1 | table,tree,interval,landmark | block_rows=0 churn=- stretch=auto verify=true",
+            "hypercube?dim=10 | uniform?messages=20000&seed=2 | hypercube,tree | block_rows=0 churn=- stretch=auto verify=true",
+            "grid?rows=32&cols=32 | uniform?messages=20000&seed=3 | grid,tree | block_rows=0 churn=- stretch=auto verify=true",
+            "complete?n=256 | uniform?messages=20000&seed=4 | complete,table | block_rows=0 churn=- stretch=auto verify=true",
+        ],
+    ),
+    (
+        "uniform-1m",
+        "one million uniform messages on an n = 4096 random graph",
+        &[
+            "random?n=4096&seed=3162 | uniform?messages=1000000&seed=7 | tree | block_rows=0 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "sharded-130k",
+        "block-streamed sweep at n = 131072 — no dense matrix can exist",
+        &[
+            "regular?n=131072&seed=2838 | sampled-sources?sources=64&per=256&seed=11 | tree | block_rows=1 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "landmark-130k",
+        "landmark routing (stretch < 3) built sparsely at n = 131072",
+        &[
+            "regular?n=131072&seed=2838 | sampled-sources?sources=64&per=256&seed=11 | landmark,landmark?clusters=strict,tree | block_rows=1 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "landmark-sweep",
+        "bits-vs-stretch curve: landmark k swept over a decade at n = 4096",
+        &[
+            "random?n=4096&seed=3162 | sampled-sources?sources=128&per=128&seed=21 | landmark?k=128,landmark?k=256,landmark?k=512,landmark?k=1024,landmark?k=1280 | block_rows=0 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "zipf-hotspot",
+        "Zipf-skewed destinations vs uniform on the same graph",
+        &[
+            "random?n=2048&seed=3162 | zipf?messages=200000&s=1.1&seed=5 | table,tree,interval,landmark | block_rows=0 churn=- stretch=auto verify=false",
+            "random?n=2048&seed=3162 | uniform?messages=200000&seed=5 | table,tree,interval,landmark | block_rows=0 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "broadcast",
+        "one-to-all broadcasts; congestion concentrates near the roots",
+        &[
+            "tree?n=4096&seed=9 | broadcast?roots=0:1:2:3 | tree | block_rows=1 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "permutation-cube",
+        "random permutation rounds on the 10-cube",
+        &[
+            "hypercube?dim=10 | permutations?rounds=64&seed=13 | hypercube,table | block_rows=0 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "theorem1",
+        "constrained-vertex probes on Theorem 1 worst-case instances",
+        &[
+            "theorem1?n=1024&seed=17 | constrained-probes | table,tree,landmark,landmark?clusters=strict | block_rows=0 churn=- stretch=auto verify=false",
+            "theorem1?n=16384&seed=17 | constrained-probes | landmark,landmark?clusters=strict,tree | block_rows=8 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "adversarial",
+        "bisection-saturating and worst-permutation traffic; congestion-vs-stretch focus",
+        &[
+            "grid?rows=32&cols=32 | bisection?messages=200000&seed=5 | grid,table,tree,landmark | block_rows=0 churn=- stretch=auto verify=false",
+            "hypercube?dim=10 | bisection?messages=200000&seed=5 | hypercube,table,tree,landmark | block_rows=0 churn=- stretch=auto verify=false",
+            "grid?rows=32&cols=32 | worstperm?rounds=64&seed=13 | grid,table,landmark | block_rows=0 churn=- stretch=auto verify=false",
+            "hypercube?dim=10 | worstperm?rounds=64&seed=13 | hypercube,table,landmark | block_rows=0 churn=- stretch=auto verify=false",
+        ],
+    ),
+    (
+        "churn",
+        "link failures and incremental repair: fail, measure degraded, repair in place, measure recovered",
+        &[
+            "random?n=1024&seed=3162 | sampled-sources?sources=64&per=128&seed=1 | landmark,tree | block_rows=0 churn=churn?kill=0.01&seed=7 stretch=auto verify=false",
+        ],
+    ),
+];
+
+/// One case as a line of spec strings.
+fn case_line(c: &CaseSpec) -> String {
+    let schemes: Vec<String> = c.schemes.iter().map(|s| s.spec_string()).collect();
+    let churn = c
+        .churn
+        .as_ref()
+        .map_or("-".to_string(), |c| c.spec_string());
+    format!(
+        "{} | {} | {} | block_rows={} churn={churn} stretch={} verify={}",
+        c.graph.spec_string(),
+        c.workload.spec_string(),
+        schemes.join(","),
+        c.block_rows,
+        c.stretch,
+        c.verify
+    )
 }
 
-/// The refactor pin: every pre-refactor built-in, loaded from its TOML file,
-/// is structurally identical to the old in-code definition — same graphs,
-/// workloads, scheme lists (in order), and engine knobs.  The runner is a
-/// deterministic function of these values, so the reports are identical too.
+/// The built-in scenarios, loaded from their TOML files, are exactly the
+/// golden book: same names and descriptions, in order, and case by case the
+/// same graphs, workloads, scheme lists (in order) and engine knobs.
 #[test]
-fn toml_builtins_match_the_pre_refactor_in_code_book() {
-    let expected = pre_refactor_scenarios();
-    for want in &expected {
-        let got = find_scenario(&want.name)
-            .unwrap_or_else(|| panic!("built-in scenario '{}' vanished", want.name));
-        assert_eq!(
-            &got, want,
-            "scenario '{}' drifted from its pre-refactor definition",
-            want.name
-        );
-    }
-    // The book may grow (the adversarial scenario is new) but never shrink.
-    let names: Vec<String> = named_scenarios().into_iter().map(|s| s.name).collect();
-    for want in &expected {
-        assert!(names.contains(&want.name));
+fn toml_builtins_match_the_golden_book() {
+    let got: Vec<(String, String, Vec<String>)> = named_scenarios()
+        .iter()
+        .map(|s| {
+            let cases = s.cases.iter().map(case_line).collect();
+            (s.name.clone(), s.description.clone(), cases)
+        })
+        .collect();
+    let want: Vec<(String, String, Vec<String>)> = BOOK
+        .iter()
+        .map(|&(name, description, cases)| {
+            let cases = cases.iter().map(|c| c.to_string()).collect();
+            (name.to_string(), description.to_string(), cases)
+        })
+        .collect();
+    assert_eq!(got, want);
+    for &(name, _, _) in BOOK {
+        assert!(find_scenario(name).is_some(), "built-in '{name}' vanished");
     }
 }
 
@@ -518,11 +356,11 @@ fn toml_builtins_match_the_pre_refactor_in_code_book() {
 /// histograms, memory reports, skip notes — everything except wall-clock.
 #[test]
 fn toml_loaded_scenario_reports_match_in_code_definitions() {
-    let in_code = Scenario {
+    let in_code = ScenarioSpec {
         name: "mini".into(),
         description: "toml-vs-code pin".into(),
         cases: vec![
-            Case {
+            CaseSpec {
                 graph: GraphSpec::RandomConnected {
                     n: 48,
                     avg_deg: 6.0,
@@ -541,7 +379,7 @@ fn toml_loaded_scenario_reports_match_in_code_definitions() {
                 stretch: StretchMode::Auto,
                 verify: false,
             },
-            Case {
+            CaseSpec {
                 graph: GraphSpec::Grid { rows: 4, cols: 6 },
                 workload: WorkloadSpec::Bisection {
                     messages: 300,

@@ -13,7 +13,7 @@ use graphkit::{generators, DistanceBlock, DistanceMatrix, Graph, Xoshiro256};
 use routemodel::{stretch_factor_with_threads, StretchReport, TableRouting, TieBreak};
 use routeschemes::registry::{applicable_schemes, GraphHints};
 use routeschemes::CompactScheme;
-use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, Workload};
+use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, WorkloadSpec};
 
 fn graph_families() -> Vec<(&'static str, Graph, GraphHints)> {
     vec![
@@ -78,24 +78,24 @@ fn congestion_is_flow_conserving_across_workloads_and_shard_shapes() {
     let dm = DistanceMatrix::all_pairs_sequential(&g);
     let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestNeighbor);
     let workloads = [
-        Workload::AllPairs,
-        Workload::Uniform {
+        WorkloadSpec::AllPairs,
+        WorkloadSpec::Uniform {
             messages: 4_000,
             seed: 2,
         },
-        Workload::Zipf {
+        WorkloadSpec::Zipf {
             messages: 4_000,
             exponent: 1.2,
             seed: 3,
         },
-        Workload::Permutations {
+        WorkloadSpec::Permutations {
             rounds: 10,
             seed: 4,
         },
-        Workload::Broadcast {
+        WorkloadSpec::Broadcast {
             roots: vec![0, 60, 119],
         },
-        Workload::SampledSources {
+        WorkloadSpec::SampledSources {
             sources: 9,
             dests_per_source: 40,
             seed: 5,
@@ -139,7 +139,7 @@ fn congestion_equals_brute_force_arc_counts() {
     let g = generators::random_connected(40, 0.1, 31);
     let dm = DistanceMatrix::all_pairs_sequential(&g);
     let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-    let w = Workload::Uniform {
+    let w = WorkloadSpec::Uniform {
         messages: 1_500,
         seed: 8,
     };
@@ -173,7 +173,7 @@ fn registry_schemes_measure_within_their_guarantees() {
     ];
     let mut guaranteed_cells = 0;
     for (g, hints) in &specs {
-        let plan = Workload::Uniform {
+        let plan = WorkloadSpec::Uniform {
             messages: 2_000,
             seed: 6,
         }
@@ -220,7 +220,7 @@ fn engine_never_needs_the_dense_matrix_memory() {
     // pipeline's tracked peak must stay orders of magnitude below it.
     let g = generators::random_regular_like(8192, 6, 99);
     let inst = routeschemes::SpanningTreeScheme::default().build(&g);
-    let plan = Workload::SampledSources {
+    let plan = WorkloadSpec::SampledSources {
         sources: 16,
         dests_per_source: 64,
         seed: 12,
