@@ -1,9 +1,10 @@
-//! CSR pipeline bench: all-pairs BFS distances and the exact/sampled stretch
-//! sweep, the two hot paths every table/figure/bench in this repository
-//! rests on.  Both run on `graphkit::par::map_fold_ordered` at
+//! CSR pipeline bench: all-pairs BFS distances and the exact all-pairs
+//! stretch sweep, the two hot paths every table/figure/bench in this
+//! repository rests on.  Both run on `graphkit::par::map_fold_ordered` at
 //! `graphkit::par::default_threads` workers: flat CSR slices, one reusable
 //! BFS scratch and routing header per worker, results folded in source
-//! order.
+//! order.  The stretch sweep is the `trafficlab` engine's
+//! `stretch_factor_blocked`, which computes its own block-local BFS rows.
 //!
 //! Besides the criterion-style console output, running this bench writes a
 //! machine-readable snapshot to `BENCH_csr.json` in the workspace root
@@ -15,10 +16,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, DistanceMatrix, Graph};
-use routemodel::stretch::{stretch_factor, stretch_sampled};
 use routemodel::{TableRouting, TieBreak};
 use routing_bench::quick_criterion;
 use std::time::Instant;
+use trafficlab::stretch_factor_blocked;
 
 fn workload(n: usize) -> Graph {
     generators::random_connected(n, 8.0 / n as f64, 0xC5A)
@@ -39,25 +40,15 @@ fn bench_exact_stretch(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr-pipeline/exact-stretch");
     for &n in &[256usize, 1024] {
         let g = workload(n);
-        let dm = DistanceMatrix::all_pairs(&g);
-        let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
+        let table = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
         group.bench_with_input(BenchmarkId::new("csr", n), &(), |b, ()| {
-            b.iter(|| stretch_factor(&g, &dm, &table).unwrap().max_stretch);
+            b.iter(|| {
+                stretch_factor_blocked(&g, &table, 0, 0)
+                    .unwrap()
+                    .max_stretch
+            });
         });
     }
-    group.finish();
-}
-
-fn bench_sampled_stretch(c: &mut Criterion) {
-    let n = 4096usize;
-    let k = 30_000usize;
-    let g = workload(n);
-    let dm = DistanceMatrix::all_pairs(&g);
-    let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-    let mut group = c.benchmark_group("csr-pipeline/sampled-stretch-30k-n4096");
-    group.bench_with_input(BenchmarkId::new("csr", n), &(), |b, ()| {
-        b.iter(|| stretch_sampled(&g, &dm, &table, k, 9).unwrap().max_stretch);
-    });
     group.finish();
 }
 
@@ -80,8 +71,9 @@ fn time_best_of<F: FnMut()>(runs: usize, mut f: F) -> f64 {
 }
 
 /// Hand-timed snapshot written to `BENCH_csr.json`: all-pairs distances at
-/// n = 256, 1024, 4096 and the combined "all-pairs distances + tables +
-/// exact stretch" pipeline at n = 256, 1024.
+/// n = 256, 1024, 4096 and the combined "tables + all-pairs distances and
+/// exact stretch" pipeline at n = 256, 1024 (the blocked stretch sweep
+/// computes the distance rows it reads).
 fn bench_snapshot(_c: &mut Criterion) {
     let mut entries = Vec::new();
     for &(n, runs) in &[(256usize, 5usize), (1024, 3), (4096, 2)] {
@@ -98,9 +90,8 @@ fn bench_snapshot(_c: &mut Criterion) {
     for &(n, runs) in &[(256usize, 5usize), (1024, 3)] {
         let g = workload(n);
         let csr_ms = time_best_of(runs, || {
-            let dm = DistanceMatrix::all_pairs(&g);
-            let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-            std::hint::black_box(stretch_factor(&g, &dm, &table).unwrap());
+            let table = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
+            std::hint::black_box(stretch_factor_blocked(&g, &table, 0, 0).unwrap());
         });
         entries.push(Entry {
             name: "apsp-plus-exact-stretch",
@@ -139,6 +130,6 @@ fn bench_snapshot(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_all_pairs, bench_exact_stretch, bench_sampled_stretch, bench_snapshot
+    targets = bench_all_pairs, bench_exact_stretch, bench_snapshot
 }
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphkit::{generators, DistanceMatrix, Graph};
-use routemodel::{stretch_factor, TableRouting, TieBreak};
+use graphkit::{generators, Graph};
+use routemodel::{TableRouting, TieBreak};
 use routeschemes::{CompactScheme, EcubeScheme, SchemeInstance, SpanningTreeScheme};
 use routing_bench::quick_criterion;
 use std::time::Instant;
@@ -49,20 +49,12 @@ fn bench_uniform_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_blocked_vs_dense_stretch(c: &mut Criterion) {
-    // The sharded all-pairs sweep against the dense-matrix sweep it
-    // replaces, same result bit-for-bit.
+fn bench_blocked_stretch(c: &mut Criterion) {
+    // The sharded all-pairs sweep: BFS rows and routing, block by block.
     let n = 1024usize;
     let g = workload_graph(n);
-    let dm = DistanceMatrix::all_pairs(&g);
-    let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
+    let table = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
     let mut group = c.benchmark_group("trafficlab/all-pairs-stretch-1024");
-    group.bench_with_input(BenchmarkId::new("dense", n), &(), |b, ()| {
-        b.iter(|| {
-            let dm = DistanceMatrix::all_pairs(&g);
-            stretch_factor(&g, &dm, &table).unwrap().max_stretch
-        });
-    });
     group.bench_with_input(BenchmarkId::new("blocked", n), &(), |b, ()| {
         b.iter(|| {
             stretch_factor_blocked(&g, &table, 0, 64)
@@ -235,6 +227,6 @@ fn bench_snapshot(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_uniform_throughput, bench_blocked_vs_dense_stretch, bench_snapshot
+    targets = bench_uniform_throughput, bench_blocked_stretch, bench_snapshot
 }
 criterion_main!(benches);

@@ -14,11 +14,10 @@
 //! * `TableRouting::shortest_paths` — one item per block of 64 destinations;
 //! * [`crate::DistanceMatrix::all_pairs`] — one item per 64 source rows (one
 //!   bit-parallel BFS block);
-//! * `routemodel`'s exact and sampled stretch sweeps — one item per run of
-//!   sources (or of 1024-pair sample blocks) carrying about 4096 pairs;
 //! * `constraints`' enumeration of canonical matrices — one item per range
 //!   of matrix indices;
-//! * the `trafficlab` engine — one item per block of BFS source rows;
+//! * the `trafficlab` engine, which measures every parallel and sampled
+//!   stretch — one item per block of BFS source rows;
 //! * `routeserve::serve` — one item per chunk of up to `batch` consecutive
 //!   queries;
 //! * `routecheck::check_routing` — one item per 16 destinations.
@@ -47,10 +46,10 @@
 //!
 //! Result buffers are recycled: after `fold` consumes a result, its buffer
 //! goes back to a pool the workers draw from, and a worker may only claim an
-//! item while holding a buffer.  At most [`IN_FLIGHT_PER_THREAD`]` × threads`
-//! buffers ever exist, which bounds both the transient memory and how far the
-//! workers can run ahead of the fold; once every buffer has been created the
-//! primitive allocates nothing per item.
+//! item while holding a buffer.  At most `IN_FLIGHT_PER_THREAD × threads`
+//! (3 × threads) buffers ever exist, which bounds both the transient memory
+//! and how far the workers can run ahead of the fold; once every buffer has
+//! been created the primitive allocates nothing per item.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -32,16 +32,6 @@ pub enum RoutingError {
         at: NodeId,
         port: Port,
     },
-    /// The stretch bound requested by the caller is violated.
-    StretchExceeded {
-        source: NodeId,
-        dest: NodeId,
-        route_len: u32,
-        distance: u32,
-        bound: f64,
-    },
-    /// A pair of vertices is disconnected, so no routing path can exist.
-    Unreachable { source: NodeId, dest: NodeId },
 }
 
 impl RoutingError {
@@ -53,8 +43,6 @@ impl RoutingError {
             RoutingError::WrongDelivery { .. } => "wrong_delivery",
             RoutingError::PortOutOfRange { .. } => "port_out_of_range",
             RoutingError::LinkDown { .. } => "link_down",
-            RoutingError::StretchExceeded { .. } => "stretch_exceeded",
-            RoutingError::Unreachable { .. } => "unreachable",
         }
     }
 }
@@ -86,19 +74,6 @@ impl fmt::Display for RoutingError {
                 f,
                 "message from {source} to {dest} hit the dead link at port {port} of {at}"
             ),
-            RoutingError::StretchExceeded {
-                source,
-                dest,
-                route_len,
-                distance,
-                bound,
-            } => write!(
-                f,
-                "route {source}->{dest} has length {route_len} > {bound} * distance {distance}"
-            ),
-            RoutingError::Unreachable { source, dest } => {
-                write!(f, "{dest} is unreachable from {source}")
-            }
         }
     }
 }
@@ -133,18 +108,6 @@ mod tests {
         };
         assert!(e.to_string().contains("port 7"));
 
-        let e = RoutingError::StretchExceeded {
-            source: 0,
-            dest: 1,
-            route_len: 6,
-            distance: 2,
-            bound: 2.0,
-        };
-        assert!(e.to_string().contains("length 6"));
-
-        let e = RoutingError::Unreachable { source: 5, dest: 6 };
-        assert!(e.to_string().contains("unreachable"));
-
         let e = RoutingError::LinkDown {
             source: 2,
             dest: 8,
@@ -157,8 +120,12 @@ mod tests {
 
     #[test]
     fn errors_are_comparable() {
-        let a = RoutingError::Unreachable { source: 1, dest: 2 };
-        let b = RoutingError::Unreachable { source: 1, dest: 2 };
+        let a = RoutingError::WrongDelivery {
+            source: 1,
+            dest: 2,
+            delivered_at: 3,
+        };
+        let b = a.clone();
         assert_eq!(a, b);
     }
 }

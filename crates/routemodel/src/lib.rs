@@ -16,14 +16,15 @@
 //! * [`simulate::walk`] is the one routing loop: it routes one message with a
 //!   caller-owned header rewritten in place, returns its
 //!   [`DeliveryOutcome`] and hop count, and records the path only when asked
-//!   to — the stretch sweeps, the `trafficlab` workload engine and the
+//!   to — the stretch reference, the `trafficlab` workload engine and the
 //!   `routeserve` server all route through it, allocation-free once warm;
 //!   [`simulate::route`] is its strict form, returning the routing path (or
 //!   a routing error: loop, wrong delivery, dead end) for one pair;
 //! * [`stretch`] computes the **stretch factor**
-//!   `s(R, G) = max_{x≠y} d_R(x, y) / d_G(x, y)` — dense sweeps here, and a
-//!   public [`StretchAccumulator`] so block-streamed engines can reproduce
-//!   the dense report bit-for-bit without an `n²` distance matrix;
+//!   `s(R, G) = max_{x≠y} d_R(x, y) / d_G(x, y)` — one sequential reference
+//!   over a dense distance matrix here, and a public [`StretchAccumulator`]
+//!   so the `trafficlab` engine, which measures every parallel and sampled
+//!   stretch, reproduces the reference bit-for-bit without an `n²` matrix;
 //! * [`memory`] measures the **memory requirement** `MEM_G(R, x)` of each
 //!   router under explicit encodings (the paper uses Kolmogorov complexity,
 //!   which our concrete encoders upper-bound and our counting arguments lower
@@ -58,8 +59,5 @@ pub use function::{Action, RoutingFunction};
 pub use header::Header;
 pub use memory::{MemoryReport, PortMap};
 pub use simulate::{default_hop_limit, route, walk, DeliveryOutcome, RouteTrace};
-pub use stretch::{
-    stretch_factor, stretch_factor_with_threads, stretch_over_pairs, stretch_sampled,
-    stretch_sampled_with_threads, verify_stretch, StretchAccumulator, StretchReport,
-};
+pub use stretch::{stretch_factor, StretchAccumulator, StretchReport};
 pub use table::{TableRouting, TieBreak};

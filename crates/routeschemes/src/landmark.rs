@@ -2222,7 +2222,7 @@ impl CompactScheme for LandmarkScheme {
 mod tests {
     use super::*;
     use graphkit::generators;
-    use routemodel::{route, stretch_factor, verify_stretch, RoutingError};
+    use routemodel::{route, stretch_factor, RoutingError};
 
     fn inclusive(seed: u64) -> LandmarkConfig {
         LandmarkConfig {
@@ -2294,7 +2294,6 @@ mod tests {
                     "{rule:?}: stretch {} exceeds the guarantee",
                     rep.max_stretch
                 );
-                assert!(verify_stretch(&g, &dm, &r, 3.0).is_ok());
             }
         }
     }

@@ -4,9 +4,9 @@
 //! enumerate "every scheme that applies to this graph" and to instantiate a
 //! scheme from a spec found in a config file or on a command line, without
 //! hard-coding the concrete types.  [`SchemeKind`] names the *families* with
-//! stable string keys; a [`SchemeSpec`](crate::spec::SchemeSpec) pins a
-//! concrete member of a family (key plus typed parameters) and is what
-//! actually builds — see [`crate::spec`] for the codec.
+//! stable string keys; a [`SchemeSpec`] pins a concrete member of a family
+//! (key plus typed parameters) and is what actually builds — see
+//! [`crate::spec`] for the codec.
 //!
 //! Two schemes need information the bare [`Graph`] does not carry: the
 //! dimension-order scheme must know the grid shape, and hypercube detection

@@ -1,10 +1,10 @@
 //! Parameterized scheme specs and their stable string codec.
 //!
-//! [`SchemeKind`](crate::registry::SchemeKind) names the *family* of a
-//! scheme; a [`SchemeSpec`] pins one concrete member: the family plus its
-//! typed construction parameters.  The paper's Table 1 is a family of
-//! memory/stretch trade-off points, so the registry must be a coordinate
-//! system — `landmark?k=64&clusters=strict` — not a seven-item menu.
+//! [`SchemeKind`] names the *family* of a scheme; a [`SchemeSpec`] pins one
+//! concrete member: the family plus its typed construction parameters.  The
+//! paper's Table 1 is a family of memory/stretch trade-off points, so the
+//! registry must be a coordinate system — `landmark?k=64&clusters=strict` —
+//! not a seven-item menu.
 //!
 //! The codec is the scenario/CLI/report vocabulary:
 //!

@@ -17,10 +17,12 @@
 //! 3. stretch is accumulated into **one [`StretchAccumulator`] per source**
 //!    and the primitive folds the blocks' per-source partials in source
 //!    order, so for the all-pairs workload the resulting [`StretchReport`]
-//!    is **bit-identical** to `routemodel::stretch_factor` over the dense
-//!    [`DistanceMatrix`] — for every worker count and block size (the
-//!    property tests pin this); the first routing error and the per-block
-//!    memory needs travel through the same fold;
+//!    is **bit-identical** to `routemodel::stretch_factor`, the sequential
+//!    reference over a dense [`DistanceMatrix`] — for every worker count and
+//!    block size (the property tests pin this).  This engine is the one
+//!    parallel and sampled stretch measurement of the workspace; the first
+//!    routing error and the per-block memory needs travel through the same
+//!    fold;
 //! 4. congestion counters, route-length histograms and outcome counts stay
 //!    in the worker and are merged by integer addition once the primitive
 //!    hands the workers back — order-insensitive, so the whole
@@ -150,7 +152,7 @@ impl OutcomeCounts {
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     /// Stretch over the delivered messages (for the all-pairs workload:
-    /// bit-identical to the dense `stretch_factor` report).
+    /// bit-identical to the sequential `stretch_factor` reference).
     pub stretch: StretchReport,
     /// Messages actually routed and delivered.
     pub routed_messages: u64,
@@ -243,8 +245,9 @@ struct BlockOut {
     bytes: u64,
 }
 
-/// Runs `plan` against routing function `r` on `g` — a plain [`Graph`] or a
-/// degraded [`GraphView`] with dead links masked out.
+/// Runs `plan` against routing function `r` on `g` — a plain
+/// [`Graph`](graphkit::Graph) or a degraded [`GraphView`] with dead links
+/// masked out.
 ///
 /// The only hard failure is a routing-*model* violation
 /// ([`RoutingError::PortOutOfRange`]), reported for the earliest source that
@@ -296,7 +299,7 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     }
 
     // Ordered fold of the per-source stretch partials — the step that makes
-    // the report bit-identical to the dense sweep.
+    // the report bit-identical to the sequential reference.
     let mut total = StretchAccumulator::new();
     let mut first_error = None;
     let mut block_bytes = 0u64;
@@ -393,7 +396,7 @@ fn run_block<R: RoutingFunction + Sync + ?Sized>(
         let row = rows.row(s);
         let mut acc = StretchAccumulator::new();
         // Destinations are routed in plan order, skipping the pairs the
-        // dense sweep skips at the same positions, so the order-sensitive
+        // reference skips at the same positions, so the order-sensitive
         // f64 stretch fold matches it bit for bit.
         let mut route_one = |t: usize| -> Result<(), RoutingError> {
             if t == s {
@@ -468,7 +471,7 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
     use graphkit::{generators, DistanceMatrix, FailureSet, Graph};
-    use routemodel::{stretch_factor_with_threads, Action, Header, TableRouting, TieBreak};
+    use routemodel::{stretch_factor, Action, Header, TableRouting, TieBreak};
 
     fn table_routing(g: &Graph) -> TableRouting {
         let dm = DistanceMatrix::all_pairs_sequential(g);
@@ -508,7 +511,7 @@ mod tests {
         let g = generators::random_connected(72, 0.07, 33);
         let r = table_routing(&g);
         let dm = DistanceMatrix::all_pairs_sequential(&g);
-        let dense = stretch_factor_with_threads(&g, &dm, &r, 1).unwrap();
+        let dense = stretch_factor(&g, &dm, &r).unwrap();
         for threads in [1usize, 2, 3, 7] {
             for block_rows in [1usize, 5, 16, 100] {
                 let blocked = stretch_factor_blocked(&g, &r, threads, block_rows).unwrap();
@@ -672,7 +675,7 @@ mod tests {
             }
         });
         let dm = DistanceMatrix::all_pairs_sequential(&g);
-        let dense = stretch_factor_with_threads(&g, &dm, &r, 1).unwrap_err();
+        let dense = stretch_factor(&g, &dm, &r).unwrap_err();
         for threads in [1usize, 4] {
             let blocked = stretch_factor_blocked(&g, &r, threads, 3).unwrap_err();
             assert_eq!(blocked, dense, "threads={threads}");

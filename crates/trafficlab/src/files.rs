@@ -303,7 +303,7 @@ fn parse_case(section: &Section, index: usize) -> Result<CaseSpec, ScenarioFileE
 }
 
 /// The `[[case]]` key vocabulary of scenario files, for `trafficlab specs` —
-/// kept next to [`parse_case`] so the printed keys cannot drift from the
+/// kept next to `parse_case` so the printed keys cannot drift from the
 /// parsed ones (the CI specs-sync gate greps this output).
 pub fn case_key_vocabulary() -> String {
     let mut out = String::from("valid case keys ([[case]] sections of a scenario file):\n");

@@ -14,8 +14,8 @@
 //! the block's BFS rows (narrow `u8` rows where they fit), routes the
 //! block's messages with zero per-message allocations, and per-source
 //! stretch partials are folded in source order — so the all-pairs report is
-//! **bit-identical** to the dense sweep while peak memory stays
-//! `O(workers · block_rows · n)`.
+//! **bit-identical** to `routemodel::stretch_factor`, the sequential
+//! reference, while peak memory stays `O(workers · block_rows · n)`.
 //!
 //! Layers:
 //!

@@ -817,8 +817,8 @@ pub struct ScenarioReport {
 }
 
 /// Above this vertex count, schemes whose construction is quadratic (see
-/// [`SchemeKind::scales_to_large_graphs`]) are skipped with a note instead
-/// of being built.
+/// [`SchemeSpec::scales_to_large_graphs`], which also refuses a landmark
+/// count far past `Õ(√n)`) are skipped with a note instead of being built.
 pub const LARGE_GRAPH_THRESHOLD: usize = 50_000;
 
 /// Runs every (case, scheme) cell of a scenario.

@@ -1,4 +1,4 @@
-//! Property tests for the CSR graph core and the parallel stretch pipeline.
+//! Property tests for the CSR graph core and the engine's stretch sweeps.
 //!
 //! Two contracts are pinned down here:
 //!
@@ -6,15 +6,18 @@
 //!   semantics of the incremental builder path (`Graph::new` + `add_edge`):
 //!   `neighbors`, `degree` and the port labels round-trip through
 //!   [`graphkit::GraphBuilder`] and [`Graph::from_edges`] alike;
-//! * the parallel and sampled stretch sweeps agree with the sequential sweep
-//!   on the Petersen graph, hypercubes and random connected graphs.
+//! * the `trafficlab` engine's parallel all-pairs sweep and its
+//!   sampled-sources probe agree bit-for-bit with sequential sweeps — the
+//!   `stretch_factor` reference, and a walk over the same sampled pairs —
+//!   at every worker count, on the Petersen graph, hypercubes and random
+//!   connected graphs.
 //!
 //! Cases are driven by the repository's deterministic RNG; failure messages
 //! carry the parameters needed to replay a case.
 
 use graphkit::{GraphBuilder, Xoshiro256};
-use routemodel::stretch::{sampled_pairs, stretch_factor_with_threads, stretch_sampled};
-use routemodel::stretch_over_pairs;
+use routemodel::{route, RoutingFunction, StretchAccumulator, StretchReport};
+use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, SourceDests, WorkloadSpec};
 use universal_routing::prelude::*;
 
 /// Draws a random edge sequence (orientation and order preserved, no
@@ -116,9 +119,18 @@ fn stretch_families(seed: u64) -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// Parallel stretch must be bit-identical to the sequential sweep, for
-/// shortest-path tables and for a deliberately stretchy routing function
-/// (spanning-tree routing), across all three families.
+fn assert_bit_identical(a: &StretchReport, b: &StretchReport, ctx: &str) {
+    assert_eq!(a.max_stretch.to_bits(), b.max_stretch.to_bits(), "{ctx}");
+    assert_eq!(a.avg_stretch.to_bits(), b.avg_stretch.to_bits(), "{ctx}");
+    assert_eq!(a.max_pair, b.max_pair, "{ctx}");
+    assert_eq!(a.max_route_len, b.max_route_len, "{ctx}");
+    assert_eq!(a.pairs, b.pairs, "{ctx}");
+}
+
+/// The engine's parallel all-pairs sweep must be bit-identical to the
+/// sequential reference, for seeded shortest-path tables and for a
+/// deliberately stretchy routing function (spanning-tree routing), across
+/// all three families, at every worker count from 1 to 5 and at 7.
 #[test]
 fn prop_parallel_stretch_bit_identical_across_families() {
     for seed in [3u64, 17, 92] {
@@ -126,36 +138,29 @@ fn prop_parallel_stretch_bit_identical_across_families() {
             let dm = DistanceMatrix::all_pairs(&g);
             let table = TableRouting::from_distances(&g, &dm, TieBreak::Seeded(seed));
             let tree = routeschemes::tree_routing::SpanningTreeScheme::default().build(&g);
-            let functions: [&(dyn routemodel::RoutingFunction + Sync); 2] =
-                [&table, tree.routing.as_ref()];
+            let functions: [&(dyn RoutingFunction + Sync); 2] = [&table, tree.routing.as_ref()];
             for r in functions {
-                let seq = stretch_factor_with_threads(&g, &dm, r, 1).unwrap();
-                for threads in [2, 5, 16] {
-                    let par = stretch_factor_with_threads(&g, &dm, r, threads).unwrap();
-                    assert_eq!(
-                        par.max_stretch.to_bits(),
-                        seq.max_stretch.to_bits(),
-                        "{family} seed={seed} threads={threads} ({})",
+                let reference = stretch_factor(&g, &dm, r).unwrap();
+                for (threads, block_rows) in
+                    [(1usize, 64usize), (2, 1), (3, 9), (4, 16), (5, 3), (7, 64)]
+                {
+                    let par = stretch_factor_blocked(&g, r, threads, block_rows).unwrap();
+                    let ctx = format!(
+                        "{family} seed={seed} threads={threads} block_rows={block_rows} ({})",
                         r.name()
                     );
-                    assert_eq!(
-                        par.avg_stretch.to_bits(),
-                        seq.avg_stretch.to_bits(),
-                        "{family} seed={seed} threads={threads} ({})",
-                        r.name()
-                    );
-                    assert_eq!(par.max_pair, seq.max_pair, "{family} seed={seed}");
-                    assert_eq!(par.max_route_len, seq.max_route_len, "{family} seed={seed}");
-                    assert_eq!(par.pairs, seq.pairs, "{family} seed={seed}");
+                    assert_bit_identical(&par, &reference, &ctx);
                 }
             }
         }
     }
 }
 
-/// The sampled estimator must agree with a sequential sweep over the same
-/// sample, and must report exact stretch 1 for shortest-path tables on all
-/// three families (where every sampled pair has stretch 1).
+/// The sampled-sources probe (what a scenario's `sampled` stretch mode runs)
+/// must agree bit-for-bit with a sequential walk over the same pairs — one
+/// accumulator per source, merged in source order — at every worker count
+/// and block size, and must report exact stretch 1 for shortest-path tables
+/// on all three families (where every sampled pair has stretch 1).
 #[test]
 fn prop_sampled_stretch_agrees_with_sequential() {
     for seed in [7u64, 41] {
@@ -163,22 +168,38 @@ fn prop_sampled_stretch_agrees_with_sequential() {
             let n = g.num_nodes();
             let dm = DistanceMatrix::all_pairs(&g);
             let r = TableRouting::from_distances(&g, &dm, TieBreak::LowestNeighbor);
-            let k = 300;
-            let sampled = stretch_sampled(&g, &dm, &r, k, seed).unwrap();
-            let direct = stretch_over_pairs(&g, &dm, &r, sampled_pairs(n, k, seed)).unwrap();
-            assert_eq!(
-                sampled.max_stretch.to_bits(),
-                direct.max_stretch.to_bits(),
-                "{family} seed={seed}"
-            );
-            assert_eq!(
-                sampled.avg_stretch.to_bits(),
-                direct.avg_stretch.to_bits(),
-                "{family} seed={seed}"
-            );
-            assert_eq!(sampled.pairs, direct.pairs, "{family} seed={seed}");
+            let plan = WorkloadSpec::SampledSources {
+                sources: 18,
+                dests_per_source: 17,
+                seed,
+            }
+            .compile(n);
+            let mut direct = StretchAccumulator::new();
+            for s in 0..n {
+                let SourceDests::List(dests) = plan.dests(s) else {
+                    panic!("a sampled plan lists its destinations");
+                };
+                let mut acc = StretchAccumulator::new();
+                for t in dests.iter().map(|&t| t as usize).filter(|&t| t != s) {
+                    let len = route(&g, &r, s, t).unwrap().len() as u32;
+                    acc.record(s, t, len, dm.dist(s, t));
+                }
+                direct.merge_after(&acc);
+            }
+            let direct = direct.into_report();
+            for (threads, block_rows) in [(1usize, 64usize), (2, 1), (3, 5), (4, 16)] {
+                let cfg = EngineConfig {
+                    threads,
+                    block_rows,
+                    track_congestion: false,
+                };
+                let sampled = run_workload(&g, &r, &plan, &cfg).unwrap().stretch;
+                let ctx = format!("{family} seed={seed} threads={threads} block_rows={block_rows}");
+                assert_bit_identical(&sampled, &direct, &ctx);
+            }
+            assert_eq!(direct.pairs as u64, plan.messages(), "{family} seed={seed}");
             assert!(
-                (sampled.max_stretch - 1.0).abs() < 1e-12,
+                (direct.max_stretch - 1.0).abs() < 1e-12,
                 "{family} seed={seed}: tables are shortest-path"
             );
         }

@@ -1,8 +1,9 @@
 //! Integration properties of the sharded workload pipeline, across crates:
 //!
-//! * block-streamed all-pairs stretch is **bit-identical** to the dense
-//!   `DistanceMatrix` + `stretch_factor` path, across graph families, worker
-//!   counts and block sizes (including blocks that fall back to wide rows);
+//! * block-streamed all-pairs stretch is **bit-identical** to the sequential
+//!   reference `stretch_factor` over a dense `DistanceMatrix`, across graph
+//!   families, worker counts and block sizes (including blocks that fall
+//!   back to wide rows);
 //! * per-arc congestion totals equal the sum of route lengths (flow
 //!   conservation);
 //! * every scheme of the registry measures within its promised stretch
@@ -10,7 +11,7 @@
 //! * `DistanceBlock` rows agree cell-for-cell with `DistanceMatrix`.
 
 use graphkit::{generators, DistanceBlock, DistanceMatrix, Graph, Xoshiro256};
-use routemodel::{stretch_factor_with_threads, StretchReport, TableRouting, TieBreak};
+use routemodel::{stretch_factor, StretchReport, TableRouting, TieBreak};
 use routeschemes::registry::{applicable_schemes, GraphHints};
 use routeschemes::CompactScheme;
 use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, WorkloadSpec};
@@ -44,7 +45,7 @@ fn blocked_stretch_bit_identical_to_dense_across_families() {
     for (name, g, _) in graph_families() {
         let dm = DistanceMatrix::all_pairs_sequential(&g);
         let table = TableRouting::from_distances(&g, &dm, TieBreak::LowestPort);
-        let dense = stretch_factor_with_threads(&g, &dm, &table, 1).unwrap();
+        let dense = stretch_factor(&g, &dm, &table).unwrap();
         for (threads, block_rows) in [(1usize, 1usize), (1, 64), (2, 7), (4, 16), (3, 1000)] {
             let blocked = stretch_factor_blocked(&g, &table, threads, block_rows).unwrap();
             assert_bit_identical(
@@ -64,7 +65,7 @@ fn blocked_stretch_bit_identical_for_spanning_tree_routing() {
         let dm = DistanceMatrix::all_pairs_sequential(&g);
         let inst = routeschemes::SpanningTreeScheme::default().build(&g);
         let r = inst.routing.as_ref();
-        let dense = stretch_factor_with_threads(&g, &dm, r, 1).unwrap();
+        let dense = stretch_factor(&g, &dm, r).unwrap();
         for (threads, block_rows) in [(2usize, 13usize), (5, 32)] {
             let blocked = stretch_factor_blocked(&g, r, threads, block_rows).unwrap();
             assert_bit_identical(&blocked, &dense, name);
