@@ -20,7 +20,7 @@
 //!   behind the same [`DistanceBlock::dist`] / [`DistanceRow`] accessors.
 //!
 //! Both fill their rows from one kernel, the bit-parallel
-//! [`bfs_block_into`]: one traversal per 64 consecutive sources, each level
+//! [`bfs_block_into`]: one traversal per range of 64 sources, each level
 //! written straight into the rows.  Its work is the sum over levels of the
 //! frontier's arcs — at most 64 single BFSs, and about `diameter · 2m` on
 //! small-diameter graphs, where a block of 64 rows costs a few single BFSs.
@@ -184,7 +184,8 @@ impl DistanceBlock {
         for first in (0..rows).step_by(BLOCK_SOURCES) {
             let count = BLOCK_SOURCES.min(rows - first);
             let at = first * n;
-            bfs_block_into(g, start + first, count, scratch, |level, v, bits| {
+            let sources = start + first..start + first + count;
+            bfs_block_into(g, sources, scratch, |level, v, bits| {
                 if *narrow_active {
                     if level < Dist::from(NARROW_INFINITY) {
                         scatter(&mut narrow[at..], n, v, bits, level as u8);
@@ -298,7 +299,7 @@ impl DistanceMatrix {
                 let count = BLOCK_SOURCES.min(n - start);
                 rows.clear();
                 rows.resize(count * n, INFINITY);
-                bfs_block_into(g, start, count, scratch, |level, v, bits| {
+                bfs_block_into(g, start..start + count, scratch, |level, v, bits| {
                     scatter(rows, n, v, bits, level);
                 });
             },

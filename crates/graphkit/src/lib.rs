@@ -17,8 +17,9 @@
 //!   unit circular-arc graphs and random graphs,
 //! * breadth-first traversals, eccentricities and diameters ([`traversal`]),
 //!   built on a reusable zero-allocation workspace ([`BfsScratch`]), with a
-//!   bit-parallel BFS of 64 sources per pass
-//!   ([`traversal::bfs_block_into`]) behind every all-pairs sweep,
+//!   bit-parallel BFS of up to 64 listed sources per pass
+//!   ([`traversal::bfs_block_into`]) behind every all-pairs sweep and the
+//!   landmark scheme's toward tables,
 //!   nearest-source BFS
 //!   ([`traversal::bfs_from_sources_into`]) and pruned/bounded BFS
 //!   ([`traversal::bfs_bounded_into`]) for landmark-style sparse scheme

@@ -11,13 +11,16 @@
 //! reusable [`BfsScratch`] workspace so that sweeps perform **zero heap
 //! allocations per source** after the first.
 //!
-//! Every all-pairs sweep — [`crate::DistanceMatrix::all_pairs`],
-//! [`crate::DistanceBlock`] and through it the streamed routing tables, the
-//! stretch engine and the Lemma 2 forcing check — runs on one kernel,
-//! [`bfs_block_into`]: a bit-parallel BFS that traverses 64 consecutive
-//! sources per pass, scanning each level's frontier arcs once for all of
-//! them.  On the small-diameter graphs of the paper (the Theorem 1 instance
-//! has diameter 4) a block of 64 sources costs a few single BFSs.
+//! Every many-source sweep runs on one kernel, [`bfs_block_into`]: a
+//! bit-parallel BFS that traverses up to 64 listed sources per pass,
+//! scanning each level's frontier arcs once for all of them.  Its callers
+//! are [`crate::DistanceMatrix::all_pairs`] and [`crate::DistanceBlock`]
+//! (and through it the streamed routing tables, the stretch engine and the
+//! Lemma 2 forcing check), which pass ranges of consecutive sources, and
+//! the landmark scheme's toward-landmark tables, which pass blocks of its
+//! sampled landmarks.  On the small-diameter graphs of the paper (the
+//! Theorem 1 instance has diameter 4) a block of 64 sources costs a few
+//! single BFSs.
 
 use crate::failure::Adjacency;
 use crate::graph::{Graph, NodeId, Port};
@@ -127,17 +130,19 @@ pub const NARROW_INFINITY: u8 = u8::MAX;
 /// mask each.
 pub const BLOCK_SOURCES: usize = 64;
 
-/// Bit-parallel BFS from the `rows <= 64` consecutive sources
-/// `start..start + rows` at once (the multi-source BFS of Then et al.,
-/// "The More the Merrier", PVLDB 2014).
+/// Bit-parallel BFS from up to 64 sources at once (the multi-source BFS of
+/// Then et al., "The More the Merrier", PVLDB 2014).
 ///
-/// Every vertex carries a `u64` mask of the sources that have reached it.
-/// A level scans the arcs of its frontier once for all sources: the
-/// frontier vertex `u` with level mask `f` hands `f & !seen[v]` to each live
-/// neighbour `v`.  `reached(level, v, bits)` is called once per level for
-/// every vertex some source reaches first at that level, with bit `i` of
-/// `bits` set for source `start + i`: that is `d(start + i, v) = level`.
-/// Level 0 reports the sources themselves; levels arrive in increasing
+/// `sources` lists the sources in bit order: a range `start..start + rows`
+/// for the all-pairs sweeps, or any list of ids (the landmark scheme passes
+/// its sampled landmarks).  Every vertex carries a `u64` mask of the
+/// sources that have reached it.  A level scans the arcs of its frontier
+/// once for all sources: the frontier vertex `u` with level mask `f` hands
+/// `f & !seen[v]` to each live neighbour `v`.  `reached(level, v, bits)` is
+/// called once per level for every vertex some source reaches first at that
+/// level, with bit `i` of `bits` set for the `i`-th listed source: that is
+/// `d(sources[i], v) = level`.  Level 0 reports the sources themselves (a
+/// source listed twice reports both bits); levels arrive in increasing
 /// order, and within a level the vertex order is unspecified.  Vertices no
 /// source reaches are never reported.
 ///
@@ -155,20 +160,26 @@ pub const BLOCK_SOURCES: usize = 64;
 ///
 /// Generic over [`Adjacency`], like [`bfs_distances_into`]: arcs are
 /// followed out of the frontier, so masked views work unchanged.
-pub fn bfs_block_into<A: Adjacency>(
+pub fn bfs_block_into<A, S>(
     g: A,
-    start: NodeId,
-    rows: usize,
+    sources: S,
     scratch: &mut BfsScratch,
     mut reached: impl FnMut(Dist, NodeId, u64),
-) {
+) where
+    A: Adjacency,
+    S: IntoIterator<Item = NodeId>,
+    S::IntoIter: ExactSizeIterator,
+{
     let n = g.num_nodes();
+    let mut sources = sources.into_iter();
+    let rows = sources.len();
     assert!(rows <= BLOCK_SOURCES, "a block covers at most 64 sources");
-    assert!(start + rows <= n, "BFS source out of range");
     if rows == 1 {
         // Nothing to share: a plain queue BFS over one flag per vertex, which
         // stays cache-resident where three masks per vertex would not.
-        return single_source_levels(g, start, scratch, reached);
+        let source = sources.next().expect("one source");
+        assert!(source < n, "BFS source out of range");
+        return single_source_levels(g, source, scratch, reached);
     }
     let BfsScratch {
         queue: touched,
@@ -183,11 +194,15 @@ pub fn bfs_block_into<A: Adjacency>(
     debug_assert!(masks.iter().all(|&m| m == [0; 3]), "stale scratch");
     touched.clear();
     frontier.clear();
-    for i in 0..rows {
-        let s = start + i;
-        masks[s] = [1 << i, 1 << i, 0];
-        touched.push(s as u32);
-        frontier.push(s as u32);
+    for (i, s) in sources.enumerate() {
+        assert!(s < n, "BFS source out of range");
+        let m = &mut masks[s];
+        if m[0] == 0 {
+            touched.push(s as u32);
+            frontier.push(s as u32);
+        }
+        m[0] |= 1 << i;
+        m[1] |= 1 << i;
     }
     let mut level: Dist = 0;
     while !frontier.is_empty() {
@@ -800,7 +815,7 @@ mod tests {
         let n = g.num_nodes();
         let mut out = vec![vec![INFINITY; n]; rows];
         let mut last_level = 0;
-        bfs_block_into(g, start, rows, scratch, |level, v, mut bits| {
+        bfs_block_into(g, start..start + rows, scratch, |level, v, mut bits| {
             assert!(
                 level >= last_level,
                 "levels must arrive in increasing order"
@@ -890,6 +905,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_kernel_takes_explicit_source_lists() {
+        // Non-consecutive sources on a masked view: bit `i` of a report is
+        // `sources[i]`, and every reported level is that source's distance.
+        let g = generators::random_connected(200, 0.03, 12);
+        let failures = crate::FailureSet::sample(&g, 0.1, 4);
+        let view = crate::GraphView::masked(&g, &failures);
+        let n = g.num_nodes();
+        let mut scratch = BfsScratch::new();
+        let mut want = vec![0 as Dist; n];
+        for rows in [1usize, 2, 63, 64] {
+            // Descending, strided ids: neither a range nor sorted.
+            let sources: Vec<NodeId> = (0..rows).map(|i| n - 1 - 3 * i).collect();
+            let mut got = vec![vec![INFINITY; n]; rows];
+            bfs_block_into(
+                view,
+                sources.iter().copied(),
+                &mut scratch,
+                |level, v, mut bits| {
+                    while bits != 0 {
+                        let i = bits.trailing_zeros() as usize;
+                        assert_eq!(
+                            got[i][v], INFINITY,
+                            "source {} reached {v} twice",
+                            sources[i]
+                        );
+                        got[i][v] = level;
+                        bits &= bits - 1;
+                    }
+                },
+            );
+            for (i, &s) in sources.iter().enumerate() {
+                bfs_distances_into(view, s, &mut scratch, &mut want);
+                assert_eq!(got[i], want, "{rows} sources, source {s}");
+            }
+        }
+        // A source listed twice reports both of its bits at every level.
+        bfs_distances_into(view, 7, &mut scratch, &mut want);
+        bfs_block_into(view, [7, 7], &mut scratch, |level, v, bits| {
+            assert_eq!(bits, 0b11, "vertex {v}");
+            assert_eq!(level, want[v], "vertex {v}");
+        });
     }
 
     #[test]

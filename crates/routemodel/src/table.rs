@@ -194,16 +194,20 @@ impl TableRouting {
     }
 
     /// Builds shortest-path routing tables from a precomputed distance matrix.
+    ///
+    /// Distances towards a destination `v` are read from `v`'s own row, one
+    /// contiguous slice: `g` is undirected, so `d(x, v) = d(v, x)`.
     pub fn from_distances(g: &Graph, dm: &DistanceMatrix, tie: TieBreak) -> Self {
         let n = g.num_nodes();
         let ports = ports_at!(Self::width_for(g), C => {
             let mut ports = vec![C::NONE; n * n];
             for (v, col) in ports.chunks_exact_mut(n.max(1)).enumerate() {
+                let row = dm.row(v);
                 for (u, slot) in col.iter_mut().enumerate() {
-                    if u == v || !dm.reachable(u, v) {
+                    if u == v || row[u] == INFINITY {
                         continue;
                     }
-                    let p = Self::pick_port_with(g, |x| dm.dist(x, v), u, v, dm.dist(u, v), tie);
+                    let p = Self::pick_port_with(g, |x| row[x], u, v, row[u], tie);
                     *slot = cell_of(p);
                 }
             }

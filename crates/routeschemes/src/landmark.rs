@@ -56,8 +56,11 @@
 //!
 //! [`LandmarkRouting::build_with`] is **sparse**: it never materializes an
 //! `n × n` distance matrix.  One multi-source BFS assigns home landmarks and
-//! the distances `d(v, L)`, one BFS per landmark fills the toward-landmark
-//! ports (`O(m·k)` total), and one *pruned* BFS per vertex — truncated at the
+//! the distances `d(v, L)`; the toward-landmark ports and distances take one
+//! bit-parallel BFS ([`graphkit::traversal::bfs_block_into`]) and one
+//! lane-wise port scan per block of 32 landmarks (`O(m·k)` total, shared
+//! across the block on small-diameter graphs); and one *pruned* BFS per
+//! vertex — truncated at the
 //! per-vertex radius of the cluster rule via [`graphkit::bfs_bounded_into`] —
 //! enumerates exactly the cluster, in `O(Σ_w vol(S(w)))` expected.  The
 //! strict rule's handoff tables cost one more pruned BFS per *landmark* (the
@@ -74,18 +77,23 @@
 //! thread; the three heavy phases run on [`graphkit::par::default_threads`]
 //! workers through [`graphkit::par::map_fold_ordered`]:
 //!
-//! * one item per landmark computes its BFS column and toward ports; the
-//!   fold narrows the column into `toward_dist` and scatters the ports into
-//!   the row-major `toward_landmark`;
+//! * one item per block of 32 landmarks runs one bit-parallel BFS into
+//!   vertex-major level lines, scans them for every vertex's ports towards
+//!   the whole block (the port rows of the row-major `toward_landmark`
+//!   behind one lock), and transposes the lines into the block's own range
+//!   of the column-major `toward_dist` (split off up front, so that lock is
+//!   never contended).  The items hand no result to the fold, so no output
+//!   buffer is in flight;
 //! * under the strict rule, one item per landmark harvests its handoff list;
 //!   the fold appends it to one flat list;
 //! * one item per block of 64 consecutive routers runs their pruned BFS and
 //!   sorts each cluster; the fold appends the block to the cluster CSR.
 //!
 //! Every item is a pure function of the view, the config and the tables of
-//! earlier phases, and the fold consumes items in index order — the order
-//! the serial loops used — so the instance is **bit-identical at every
-//! thread count** (pinned by a test at 1, 2 and 3 threads).
+//! earlier phases; the toward items write disjoint cells, and the other
+//! folds consume items in index order — the order the serial loops used —
+//! so the instance is **bit-identical at every thread count** (pinned by a
+//! test at 1, 2 and 3 threads).
 //!
 //! [`LandmarkRouting::repair`] runs its heavy passes the same way, after a
 //! serial connectivity check and multi-source BFS:
@@ -129,7 +137,7 @@
 use crate::scheme::{
     BuildError, CompactScheme, GraphHints, RepairOutcome, SchemeInstance, SchemeRouting,
 };
-use graphkit::traversal::bfs_distances_into;
+use graphkit::traversal::{bfs_block_into, bfs_distances_into};
 use graphkit::{
     bfs_ball_into, bfs_bounded_into, bfs_from_sources_into, par, Adjacency, BfsScratch,
     BoundedBfsScratch, Dist, DistanceMatrix, FailureSet, Graph, GraphView, NodeId, Port,
@@ -319,11 +327,73 @@ const CLUSTER_BLOCK: usize = 64;
 /// up-front reservation of the cluster arrays.
 const RESERVE_SAMPLE: usize = 4 * CLUSTER_BLOCK;
 
-/// One landmark's column of the build: `d(·, ℓ)` and the port towards `ℓ`.
-#[derive(Default)]
-struct LandmarkColumn<C> {
-    dist: Vec<Dist>,
-    port: Vec<C>,
+/// Landmarks per work item of the build's toward phase: one bit-parallel
+/// BFS and one port scan serve them all.  32 rather than the kernel's 64
+/// because each worker's level lines hold `TOWARD_LANES` cells per vertex:
+/// on the churn benchmark (n = 32768) 64 lanes added 5.5% to the peak
+/// resident memory and 32 lanes 3%, at the same end-to-end setup time.
+const TOWARD_LANES: usize = 32;
+
+/// The toward-landmark tables of one block of landmarks, `block =
+/// landmarks[first..first + block.len()]`, written straight into the
+/// instance: `columns` is the block's range of the column-major
+/// `toward_dist`, and the scan writes `block.len()` contiguous cells of
+/// each row of the row-major `toward_landmark`.
+///
+/// One [`bfs_block_into`] over the block fills `lines`, a vertex-major
+/// buffer of `TOWARD_LANES` cells per vertex: lane `i` of vertex `v`'s line
+/// is `d(v, block[i])` (the view is connected, so every lane in use is
+/// written and nothing needs clearing between blocks).  Then a branch-free
+/// scan gives every vertex `w` its port towards each landmark at once.  It
+/// walks the live ports of `w` from the last to the first and, lane by
+/// lane, takes the port whenever the neighbour's line is lower, so the
+/// smallest tight port wins: the rule of [`min_tight_port`], since the
+/// distances of neighbours differ by at most one.  A landmark's own lane
+/// finds no lower neighbour and keeps the sentinel the table starts with.
+fn toward_block<C: Cell>(
+    view: GraphView<'_>,
+    block: &[NodeId],
+    first: usize,
+    bfs: &mut BfsScratch,
+    lines: &mut Vec<C>,
+    columns: &mut [C],
+    toward_landmark: &Mutex<&mut [C]>,
+) {
+    let n = view.num_nodes();
+    let rows = block.len();
+    lines.resize(n * TOWARD_LANES, C::default());
+    bfs_block_into(view, block.iter().copied(), bfs, |level, v, mut bits| {
+        let level = C::cell(level);
+        let line = &mut lines[v * TOWARD_LANES..(v + 1) * TOWARD_LANES];
+        while bits != 0 {
+            line[bits.trailing_zeros() as usize] = level;
+            bits &= bits - 1;
+        }
+    });
+    let line = |v: NodeId| &lines[v * TOWARD_LANES..v * TOWARD_LANES + rows];
+    {
+        let mut table = toward_landmark
+            .lock()
+            .expect("a panicking scan aborts the build");
+        let k = table.len() / n;
+        for w in 0..n {
+            let here = line(w);
+            let ports = &mut table[w * k + first..w * k + first + rows];
+            for p in (0..view.degree(w)).rev() {
+                if let Some(x) = view.live_target(w, p) {
+                    let (there, port) = (line(x), C::cell(p as u32));
+                    for ((slot, &t), &h) in ports.iter_mut().zip(there).zip(here) {
+                        *slot = if t < h { port } else { *slot };
+                    }
+                }
+            }
+        }
+    }
+    for (i, column) in columns.chunks_mut(n).enumerate() {
+        for (cell, w) in column.iter_mut().zip(0..n) {
+            *cell = line(w)[i];
+        }
+    }
 }
 
 /// The clusters of one block of `CLUSTER_BLOCK` consecutive routers, laid
@@ -664,41 +734,38 @@ impl LandmarkRouting {
         );
         let home: Vec<NodeId> = origin.iter().map(|&o| o as usize).collect();
 
-        // Distance and port towards every landmark: one BFS per landmark plus
-        // a scan of every live arc — O(k (n + m)) total.  A worker fills one
-        // column; the fold narrows it into `toward_dist` and scatters its
-        // ports into the row-major `toward_landmark`.
+        // Distance and port towards every landmark (see `toward_block`).
         let mut toward_dist = vec![C::default(); n * k];
         let mut toward_landmark = vec![C::NONE; n * k];
-        par::map_fold_ordered(
-            k,
-            threads,
-            || BfsScratch::with_capacity(n),
-            |scratch, i, col: &mut LandmarkColumn<C>| {
-                let l = landmarks[i];
-                col.dist.resize(n, 0);
-                col.port.resize(n, C::NONE);
-                bfs_distances_into(view, l, scratch, &mut col.dist);
-                for w in 0..n {
-                    col.port[w] =
-                        if w == l {
-                            C::NONE
-                        } else {
-                            C::cell(min_tight_port(view, &col.dist, w, col.dist[w]).expect(
-                                "connected graph: some neighbour is closer to the landmark",
-                            ))
-                        };
-                }
-            },
-            |i, col| {
-                for (to, &d) in toward_dist[i * n..(i + 1) * n].iter_mut().zip(&col.dist) {
-                    *to = C::cell(d);
-                }
-                for (w, &port) in col.port.iter().enumerate() {
-                    toward_landmark[w * k + i] = port;
-                }
-            },
-        );
+        {
+            let columns: Vec<Mutex<&mut [C]>> = toward_dist
+                .chunks_mut(TOWARD_LANES * n)
+                .map(Mutex::new)
+                .collect();
+            let toward_landmark = Mutex::new(&mut toward_landmark[..]);
+            par::map_fold_ordered(
+                columns.len(),
+                threads,
+                || (BfsScratch::with_capacity(n), Vec::new()),
+                |(bfs, lines), b, _: &mut ()| {
+                    let first = b * TOWARD_LANES;
+                    let block = &landmarks[first..(first + TOWARD_LANES).min(k)];
+                    let mut columns = columns[b]
+                        .lock()
+                        .expect("one item per block: the lock is never contended");
+                    toward_block(
+                        view,
+                        block,
+                        first,
+                        bfs,
+                        lines,
+                        &mut columns,
+                        &toward_landmark,
+                    );
+                },
+                |_, _| {},
+            );
+        }
 
         // Strict rule only: the handoff table of each landmark, harvested by
         // one pruned BFS per landmark with the *inclusive* bound — its visit
@@ -2347,6 +2414,94 @@ mod tests {
         }
     }
 
+    /// The toward tables the per-landmark way, the build's test oracle: one
+    /// BFS per landmark for its `toward_dist` column, then [`min_tight_port`]
+    /// for every vertex's port towards it.  Checks every cell of `r`.
+    fn assert_toward_tables_match_oracle(view: GraphView<'_>, r: &LandmarkRouting, label: &str) {
+        with_tables!(&r.cells, t => check_toward(view, &r.landmarks, t, label));
+    }
+
+    fn check_toward<C: Cell>(
+        view: GraphView<'_>,
+        landmarks: &[NodeId],
+        t: &Tables<C>,
+        label: &str,
+    ) {
+        let (n, k) = (view.num_nodes(), landmarks.len());
+        let mut scratch = BfsScratch::new();
+        let mut dist = vec![0 as Dist; n];
+        for (i, &l) in landmarks.iter().enumerate() {
+            bfs_distances_into(view, l, &mut scratch, &mut dist);
+            let column: Vec<C> = dist.iter().map(|&d| C::cell(d)).collect();
+            assert!(
+                t.toward_dist[i * n..(i + 1) * n] == column[..],
+                "{label}: toward_dist column of landmark {l}"
+            );
+            for w in 0..n {
+                let want = match min_tight_port(view, &column, w, dist[w]) {
+                    _ if w == l => C::NONE,
+                    Some(p) => C::cell(p),
+                    None => panic!("{label}: {w} has no port towards {l}"),
+                };
+                assert_eq!(
+                    t.toward_landmark[w * k + i],
+                    want,
+                    "{label}: port of {w} towards landmark {l}"
+                );
+            }
+        }
+    }
+
+    /// The toward phase runs one work item per block of `TOWARD_LANES`
+    /// landmarks, so the identity with the dense reference must hold across
+    /// block boundaries: one landmark (the kernel's one-source path), a
+    /// block one short of, at and one past 64, and several blocks, on
+    /// random, grid and cycle graphs under both rules.  `cycle(600)` has
+    /// two-byte cells (`2·ecc(ℓ₀) = 600`).
+    #[test]
+    fn sparse_build_matches_dense_reference_across_landmark_blocks() {
+        for (g, seed) in [
+            (generators::random_connected(200, 0.03, 41), 3u64),
+            (generators::grid(12, 15), 4),
+            (generators::cycle(600), 5),
+        ] {
+            for count in [1, 63, 64, 65, 130] {
+                for rule in [ClusterRule::Inclusive, ClusterRule::Strict] {
+                    let cfg = LandmarkConfig {
+                        landmarks: LandmarkCount::Count(count),
+                        cluster_rule: rule,
+                        seed,
+                    };
+                    let sparse = LandmarkRouting::build_with(&g, &cfg);
+                    let dense = LandmarkRouting::build_dense_with(&g, &cfg);
+                    assert_eq!(sparse, dense, "n = {}, {cfg:?}", g.num_nodes());
+                }
+            }
+        }
+    }
+
+    /// On a failure-masked view, which the dense reference cannot build on,
+    /// the toward tables still equal the per-landmark oracle: dead links
+    /// are no ports, across several landmark blocks.
+    #[test]
+    fn toward_tables_match_the_per_landmark_oracle_on_failed_views() {
+        let g = generators::random_connected(500, 0.02, 8);
+        let failures = (1..)
+            .map(|seed| FailureSet::sample(&g, 0.05, seed))
+            .find(|f| graphkit::traversal::is_connected(GraphView::masked(&g, f)))
+            .unwrap();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &failures)] {
+            for cfg in [inclusive(2), strict(2)] {
+                let cfg = LandmarkConfig {
+                    landmarks: LandmarkCount::Count(97),
+                    ..cfg
+                };
+                let r = LandmarkRouting::build_on_view(view, &cfg);
+                assert_toward_tables_match_oracle(view, &r, &format!("{cfg:?}"));
+            }
+        }
+    }
+
     /// The parallel build folds landmarks and cluster blocks in index order,
     /// so the instance must not depend on the worker count.  Pinned for both
     /// rules on the full view and on a 10%-failed view, with `n` past the
@@ -3182,6 +3337,27 @@ mod tests {
                 "round {round}"
             );
             adapted = failures;
+        }
+    }
+
+    /// The toward tables at the scale of the churn benchmark, against the
+    /// per-landmark oracle: the 8-regular family at n = 32768, under both
+    /// rules, on the full view and on a connected 1%-failed view.  Too slow
+    /// for a debug build; run it with
+    /// `cargo test --release -p routeschemes -- --ignored toward_tables_match_the_oracle_at_benchmark_scale`.
+    #[test]
+    #[ignore = "n = 32768: run in release with --ignored"]
+    fn toward_tables_match_the_oracle_at_benchmark_scale() {
+        let g = generators::random_regular_like(32_768, 8, 0xB16);
+        let failures = (1..)
+            .map(|seed| FailureSet::sample(&g, 0.01, seed))
+            .find(|f| graphkit::traversal::is_connected(GraphView::masked(&g, f)))
+            .unwrap();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &failures)] {
+            for cfg in [inclusive(DEFAULT_SEED), strict(DEFAULT_SEED)] {
+                let r = LandmarkRouting::build_on_view(view, &cfg);
+                assert_toward_tables_match_oracle(view, &r, &format!("{cfg:?}"));
+            }
         }
     }
 

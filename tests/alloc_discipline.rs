@@ -5,7 +5,8 @@
 //! in place (and, when a trace is asked for, one reused `RouteTrace`), and
 //! `Checker::check_dest` reuses its epoch-stamped arrays across
 //! destinations, and `DistanceBlock::recompute` reuses its row buffers and
-//! the bit-parallel BFS masks of its `BfsScratch` across blocks.  Those promises are load-bearing — the throughput
+//! the bit-parallel BFS masks of its `BfsScratch` across blocks, as does
+//! `bfs_block_into` over explicit source lists.  Those promises are load-bearing — the throughput
 //! and sweep numbers in CI assume them — so this test counts every
 //! `alloc`/`realloc` crossing the global allocator and fails if a warm
 //! iteration performs even one.
@@ -17,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use graphkit::traversal::bfs_block_into;
 use graphkit::{generators, BfsScratch, DistanceBlock, GraphView};
 use routecheck::Checker;
 use routemodel::{default_hop_limit, walk, Header, RouteTrace};
@@ -156,6 +158,28 @@ fn warm_hot_loops_do_not_allocate() {
         block_allocs, 0,
         "warm DistanceBlock::recompute allocated {block_allocs} times; \
          the block sweep must be allocation-free per block"
+    );
+
+    // --- bfs_block_into over explicit sources (the landmark toward phase's
+    // blocks): zero allocations per block once warm ----------------------
+    let sources: Vec<usize> = (0..n).rev().step_by(3).collect();
+    let explicit = |scratch: &mut BfsScratch, sink: &mut u64| {
+        for rows in [64usize, 1, 2, 63] {
+            for block in sources.chunks(rows) {
+                bfs_block_into(view, block.iter().copied(), scratch, |level, _, bits| {
+                    *sink += u64::from(level) * u64::from(bits.count_ones());
+                });
+            }
+        }
+    };
+    explicit(&mut scratch, &mut sink);
+    let before = allocations();
+    explicit(&mut scratch, &mut sink);
+    let explicit_allocs = allocations() - before;
+    assert_eq!(
+        explicit_allocs, 0,
+        "warm bfs_block_into over explicit sources allocated {explicit_allocs} \
+         times; the block loop must be allocation-free per block"
     );
 
     // Keep the routed work observable so nothing above is optimised away.
