@@ -25,11 +25,12 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, FailureSet, Graph, GraphView};
 use routeschemes::landmark::{LandmarkConfig, LandmarkRouting};
 use routeschemes::SchemeRouting;
-use routing_bench::quick_criterion;
+use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 
 const SEED: u64 = 0x7AFF1C;
@@ -71,19 +72,10 @@ fn bench_repair_vs_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// One snapshot entry: repair and rebuild timed on the same churn event.
-struct Entry {
-    n: usize,
-    edges: usize,
-    dead_links: usize,
-    repair_secs: f64,
-    rebuild_secs: f64,
-    vertices_touched: usize,
-    /// Workers of both arms.
-    threads: usize,
-}
-
-fn run_entry(n: usize) -> Entry {
+/// One snapshot entry, echoed to the console: repair and rebuild timed on
+/// the same churn event, both on `default_threads(n)` workers.  Returns
+/// the entry and its repair speedup.
+fn run_entry(n: usize) -> (Json, f64) {
     let g = workload_graph(n);
     let cfg = LandmarkConfig {
         seed: SEED,
@@ -105,60 +97,40 @@ fn run_entry(n: usize) -> Entry {
     assert!(!out.full_rebuild, "nested churn must repair incrementally");
     assert_eq!(repaired, rebuilt, "repair must be bit-identical to rebuild");
 
-    Entry {
-        n,
-        edges: g.num_edges(),
-        dead_links: failures.dead_edges().len(),
-        repair_secs,
-        rebuild_secs,
-        vertices_touched: out.vertices_touched,
-        threads: graphkit::par::default_threads(n),
-    }
+    let (edges, dead) = (g.num_edges(), failures.dead_edges().len());
+    let threads = graphkit::par::default_threads(n);
+    let speedup = rebuild_secs / repair_secs.max(1e-9);
+    println!(
+        "snapshot: n={n:<7} edges={edges:<8} dead={dead:<4} touched={:<7} repair {repair_secs:>8.4}s  rebuild {rebuild_secs:>8.4}s  ({speedup:.2}x)",
+        out.vertices_touched
+    );
+    let entry = Json::obj([
+        ("n", n.into()),
+        ("edges", edges.into()),
+        ("dead_links", dead.into()),
+        ("vertices_touched", out.vertices_touched.into()),
+        ("repair_secs", repair_secs.into()),
+        ("rebuild_secs", rebuild_secs.into()),
+        ("rebuild_threads", threads.into()),
+        ("repair_threads", threads.into()),
+        ("repair_speedup", speedup.into()),
+    ]);
+    (entry, speedup)
 }
 
 /// Hand-timed snapshot written to `BENCH_churn.json`.
 fn bench_snapshot(_c: &mut Criterion) {
-    let entries = [run_entry(4096), run_entry(131_072)];
-
-    let mut json = String::from("{\n  \"bench\": \"churn_repair\",\n");
-    json.push_str(&format!("  \"kill_rate\": {KILL},\n  \"entries\": [\n"));
-    for (i, e) in entries.iter().enumerate() {
-        let speedup = e.rebuild_secs / e.repair_secs.max(1e-9);
-        json.push_str(&format!(
-            concat!(
-                "    {{\"n\": {}, \"edges\": {}, \"dead_links\": {}, ",
-                "\"vertices_touched\": {}, \"repair_secs\": {:.4}, ",
-                "\"rebuild_secs\": {:.4}, \"rebuild_threads\": {}, ",
-                "\"repair_threads\": {}, \"repair_speedup\": {:.2}}}{}\n"
-            ),
-            e.n,
-            e.edges,
-            e.dead_links,
-            e.vertices_touched,
-            e.repair_secs,
-            e.rebuild_secs,
-            e.threads,
-            e.threads,
-            speedup,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: n={:<7} edges={:<8} dead={:<4} touched={:<7} repair {:>8.4}s  rebuild {:>8.4}s  ({speedup:.2}x)",
-            e.n, e.edges, e.dead_links, e.vertices_touched, e.repair_secs, e.rebuild_secs
-        );
-    }
-    let final_speedup = entries[1].rebuild_secs / entries[1].repair_secs.max(1e-9);
-    json.push_str(&format!(
-        "  ],\n  \"repair_speedup_131072\": {final_speedup:.2}\n}}\n"
-    ));
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_churn.json");
-    std::fs::write(&out, json).expect("write BENCH_churn.json");
+    let (small, _) = run_entry(4096);
+    let (large, final_speedup) = run_entry(131_072);
+    let out = write_snapshot(
+        "BENCH_churn.json",
+        &Json::obj([
+            ("bench", "churn_repair".into()),
+            ("kill_rate", KILL.into()),
+            ("entries", vec![small, large].into()),
+            ("repair_speedup_131072", final_speedup.into()),
+        ]),
+    );
     println!(
         "snapshot written to {} (repair vs rebuild at n=131072: {final_speedup:.2}x)",
         out.display()

@@ -14,10 +14,11 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, DistanceMatrix, Graph};
 use routemodel::{TableRouting, TieBreak};
-use routing_bench::quick_criterion;
+use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 use trafficlab::stretch_factor_blocked;
 
@@ -52,11 +53,15 @@ fn bench_exact_stretch(c: &mut Criterion) {
     group.finish();
 }
 
-/// One snapshot entry: best-of-N wall time of one pipeline stage.
-struct Entry {
-    name: &'static str,
-    n: usize,
-    csr_ms: f64,
+/// One snapshot entry, echoed to the console: best-of-N wall time of one
+/// pipeline stage.
+fn entry(name: &str, n: usize, csr_ms: f64) -> Json {
+    println!("snapshot: {name:<28} n={n:<5} csr {csr_ms:>10.2} ms");
+    Json::obj([
+        ("name", name.into()),
+        ("n", n.into()),
+        ("csr_ms", csr_ms.into()),
+    ])
 }
 
 fn time_best_of<F: FnMut()>(runs: usize, mut f: F) -> f64 {
@@ -81,11 +86,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         let csr_ms = time_best_of(runs, || {
             std::hint::black_box(DistanceMatrix::all_pairs(&g));
         });
-        entries.push(Entry {
-            name: "all-pairs-distances",
-            n,
-            csr_ms,
-        });
+        entries.push(entry("all-pairs-distances", n, csr_ms));
     }
     for &(n, runs) in &[(256usize, 5usize), (1024, 3)] {
         let g = workload(n);
@@ -93,37 +94,16 @@ fn bench_snapshot(_c: &mut Criterion) {
             let table = TableRouting::shortest_paths(&g, TieBreak::LowestPort);
             std::hint::black_box(stretch_factor_blocked(&g, &table, 0, 0).unwrap());
         });
-        entries.push(Entry {
-            name: "apsp-plus-exact-stretch",
-            n,
-            csr_ms,
-        });
+        entries.push(entry("apsp-plus-exact-stretch", n, csr_ms));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"csr_pipeline\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"csr_ms\": {:.3}}}{}\n",
-            e.name,
-            e.n,
-            e.csr_ms,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: {:<28} n={:<5} csr {:>10.2} ms",
-            e.name, e.n, e.csr_ms
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    // workspace root = two levels above this crate's manifest dir
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_csr.json");
-    std::fs::write(&out, json).expect("write BENCH_csr.json");
+    let out = write_snapshot(
+        "BENCH_csr.json",
+        &Json::obj([
+            ("bench", "csr_pipeline".into()),
+            ("entries", entries.into()),
+        ]),
+    );
     println!("snapshot written to {}", out.display());
 }
 

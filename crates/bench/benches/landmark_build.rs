@@ -4,10 +4,11 @@
 //! Criterion timings compare the two builders head to head at a size where
 //! the dense one still fits, and a hand-timed snapshot written to
 //! `BENCH_landmark.json` in the workspace root records the dense-vs-sparse
-//! build at `n = 4096` plus the sparse-only point at `n = 131072` — the
-//! graph on which the dense builder cannot run at all (its distance matrix
-//! alone is 64 GiB).  Both builders run on
-//! `graphkit::par::default_threads(n)` workers (the dense one in its
+//! build at `n = 4096` (each arm the median of 5 alternating runs, so
+//! `dense_over_sparse_speedup_4096` is a ratio of medians) plus the
+//! sparse-only point at `n = 131072` — the graph on which the dense builder
+//! cannot run at all (its distance matrix alone is 64 GiB).  Both builders
+//! run on `graphkit::par::default_threads(n)` workers (the dense one in its
 //! all-pairs BFS, the sparse one in its landmark and cluster phases); each
 //! entry records that count as `threads`.
 //!
@@ -19,10 +20,11 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph};
 use routeschemes::landmark::{LandmarkConfig, LandmarkHeapBytes, LandmarkRouting};
-use routing_bench::quick_criterion;
+use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 
 fn workload_graph(n: usize) -> Graph {
@@ -53,119 +55,108 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     group.finish();
 }
 
-/// One snapshot entry.
-struct Entry {
-    name: &'static str,
-    n: usize,
-    edges: usize,
-    secs: f64,
-    avg_cluster: f64,
-    landmarks: usize,
-    threads: usize,
-    heap: LandmarkHeapBytes,
-}
-
 /// The total of `h` with every port and distance widened to `u32`.
 fn u32_layout_bytes(h: &LandmarkHeapBytes) -> usize {
     let cells = h.toward_ports + h.toward_dists + h.cluster_ports + h.cluster_dists;
     h.total() + cells / h.cell_bytes * (4 - h.cell_bytes)
 }
 
-fn run_entry(name: &'static str, g: &Graph, build: impl Fn(&Graph) -> LandmarkRouting) -> Entry {
-    let t0 = Instant::now();
-    let r = build(g);
-    let secs = t0.elapsed().as_secs_f64();
-    Entry {
-        name,
-        n: g.num_nodes(),
-        edges: g.num_edges(),
-        secs,
-        avg_cluster: r.average_cluster_size(),
-        landmarks: r.landmarks().len(),
-        threads: graphkit::par::default_threads(g.num_nodes()),
-        heap: r.heap_bytes(),
+/// One snapshot entry, echoed to the console: instance `r` built on `g` in
+/// `secs`.
+fn entry(name: &str, g: &Graph, secs: f64, r: &LandmarkRouting) -> Json {
+    let (n, edges) = (g.num_nodes(), g.num_edges());
+    let threads = graphkit::par::default_threads(n);
+    let (landmarks, avg_cluster) = (r.landmarks().len(), r.average_cluster_size());
+    let h = r.heap_bytes();
+    println!(
+        "snapshot: {name:<14} n={n:<7} edges={edges:<8} threads={threads} {secs:>8.3}s  landmarks {landmarks:<4} avg cluster {avg_cluster:.1}  width {}  heap {:.1} MB (u32 layout {:.1} MB)",
+        h.cell_bytes,
+        h.total() as f64 / 1e6,
+        u32_layout_bytes(&h) as f64 / 1e6
+    );
+    Json::obj([
+        ("name", name.into()),
+        ("n", n.into()),
+        ("edges", edges.into()),
+        ("threads", threads.into()),
+        ("secs", secs.into()),
+        ("landmarks", landmarks.into()),
+        ("avg_cluster", avg_cluster.into()),
+        ("width", h.cell_bytes.into()),
+        ("heap_bytes", h.total().into()),
+        ("heap_bytes_u32", u32_layout_bytes(&h).into()),
+        (
+            "heap",
+            Json::obj([
+                ("toward_ports", h.toward_ports.into()),
+                ("toward_dists", h.toward_dists.into()),
+                ("cluster_targets", h.cluster_targets.into()),
+                ("cluster_ports", h.cluster_ports.into()),
+                ("cluster_dists", h.cluster_dists.into()),
+                ("offsets", h.offsets.into()),
+                ("labels", h.labels.into()),
+            ]),
+        ),
+    ])
+}
+
+/// A snapshot entry's name and the builder it times.
+type Builder = (&'static str, fn(&Graph) -> LandmarkRouting);
+
+/// Builds `g` with each of `builders` in turn, for `runs` rounds, and
+/// returns each builder's entry and median seconds, the entry describing
+/// the instance its last round built.  Alternating the builders spreads
+/// host drift over both arms, so the ratio of two medians tracks the
+/// builders, not the host.
+fn run_alternating(g: &Graph, runs: usize, builders: &[Builder]) -> Vec<(Json, f64)> {
+    let mut secs = vec![Vec::new(); builders.len()];
+    let mut built = Vec::new();
+    for _ in 0..runs {
+        built.clear();
+        for (i, (_, build)) in builders.iter().enumerate() {
+            let t0 = Instant::now();
+            built.push(build(g));
+            secs[i].push(t0.elapsed().as_secs_f64());
+        }
     }
+    builders
+        .iter()
+        .zip(secs)
+        .zip(built)
+        .map(|((&(name, _), mut secs), r)| {
+            secs.sort_by(f64::total_cmp);
+            let median = secs[secs.len() / 2];
+            (entry(name, g, median, &r), median)
+        })
+        .collect()
 }
 
 /// Hand-timed snapshot written to `BENCH_landmark.json`.
 fn bench_snapshot(_c: &mut Criterion) {
-    let mut entries = Vec::new();
-
-    // Head-to-head at a size the dense builder can still afford.
-    {
-        let g = workload_graph(4096);
-        entries.push(run_entry("dense-4096", &g, |g| {
-            LandmarkRouting::build_dense_with(g, &LandmarkConfig::default())
-        }));
-        entries.push(run_entry("sparse-4096", &g, |g| {
-            LandmarkRouting::build_with(g, &LandmarkConfig::default())
-        }));
-    }
-
+    let dense = |g: &Graph| LandmarkRouting::build_dense_with(g, &LandmarkConfig::default());
+    let sparse = |g: &Graph| LandmarkRouting::build_with(g, &LandmarkConfig::default());
+    // Head to head at a size the dense builder can still afford: the
+    // median of 5 alternating runs per builder.
+    let mut entries = run_alternating(
+        &workload_graph(4096),
+        5,
+        &[("dense-4096", dense), ("sparse-4096", sparse)],
+    );
+    let speedup_4096 = entries[0].1 / entries[1].1.max(1e-9);
     // The sparse-only point: n >= 10^5, impossible for the dense builder.
-    {
-        let g = workload_graph(131_072);
-        entries.push(run_entry("sparse-131072", &g, |g| {
-            LandmarkRouting::build_with(g, &LandmarkConfig::default())
-        }));
-    }
-
-    let speedup_4096 = entries[0].secs / entries[1].secs.max(1e-9);
-    let mut json = String::from("{\n  \"bench\": \"landmark_build\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let h = &e.heap;
-        json.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"edges\": {}, \"threads\": {}, ",
-                "\"secs\": {:.3}, \"landmarks\": {}, \"avg_cluster\": {:.1}, \"width\": {}, ",
-                "\"heap_bytes\": {}, \"heap_bytes_u32\": {}, \"heap\": {{\"toward_ports\": {}, ",
-                "\"toward_dists\": {}, \"cluster_targets\": {}, \"cluster_ports\": {}, ",
-                "\"cluster_dists\": {}, \"offsets\": {}, \"labels\": {}}}}}{}\n"
-            ),
-            e.name,
-            e.n,
-            e.edges,
-            e.threads,
-            e.secs,
-            e.landmarks,
-            e.avg_cluster,
-            h.cell_bytes,
-            h.total(),
-            u32_layout_bytes(h),
-            h.toward_ports,
-            h.toward_dists,
-            h.cluster_targets,
-            h.cluster_ports,
-            h.cluster_dists,
-            h.offsets,
-            h.labels,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: {:<14} n={:<7} edges={:<8} threads={} {:>8.3}s  landmarks {:<4} avg cluster {:.1}  width {}  heap {:.1} MB (u32 layout {:.1} MB)",
-            e.name,
-            e.n,
-            e.edges,
-            e.threads,
-            e.secs,
-            e.landmarks,
-            e.avg_cluster,
-            h.cell_bytes,
-            h.total() as f64 / 1e6,
-            u32_layout_bytes(h) as f64 / 1e6
-        );
-    }
-    json.push_str(&format!(
-        "  ],\n  \"dense_over_sparse_speedup_4096\": {speedup_4096:.2}\n}}\n"
+    entries.extend(run_alternating(
+        &workload_graph(131_072),
+        1,
+        &[("sparse-131072", sparse)],
     ));
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_landmark.json");
-    std::fs::write(&out, json).expect("write BENCH_landmark.json");
+    let out = write_snapshot(
+        "BENCH_landmark.json",
+        &Json::obj([
+            ("bench", "landmark_build".into()),
+            ("entries", entries.into_iter().map(|(e, _)| e).collect()),
+            ("dense_over_sparse_speedup_4096", speedup_4096.into()),
+        ]),
+    );
     println!(
         "snapshot written to {} (dense/sparse at n=4096: {speedup_4096:.2}x)",
         out.display()

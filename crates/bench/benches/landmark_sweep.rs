@@ -11,25 +11,22 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphkit::{generators, Graph};
 use routeschemes::{GraphHints, LandmarkConfig, LandmarkCount, SchemeSpec};
-use routing_bench::quick_criterion;
+use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 use trafficlab::{run_workload, EngineConfig, WorkloadSpec, LANDMARK_SWEEP_KS};
 
-/// One snapshot entry.
-struct Entry {
-    n: usize,
-    spec: String,
-    build_secs: f64,
-    local_bits: u64,
-    avg_bits: f64,
-    max_stretch: f64,
-    avg_stretch: f64,
-}
-
-fn run_point(g: &Graph, k: usize, workload: &WorkloadSpec, block_rows: usize) -> Entry {
+/// Measures one point and returns its snapshot entry, echoed to the
+/// console, with its (max, mean) bits per router.
+fn run_point(
+    g: &Graph,
+    k: usize,
+    workload: &WorkloadSpec,
+    block_rows: usize,
+) -> (Json, (u64, f64)) {
     let spec = SchemeSpec::Landmark(LandmarkConfig {
         landmarks: LandmarkCount::Count(k),
         ..LandmarkConfig::default()
@@ -51,26 +48,31 @@ fn run_point(g: &Graph, k: usize, workload: &WorkloadSpec, block_rows: usize) ->
         },
     )
     .expect("landmark routing delivers");
+    let spec = spec.spec_string();
+    let (max_stretch, avg_stretch) = (rep.stretch.max_stretch, rep.stretch.avg_stretch);
     assert!(
-        rep.stretch.max_stretch <= 3.0 + 1e-9,
-        "{}: measured stretch {} breaks the guarantee",
-        spec.spec_string(),
-        rep.stretch.max_stretch
+        max_stretch <= 3.0 + 1e-9,
+        "{spec}: measured stretch {max_stretch} breaks the guarantee"
     );
-    Entry {
-        n: g.num_nodes(),
-        spec: spec.spec_string(),
-        build_secs,
-        local_bits: inst.memory.local(),
-        avg_bits: inst.memory.average(),
-        max_stretch: rep.stretch.max_stretch,
-        avg_stretch: rep.stretch.avg_stretch,
-    }
+    let (n, local_bits, avg_bits) = (g.num_nodes(), inst.memory.local(), inst.memory.average());
+    println!(
+        "snapshot: {spec:<22} n={n:<7} {build_secs:>7.2}s  local {local_bits:<6} avg {avg_bits:>8.1}  stretch max {max_stretch:.3} avg {avg_stretch:.3}"
+    );
+    let entry = Json::obj([
+        ("spec", spec.into()),
+        ("n", n.into()),
+        ("build_secs", build_secs.into()),
+        ("local_bits", local_bits.into()),
+        ("avg_bits", avg_bits.into()),
+        ("max_stretch", max_stretch.into()),
+        ("avg_stretch", avg_stretch.into()),
+    ]);
+    (entry, (local_bits, avg_bits))
 }
 
 /// Hand-timed snapshot written to `BENCH_landmark_sweep.json`.
 fn bench_snapshot(_c: &mut Criterion) {
-    let mut entries = Vec::new();
+    let mut points = Vec::new();
 
     // The scenario decade at n = 4096 (same graph and workload as
     // `trafficlab run landmark-sweep`).
@@ -82,7 +84,7 @@ fn bench_snapshot(_c: &mut Criterion) {
             seed: 21,
         };
         for &k in &LANDMARK_SWEEP_KS {
-            entries.push(run_point(&g, k, &workload, 0));
+            points.push(run_point(&g, k, &workload, 0));
         }
     }
 
@@ -96,50 +98,28 @@ fn bench_snapshot(_c: &mut Criterion) {
             dests_per_source: 128,
             seed: 11,
         };
-        entries.push(run_point(&g, 1024, &workload, 1));
+        points.push(run_point(&g, 1024, &workload, 1));
     }
 
-    // The decade must trace a monotone curve: more landmarks, more bits.
-    for w in entries[..LANDMARK_SWEEP_KS.len()].windows(2) {
+    // The decade must trace a monotone curve: more landmarks, more bits
+    // (the zip with the decade's own windows leaves out the large-n point).
+    let (entries, bits): (Vec<Json>, Vec<(u64, f64)>) = points.into_iter().unzip();
+    for (w, k) in bits.windows(2).zip(LANDMARK_SWEEP_KS.windows(2)) {
         assert!(
-            w[0].local_bits < w[1].local_bits && w[0].avg_bits < w[1].avg_bits,
-            "bits must increase along the sweep: {} vs {}",
-            w[0].spec,
-            w[1].spec
+            w[0].0 < w[1].0 && w[0].1 < w[1].1,
+            "bits must increase along the sweep: k = {} vs k = {}",
+            k[0],
+            k[1]
         );
     }
 
-    let mut json = String::from("{\n  \"bench\": \"landmark_sweep\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            concat!(
-                "    {{\"spec\": \"{}\", \"n\": {}, \"build_secs\": {:.3}, ",
-                "\"local_bits\": {}, \"avg_bits\": {:.1}, ",
-                "\"max_stretch\": {:.4}, \"avg_stretch\": {:.4}}}{}\n"
-            ),
-            e.spec,
-            e.n,
-            e.build_secs,
-            e.local_bits,
-            e.avg_bits,
-            e.max_stretch,
-            e.avg_stretch,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: {:<22} n={:<7} {:>7.2}s  local {:<6} avg {:>8.1}  stretch max {:.3} avg {:.3}",
-            e.spec, e.n, e.build_secs, e.local_bits, e.avg_bits, e.max_stretch, e.avg_stretch
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_landmark_sweep.json");
-    std::fs::write(&out, json).expect("write BENCH_landmark_sweep.json");
+    let out = write_snapshot(
+        "BENCH_landmark_sweep.json",
+        &Json::obj([
+            ("bench", "landmark_sweep".into()),
+            ("entries", entries.into()),
+        ]),
+    );
     println!("snapshot written to {}", out.display());
 }
 

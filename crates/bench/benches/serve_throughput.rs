@@ -12,13 +12,14 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph, GraphView};
 use routeschemes::landmark::{LandmarkConfig, LandmarkCount, LandmarkRouting};
 use routeschemes::spec::SchemeSpec;
 use routeschemes::{GraphHints, SchemeKind};
-use routeserve::{serve, ServeConfig, ServeStats};
-use routing_bench::quick_criterion;
+use routeserve::{serve, ServeConfig};
+use routing_bench::{quick_criterion, write_snapshot};
 use trafficlab::{run_workload, EngineConfig, GraphSpec, WorkloadPlan, WorkloadSpec};
 
 fn serve_graph(n: usize) -> Graph {
@@ -49,20 +50,9 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 }
 
-/// One snapshot entry: one scheme served over one uniform stream.
-struct Entry {
-    name: String,
-    n: usize,
-    stats: ServeStats,
-}
-
-fn run_entry(
-    name: String,
-    g: &Graph,
-    spec: &SchemeSpec,
-    hints: &GraphHints,
-    messages: u64,
-) -> Entry {
+/// Serves one uniform stream with one scheme and returns its snapshot
+/// entry, echoed to the console.
+fn run_entry(name: &str, g: &Graph, spec: &SchemeSpec, hints: &GraphHints, messages: u64) -> Json {
     let inst = spec.build(g, hints).expect("scheme builds");
     let n = g.num_nodes();
     let plan = uniform_plan(n, messages);
@@ -73,7 +63,20 @@ fn run_entry(
         &ServeConfig::batched(),
     )
     .unwrap();
-    Entry { name, n, stats }
+    println!(
+        "snapshot: {name:<28} n={n:<7} {:>10.0} msgs/s  delivery {:.4}",
+        stats.messages_per_sec(),
+        stats.delivery_rate()
+    );
+    Json::obj([
+        ("name", name.into()),
+        ("n", n.into()),
+        ("messages", stats.outcomes.attempted().into()),
+        ("msgs_per_sec", stats.messages_per_sec().into()),
+        ("delivery_rate", stats.delivery_rate().into()),
+        ("chunk_p50_us", stats.chunk_p50_us.into()),
+        ("chunk_p99_us", stats.chunk_p99_us.into()),
+    ])
 }
 
 /// Graph families of the landmark sweep, as `GraphSpec` strings.
@@ -106,6 +109,17 @@ struct Quality {
     max_stretch: f64,
 }
 
+impl Quality {
+    fn json_pairs(&self) -> [(&'static str, Json); 4] {
+        [
+            ("k", self.k.into()),
+            ("heap_bytes", self.heap_bytes.into()),
+            ("avg_stretch", self.avg_stretch.into()),
+            ("max_stretch", self.max_stretch.into()),
+        ]
+    }
+}
+
 fn quality(g: &Graph, r: &LandmarkRouting) -> Quality {
     let plan = SWEEP_STRETCH.compile(g.num_nodes());
     let rep = run_workload(
@@ -128,17 +142,6 @@ fn quality(g: &Graph, r: &LandmarkRouting) -> Quality {
     }
 }
 
-/// One point of the family sweep: the default landmark instance served at
-/// one thread, its quality, and the quality of the same graph at `⌈√n⌉`
-/// landmarks, the count the default replaced.
-struct FamilyPoint {
-    graph: &'static str,
-    n: usize,
-    stats: ServeStats,
-    auto: Quality,
-    sqrt_n: Quality,
-}
-
 /// Landmark serving on one thread across graph families.  A hop's
 /// cluster lookup starts from an interpolation guess, which assumes a
 /// cluster's member ids spread evenly over their range.  Preferential
@@ -151,8 +154,9 @@ struct FamilyPoint {
 ///
 /// Each point also records the default's bytes and stretch next to those
 /// at `⌈√n⌉` landmarks, and asserts what the default promises: every pair
-/// delivered, max stretch below 3 and no worse than at `⌈√n⌉`.
-fn landmark_family_sweep() -> Vec<FamilyPoint> {
+/// delivered, max stretch below 3 and no worse than at `⌈√n⌉`.  Returns
+/// one snapshot entry per family, echoed to the console.
+fn landmark_family_sweep() -> Vec<Json> {
     let cfg = ServeConfig {
         threads: 1,
         ..ServeConfig::batched()
@@ -187,13 +191,34 @@ fn landmark_family_sweep() -> Vec<FamilyPoint> {
                 sqrt_n.max_stretch,
                 sqrt_n.k
             );
-            FamilyPoint {
-                graph,
-                n,
-                stats,
-                auto,
-                sqrt_n,
-            }
+            let (a, q) = (&auto, &sqrt_n);
+            println!(
+                "landmark sweep: {graph:<24} n={n:<6} {:>10.0} msgs/s  delivery {:.4}  k {:<4} {:>6.1} MB  stretch avg {:.3} max {:.3}  (k {:<4} {:>6.1} MB  avg {:.3} max {:.3})",
+                stats.messages_per_sec(),
+                stats.delivery_rate(),
+                a.k,
+                a.heap_bytes as f64 / 1e6,
+                a.avg_stretch,
+                a.max_stretch,
+                q.k,
+                q.heap_bytes as f64 / 1e6,
+                q.avg_stretch,
+                q.max_stretch
+            );
+            let head = [
+                ("graph", graph.into()),
+                ("scheme", "landmark".into()),
+                ("n", n.into()),
+                ("messages", stats.outcomes.attempted().into()),
+                ("threads", stats.threads.into()),
+                ("msgs_per_sec", stats.messages_per_sec().into()),
+                ("delivery_rate", stats.delivery_rate().into()),
+            ];
+            Json::obj(
+                head.into_iter()
+                    .chain(auto.json_pairs())
+                    .chain([("sqrt_n", Json::obj(sqrt_n.json_pairs()))]),
+            )
         })
         .collect()
 }
@@ -210,7 +235,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = generators::balanced_tree(2, 11); // n = 4095
         entries.push(run_entry(
-            "uniform-1m-tree".to_string(),
+            "uniform-1m-tree",
             &g,
             &SchemeSpec::default_for(SchemeKind::SpanningTree),
             &GraphHints::none(),
@@ -220,7 +245,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = serve_graph(4096);
         entries.push(run_entry(
-            "uniform-1m-landmark".to_string(),
+            "uniform-1m-landmark",
             &g,
             &SchemeSpec::default_for(SchemeKind::Landmark),
             &GraphHints::none(),
@@ -230,7 +255,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = generators::hypercube(12); // n = 4096
         entries.push(run_entry(
-            "uniform-1m-hypercube".to_string(),
+            "uniform-1m-hypercube",
             &g,
             &SchemeSpec::default_for(SchemeKind::Ecube),
             &GraphHints::hypercube(12),
@@ -240,7 +265,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = generators::grid(64, 64); // n = 4096
         entries.push(run_entry(
-            "uniform-1m-grid".to_string(),
+            "uniform-1m-grid",
             &g,
             &SchemeSpec::default_for(SchemeKind::DimensionOrder),
             &GraphHints::grid(64, 64),
@@ -252,7 +277,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     {
         let g = generators::random_regular_like(131_072, 8, 0xB16);
         entries.push(run_entry(
-            "uniform-200k-landmark-130k".to_string(),
+            "uniform-200k-landmark-130k",
             &g,
             &SchemeSpec::default_for(SchemeKind::Landmark),
             &GraphHints::none(),
@@ -260,85 +285,14 @@ fn bench_snapshot(_c: &mut Criterion) {
         ));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"serve_throughput\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"messages\": {}, ",
-                "\"msgs_per_sec\": {:.0}, \"delivery_rate\": {:.6}, ",
-                "\"chunk_p50_us\": {:.2}, \"chunk_p99_us\": {:.2}}}{}\n"
-            ),
-            e.name,
-            e.n,
-            e.stats.outcomes.attempted(),
-            e.stats.messages_per_sec(),
-            e.stats.delivery_rate(),
-            e.stats.chunk_p50_us,
-            e.stats.chunk_p99_us,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: {:<28} n={:<7} {:>10.0} msgs/s  delivery {:.4}",
-            e.name,
-            e.n,
-            e.stats.messages_per_sec(),
-            e.stats.delivery_rate()
-        );
-    }
-    json.push_str("  ],\n  \"landmark_families\": [\n");
-    let sweep = landmark_family_sweep();
-    for (i, p) in sweep.iter().enumerate() {
-        let (a, q) = (&p.auto, &p.sqrt_n);
-        json.push_str(&format!(
-            concat!(
-                "    {{\"graph\": \"{}\", \"scheme\": \"landmark\", \"n\": {}, ",
-                "\"messages\": {}, \"threads\": {}, \"msgs_per_sec\": {:.0}, ",
-                "\"delivery_rate\": {:.6}, \"k\": {}, \"heap_bytes\": {}, ",
-                "\"avg_stretch\": {:.4}, \"max_stretch\": {:.4}, ",
-                "\"sqrt_n\": {{\"k\": {}, \"heap_bytes\": {}, ",
-                "\"avg_stretch\": {:.4}, \"max_stretch\": {:.4}}}}}{}\n"
-            ),
-            p.graph,
-            p.n,
-            p.stats.outcomes.attempted(),
-            p.stats.threads,
-            p.stats.messages_per_sec(),
-            p.stats.delivery_rate(),
-            a.k,
-            a.heap_bytes,
-            a.avg_stretch,
-            a.max_stretch,
-            q.k,
-            q.heap_bytes,
-            q.avg_stretch,
-            q.max_stretch,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-        println!(
-            "landmark sweep: {:<24} n={:<6} {:>10.0} msgs/s  delivery {:.4}  k {:<4} {:>6.1} MB  stretch avg {:.3} max {:.3}  (k {:<4} {:>6.1} MB  avg {:.3} max {:.3})",
-            p.graph,
-            p.n,
-            p.stats.messages_per_sec(),
-            p.stats.delivery_rate(),
-            a.k,
-            a.heap_bytes as f64 / 1e6,
-            a.avg_stretch,
-            a.max_stretch,
-            q.k,
-            q.heap_bytes as f64 / 1e6,
-            q.avg_stretch,
-            q.max_stretch
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_serve.json");
-    std::fs::write(&out, json).expect("write BENCH_serve.json");
+    let out = write_snapshot(
+        "BENCH_serve.json",
+        &Json::obj([
+            ("bench", "serve_throughput".into()),
+            ("entries", entries.into()),
+            ("landmark_families", landmark_family_sweep().into()),
+        ]),
+    );
     println!("snapshot written to {}", out.display());
 }
 

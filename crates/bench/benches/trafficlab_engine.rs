@@ -12,11 +12,12 @@
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use analysis::report::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph};
 use routemodel::{TableRouting, TieBreak};
 use routeschemes::{CompactScheme, EcubeScheme, SchemeInstance, SpanningTreeScheme};
-use routing_bench::quick_criterion;
+use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, WorkloadSpec};
 
@@ -65,42 +66,37 @@ fn bench_blocked_stretch(c: &mut Criterion) {
     group.finish();
 }
 
-/// One snapshot entry.
-struct Entry {
-    name: &'static str,
-    n: usize,
-    messages: u64,
-    secs: f64,
-    msgs_per_sec: f64,
-    peak_tracked_bytes: u64,
-    dense_matrix_bytes: u64,
-    narrow_blocks: usize,
-    blocks: usize,
-}
-
+/// Runs `workload` through the engine and returns its snapshot entry,
+/// echoed to the console.
 fn run_entry(
-    name: &'static str,
+    name: &str,
     g: &Graph,
     inst: &SchemeInstance,
     workload: &WorkloadSpec,
     cfg: &EngineConfig,
-) -> Entry {
+) -> Json {
     let plan = workload.compile(g.num_nodes());
     let t0 = Instant::now();
     let rep = run_workload(g, inst.routing.as_ref(), &plan, cfg).expect("workload runs");
     let secs = t0.elapsed().as_secs_f64();
-    let n = g.num_nodes() as u64;
-    Entry {
-        name,
-        n: g.num_nodes(),
-        messages: rep.routed_messages,
-        secs,
-        msgs_per_sec: rep.routed_messages as f64 / secs.max(1e-9),
-        peak_tracked_bytes: rep.peak_tracked_bytes,
-        dense_matrix_bytes: 4 * n * n,
-        narrow_blocks: rep.narrow_blocks,
-        blocks: rep.blocks,
-    }
+    let n = g.num_nodes();
+    let msgs_per_sec = rep.routed_messages as f64 / secs.max(1e-9);
+    let dense_matrix_bytes = 4 * (n as u64).pow(2);
+    println!(
+        "snapshot: {name:<22} n={n:<7} msgs={:<8} {msgs_per_sec:>9.0} msgs/s  peak {:>12} B  (dense matrix would be {dense_matrix_bytes} B)",
+        rep.routed_messages, rep.peak_tracked_bytes
+    );
+    Json::obj([
+        ("name", name.into()),
+        ("n", n.into()),
+        ("messages", rep.routed_messages.into()),
+        ("secs", secs.into()),
+        ("msgs_per_sec", msgs_per_sec.into()),
+        ("peak_tracked_bytes", rep.peak_tracked_bytes.into()),
+        ("dense_matrix_bytes", dense_matrix_bytes.into()),
+        ("narrow_blocks", rep.narrow_blocks.into()),
+        ("blocks", rep.blocks.into()),
+    ])
 }
 
 /// Hand-timed snapshot written to `BENCH_trafficlab.json`.
@@ -188,39 +184,13 @@ fn bench_snapshot(_c: &mut Criterion) {
         ));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"trafficlab_engine\",\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"messages\": {}, \"secs\": {:.3}, ",
-                "\"msgs_per_sec\": {:.0}, \"peak_tracked_bytes\": {}, ",
-                "\"dense_matrix_bytes\": {}, \"narrow_blocks\": {}, \"blocks\": {}}}{}\n"
-            ),
-            e.name,
-            e.n,
-            e.messages,
-            e.secs,
-            e.msgs_per_sec,
-            e.peak_tracked_bytes,
-            e.dense_matrix_bytes,
-            e.narrow_blocks,
-            e.blocks,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-        println!(
-            "snapshot: {:<22} n={:<7} msgs={:<8} {:>9.0} msgs/s  peak {:>12} B  (dense matrix would be {} B)",
-            e.name, e.n, e.messages, e.msgs_per_sec, e.peak_tracked_bytes, e.dense_matrix_bytes
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out = root.join("BENCH_trafficlab.json");
-    std::fs::write(&out, json).expect("write BENCH_trafficlab.json");
+    let out = write_snapshot(
+        "BENCH_trafficlab.json",
+        &Json::obj([
+            ("bench", "trafficlab_engine".into()),
+            ("entries", entries.into()),
+        ]),
+    );
     println!("snapshot written to {}", out.display());
 }
 

@@ -2,16 +2,19 @@
 //!
 //! Criterion benchmarks regenerating (the constructions behind) every table
 //! and figure of the paper, plus ablations of the reproduction's own design
-//! choices.  The mapping from experiment to bench target is listed in
-//! `DESIGN.md`; the measured tables themselves are printed by the `analysis`
-//! report binaries, while these benches time the underlying pipelines so the
-//! cost of each construction can be tracked.
+//! choices.  The bench targets that write a `BENCH_*.json` snapshot are
+//! listed in the README's "Building and testing" section; the measured
+//! tables themselves are printed by the `analysis` report binaries, while
+//! these benches time the underlying pipelines so the cost of each
+//! construction can be tracked.
 //!
 //! Common helpers shared by the bench targets live here.
 
 #![forbid(unsafe_code)]
 
+use analysis::report::Json;
 use criterion::Criterion;
+use std::path::{Path, PathBuf};
 
 /// A Criterion configuration tuned for the repository's CI-style runs:
 /// few samples, short measurement windows, no plots.
@@ -21,6 +24,19 @@ pub fn quick_criterion() -> Criterion {
         .measurement_time(std::time::Duration::from_millis(600))
         .warm_up_time(std::time::Duration::from_millis(150))
         .without_plots()
+}
+
+/// Writes `snapshot` and a closing newline to `file` in the workspace root
+/// (two levels above this crate's manifest) and returns the path written.
+pub fn write_snapshot(file: &str, snapshot: &Json) -> PathBuf {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .join(file);
+    std::fs::write(&path, format!("{snapshot}\n"))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
 }
 
 /// Sizes used by the graph-family sweeps (kept modest so a full

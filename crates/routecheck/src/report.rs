@@ -1,7 +1,7 @@
 //! Soundness reports: per-scheme verdicts with structural-audit findings,
 //! class counts, the first counterexample pair, and table/JSON rendering.
 
-use analysis::report::{fmt_f64, json_escape, Table};
+use analysis::report::{Json, Table};
 use graphkit::{FailureSet, Graph, GraphView};
 use routeschemes::SchemeInstance;
 
@@ -118,62 +118,36 @@ impl Soundness {
 
     /// Render as a JSON object with stable machine codes for verdicts and
     /// source classes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"graph\": \"{}\",\n", json_escape(&self.graph)));
-        out.push_str(&format!("  \"n\": {},\n", self.n));
-        out.push_str(&format!("  \"edges\": {},\n", self.edges));
-        match &self.failures {
-            Some(f) => out.push_str(&format!("  \"failures\": \"{}\",\n", json_escape(f))),
-            None => out.push_str("  \"failures\": null,\n"),
-        }
-        out.push_str(&format!("  \"all_sound\": {},\n", self.all_sound()));
-        out.push_str("  \"schemes\": [\n");
-        for (i, s) in self.schemes.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scheme\": \"{}\",\n",
-                json_escape(&s.scheme)
-            ));
-            out.push_str(&format!("      \"verdict\": \"{}\",\n", s.verdict.code()));
-            out.push_str("      \"classes\": {");
-            for (j, c) in SourceClass::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", c.code(), s.counts.get(*c)));
-            }
-            out.push_str("},\n");
-            match s.counterexample {
-                Some(cex) => out.push_str(&format!(
-                    "      \"counterexample\": {{\"source\": {}, \"dest\": {}, \"class\": \"{}\"}},\n",
-                    cex.source,
-                    cex.dest,
-                    cex.class.code()
-                )),
-                None => out.push_str("      \"counterexample\": null,\n"),
-            }
-            out.push_str("      \"audit_findings\": [");
-            for (j, f) in s.audit_findings.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json_escape(f)));
-            }
-            out.push_str("],\n");
-            out.push_str(&format!(
-                "      \"check_secs\": {}\n",
-                fmt_f64(s.check_secs, 3)
-            ));
-            out.push_str(if i + 1 < self.schemes.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+    pub fn to_json(&self) -> Json {
+        let scheme = |s: &SchemeSoundness| {
+            let classes = SourceClass::ALL.map(|c| (c.code(), s.counts.get(c).into()));
+            let counterexample = s.counterexample.map(|cex| {
+                Json::obj([
+                    ("source", cex.source.into()),
+                    ("dest", cex.dest.into()),
+                    ("class", cex.class.code().into()),
+                ])
             });
-        }
-        out.push_str("  ]\n}");
-        out
+            Json::obj([
+                ("scheme", s.scheme.as_str().into()),
+                ("verdict", s.verdict.code().into()),
+                ("classes", Json::obj(classes)),
+                ("counterexample", counterexample.into()),
+                (
+                    "audit_findings",
+                    s.audit_findings.iter().map(String::as_str).collect(),
+                ),
+                ("check_secs", s.check_secs.into()),
+            ])
+        };
+        Json::obj([
+            ("graph", self.graph.as_str().into()),
+            ("n", self.n.into()),
+            ("edges", self.edges.into()),
+            ("failures", self.failures.as_deref().into()),
+            ("all_sound", self.all_sound().into()),
+            ("schemes", self.schemes.iter().map(scheme).collect()),
+        ])
     }
 }
 

@@ -521,7 +521,7 @@ fn codes_are_stable_and_shared_between_table_and_json() {
         ],
     };
     assert!(!sound.all_sound());
-    let json = sound.to_json();
+    let json = sound.to_json().to_string();
     let table = sound.to_table().to_plain();
     for code in expected {
         assert!(

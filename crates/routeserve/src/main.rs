@@ -24,7 +24,7 @@ use routeschemes::spec::{vocabulary, SchemeSpec};
 use routeserve::{parse_queries, serve, ServeConfig, ServeStats};
 use std::io::Read;
 use std::process::ExitCode;
-use trafficlab::{json_escape, GraphSpec, WorkloadPlan, WorkloadSpec};
+use trafficlab::{GraphSpec, Json, WorkloadPlan, WorkloadSpec};
 
 fn usage() {
     eprintln!(
@@ -228,10 +228,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.json {
-        let json = render_json(&args, &stream_label, n, build_secs, &stats);
+        let json = report_json(&args, &stream_label, n, build_secs, &stats);
         if json_to_stdout {
             println!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
+        } else if let Err(e) = std::fs::write(path, format!("{json}\n")) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         } else {
@@ -265,139 +265,44 @@ fn render_table(r: &ServeStats) -> String {
     )
 }
 
-fn render_json(
-    args: &Args,
-    stream_label: &str,
-    n: usize,
-    build_secs: f64,
-    r: &ServeStats,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"graph\": \"{}\",\n", json_escape(&args.graph)));
-    out.push_str(&format!(
-        "  \"scheme\": \"{}\",\n",
-        json_escape(&args.scheme)
-    ));
-    out.push_str(&format!(
-        "  \"stream\": \"{}\",\n",
-        json_escape(stream_label)
-    ));
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"build_secs\": {build_secs:.6},\n"));
-    out.push_str("  \"run\": {\n");
-    out.push_str(&format!("    \"batch\": {},\n", r.batch));
-    out.push_str(&format!("    \"threads\": {},\n", r.threads));
-    out.push_str(&format!("    \"hop_limit\": {},\n", r.hop_limit));
-    out.push_str(&format!("    \"messages\": {},\n", r.outcomes.attempted()));
+fn report_json(args: &Args, stream_label: &str, n: usize, build_secs: f64, r: &ServeStats) -> Json {
     // Outcome keys come from the model's code vocabulary, not string
     // literals, so they cannot drift from `DeliveryOutcome::code()`.
-    out.push_str("    \"outcomes\": {");
-    for (j, code) in DeliveryOutcome::ALL_CODES.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
+    let outcomes = DeliveryOutcome::ALL_CODES.map(|code| {
         let count = r
             .outcomes
             .by_code(code)
             .expect("every model code has a bucket");
-        out.push_str(&format!("\"{code}\": {count}"));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "    \"delivery_rate\": {:.6},\n",
-        r.delivery_rate()
-    ));
-    out.push_str(&format!("    \"secs\": {:.6},\n", r.secs));
-    out.push_str(&format!(
-        "    \"msgs_per_sec\": {:.1},\n",
-        r.messages_per_sec()
-    ));
-    out.push_str(&format!("    \"chunk_p50_us\": {:.2},\n", r.chunk_p50_us));
-    out.push_str(&format!("    \"chunk_p90_us\": {:.2},\n", r.chunk_p90_us));
-    out.push_str(&format!("    \"chunk_p99_us\": {:.2}\n", r.chunk_p99_us));
-    out.push_str("  }\n}\n");
-    out
+        (code, count.into())
+    });
+    Json::obj([
+        ("graph", args.graph.as_str().into()),
+        ("scheme", args.scheme.as_str().into()),
+        ("stream", stream_label.into()),
+        ("n", n.into()),
+        ("build_secs", build_secs.into()),
+        (
+            "run",
+            Json::obj([
+                ("batch", r.batch.into()),
+                ("threads", r.threads.into()),
+                ("hop_limit", r.hop_limit.into()),
+                ("messages", r.outcomes.attempted().into()),
+                ("outcomes", Json::obj(outcomes)),
+                ("delivery_rate", r.delivery_rate().into()),
+                ("secs", r.secs.into()),
+                ("msgs_per_sec", r.messages_per_sec().into()),
+                ("chunk_p50_us", r.chunk_p50_us.into()),
+                ("chunk_p90_us", r.chunk_p90_us.into()),
+                ("chunk_p99_us", r.chunk_p99_us.into()),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal JSON grammar check: one value, then only whitespace.
-    fn is_valid_json(text: &str) -> bool {
-        fn ws(b: &[u8], mut i: usize) -> usize {
-            while i < b.len() && matches!(b[i], b' ' | b'\n' | b'\r' | b'\t') {
-                i += 1;
-            }
-            i
-        }
-        fn string(b: &[u8], mut i: usize) -> Option<usize> {
-            i += 1;
-            while i < b.len() {
-                match b[i] {
-                    b'"' => return Some(i + 1),
-                    b'\\' => match b.get(i + 1)? {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => i += 2,
-                        b'u' if b.get(i + 2..i + 6)?.iter().all(u8::is_ascii_hexdigit) => i += 6,
-                        _ => return None,
-                    },
-                    c if c < 0x20 => return None,
-                    _ => i += 1,
-                }
-            }
-            None
-        }
-        fn value(b: &[u8], i: usize) -> Option<usize> {
-            let i = ws(b, i);
-            match *b.get(i)? {
-                b'"' => string(b, i),
-                open @ (b'{' | b'[') => {
-                    let close = if open == b'{' { b'}' } else { b']' };
-                    let mut i = ws(b, i + 1);
-                    if b.get(i) == Some(&close) {
-                        return Some(i + 1);
-                    }
-                    loop {
-                        if open == b'{' {
-                            i = ws(b, i);
-                            if b.get(i) != Some(&b'"') {
-                                return None;
-                            }
-                            i = ws(b, string(b, i)?);
-                            if b.get(i) != Some(&b':') {
-                                return None;
-                            }
-                            i += 1;
-                        }
-                        i = ws(b, value(b, i)?);
-                        match b.get(i)? {
-                            b',' => i += 1,
-                            &c if c == close => return Some(i + 1),
-                            _ => return None,
-                        }
-                    }
-                }
-                _ => {
-                    let end = (i..b.len())
-                        .find(|&j| !(b[j].is_ascii_alphanumeric() || b"+-.".contains(&b[j])))
-                        .unwrap_or(b.len());
-                    let word = std::str::from_utf8(&b[i..end]).ok()?;
-                    (matches!(word, "true" | "false" | "null") || word.parse::<f64>().is_ok())
-                        .then_some(end)
-                }
-            }
-        }
-        let b = text.as_bytes();
-        value(b, 0).is_some_and(|end| ws(b, end) == b.len())
-    }
-
-    #[test]
-    fn validator_rejects_raw_control_characters() {
-        assert!(is_valid_json("{\"a\": [1, 2.5e3, \"x\\ty\", null]}"));
-        assert!(!is_valid_json("{\"a\": \"x\ty\"}"));
-        assert!(!is_valid_json("{\"a\": \"x\ny\"}"));
-        assert!(!is_valid_json("{\"a\" 1}"));
-    }
 
     /// Tabs and newlines in the echoed graph, scheme and stream strings
     /// must come out escaped, so `--json` stays parseable.
@@ -429,8 +334,7 @@ mod tests {
             hop_limit: 0,
             json: Some("-".to_string()),
         };
-        let json = render_json(&args, "queries:a\tb\nc", 64, 0.0, &stats);
-        assert!(is_valid_json(&json), "{json}");
+        let json = report_json(&args, "queries:a\tb\nc", 64, 0.0, &stats).to_string();
         assert!(json.contains("\"random?n=64&deg=4\\t\""), "{json}");
         assert!(json.contains("\"landmark\\n\""), "{json}");
     }

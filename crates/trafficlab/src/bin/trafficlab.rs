@@ -287,7 +287,7 @@ fn run_one(
         let json = report.to_json();
         if json_to_stdout {
             println!("{json}");
-        } else if let Err(e) = std::fs::write(&path, &json) {
+        } else if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         } else {

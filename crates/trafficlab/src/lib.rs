@@ -47,9 +47,9 @@ pub mod metrics;
 pub mod scenario;
 pub mod workload;
 
-/// The one JSON string escaper, shared with the `routeserve` front door so
-/// every report escapes control characters the same way.
-pub use analysis::report::json_escape;
+/// The one JSON writer, shared with the `routeserve` front door so every
+/// report renders, escapes and formats numbers the same way.
+pub use analysis::report::Json;
 pub use churn::{run_churn, ChurnError, ChurnRound, ChurnRun, ChurnSpec};
 pub use engine::{
     run_workload, stretch_factor_blocked, EngineConfig, OutcomeCounts, WorkloadReport,

@@ -20,7 +20,7 @@
 use crate::churn::{run_churn, ChurnError, ChurnRound, ChurnSpec};
 use crate::engine::{run_workload, EngineConfig, WorkloadReport};
 use crate::workload::WorkloadSpec;
-use analysis::report::{fmt_f64, json_escape, json_f64, Table};
+use analysis::report::{fmt_f64, Json, Table};
 use constraints::theorem1::build_worst_case_instance;
 use graphkit::{generators, Graph, NodeId};
 use routemodel::labeling::modular_complete_labeling;
@@ -1163,130 +1163,86 @@ impl ScenarioReport {
     }
 
     /// JSON rendering for snapshots and CI artifacts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n",
-            json_escape(&self.scenario)
-        ));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
+    pub fn to_json(&self) -> Json {
+        let result = |r: &CaseResult| {
             let cong = r.report.congestion.as_ref();
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"graph\": \"{}\", \"n\": {}, \"edges\": {}, ",
-                    "\"workload\": \"{}\", \"workload_spec\": \"{}\", ",
-                    "\"scheme\": \"{}\", \"spec\": \"{}\", ",
-                    "\"scheme_name\": \"{}\", ",
-                    "\"messages\": {}, \"skipped_unreachable\": {}, ",
-                    "\"max_stretch\": {}, \"avg_stretch\": {}, \"max_route_len\": {}, ",
-                    "\"stretch_mode\": \"{}\", ",
-                    "\"guaranteed_stretch\": {}, \"within_guarantee\": {}, ",
-                    "\"max_arc_load\": {}, \"mean_arc_load\": {}, ",
-                    "\"local_bits\": {}, \"global_bits\": {}, ",
-                    "\"blocks\": {}, \"narrow_blocks\": {}, \"peak_tracked_bytes\": {}, ",
-                    "\"build_secs\": {}, \"run_secs\": {}, \"messages_per_sec\": {}}}{}\n"
-                ),
-                json_escape(&r.graph_label),
-                r.n,
-                r.edges,
-                json_escape(&r.workload_key),
-                json_escape(&r.workload_spec),
-                json_escape(&r.scheme_key),
-                json_escape(&r.scheme_spec),
-                json_escape(&r.scheme_name),
-                r.report.routed_messages,
-                r.report.skipped_unreachable,
-                json_f64(r.stretch.max_stretch),
-                json_f64(r.stretch.avg_stretch),
-                r.stretch.max_route_len,
-                json_escape(&r.stretch_mode),
-                r.guaranteed_stretch.map_or("null".into(), json_f64),
-                r.within_guarantee
-                    .map_or("null".to_string(), |b| b.to_string()),
-                cong.map_or("null".into(), |c| c.max_arc_load.to_string()),
-                cong.map_or("null".into(), |c| json_f64(c.mean_arc_load)),
-                r.local_bits,
-                r.global_bits,
-                r.report.blocks,
-                r.report.narrow_blocks,
-                r.report.peak_tracked_bytes,
-                json_f64(r.build_secs),
-                json_f64(r.run_secs),
-                json_f64(r.messages_per_sec),
-                if i + 1 == self.results.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"resilience\": [\n");
-        for (i, r) in self.resilience.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"graph\": \"{}\", \"workload_spec\": \"{}\", ",
-                    "\"scheme\": \"{}\", \"churn\": \"{}\", \"halted\": {}, ",
-                    "\"rounds\": [\n"
-                ),
-                json_escape(&r.graph_label),
-                json_escape(&r.workload_spec),
-                json_escape(&r.scheme_spec),
-                json_escape(&r.churn_spec),
-                r.halted
-                    .as_ref()
-                    .map_or("null".to_string(), |h| format!("\"{}\"", json_escape(h))),
-            ));
-            for (j, round) in r.rounds.iter().enumerate() {
-                out.push_str(&format!(
-                    concat!(
-                        "      {{\"round\": {}, \"dead_links\": {}, ",
-                        "\"degraded_delivery\": {}, \"degraded_delivered\": {}, ",
-                        "\"degraded_link_down\": {}, \"degraded_hop_limit\": {}, ",
-                        "\"degraded_wrong_delivery\": {}, \"degraded_max_stretch\": {}, ",
-                        "\"repair_full_rebuild\": {}, \"repair_vertices_touched\": {}, ",
-                        "\"repair_landmarks_rebuilt\": {}, \"repair_secs\": {}, ",
-                        "\"recovered_delivery\": {}, \"recovered_max_stretch\": {}}}{}\n"
-                    ),
-                    round.round,
-                    round.dead_links,
-                    json_f64(round.degraded.delivery_rate()),
-                    round.degraded.delivered,
-                    round.degraded.link_down,
-                    round.degraded.hop_limit,
-                    round.degraded.wrong_delivery,
-                    json_f64(round.degraded_max_stretch),
-                    round.repair.full_rebuild,
-                    round.repair.vertices_touched,
-                    round.repair.landmarks_rebuilt,
-                    json_f64(round.repair.seconds),
-                    json_f64(round.recovered.delivery_rate()),
-                    json_f64(round.recovered_max_stretch),
-                    if j + 1 == r.rounds.len() { "" } else { "," }
-                ));
-            }
-            out.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 == self.resilience.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        let string_list = |items: &[String]| {
-            items
-                .iter()
-                .map(|e| format!("\"{}\"", json_escape(e)))
-                .collect::<Vec<_>>()
-                .join(", ")
+            Json::obj([
+                ("graph", r.graph_label.as_str().into()),
+                ("n", r.n.into()),
+                ("edges", r.edges.into()),
+                ("workload", r.workload_key.as_str().into()),
+                ("workload_spec", r.workload_spec.as_str().into()),
+                ("scheme", r.scheme_key.as_str().into()),
+                ("spec", r.scheme_spec.as_str().into()),
+                ("scheme_name", r.scheme_name.as_str().into()),
+                ("messages", r.report.routed_messages.into()),
+                ("skipped_unreachable", r.report.skipped_unreachable.into()),
+                ("max_stretch", r.stretch.max_stretch.into()),
+                ("avg_stretch", r.stretch.avg_stretch.into()),
+                ("max_route_len", r.stretch.max_route_len.into()),
+                ("stretch_mode", r.stretch_mode.as_str().into()),
+                ("guaranteed_stretch", r.guaranteed_stretch.into()),
+                ("within_guarantee", r.within_guarantee.into()),
+                ("max_arc_load", cong.map(|c| c.max_arc_load).into()),
+                ("mean_arc_load", cong.map(|c| c.mean_arc_load).into()),
+                ("local_bits", r.local_bits.into()),
+                ("global_bits", r.global_bits.into()),
+                ("blocks", r.report.blocks.into()),
+                ("narrow_blocks", r.report.narrow_blocks.into()),
+                ("peak_tracked_bytes", r.report.peak_tracked_bytes.into()),
+                ("build_secs", r.build_secs.into()),
+                ("run_secs", r.run_secs.into()),
+                ("messages_per_sec", r.messages_per_sec.into()),
+            ])
         };
-        out.push_str(&format!("  \"errors\": [{}],\n", string_list(&self.errors)));
-        out.push_str(&format!(
-            "  \"skipped\": [{}]\n",
-            string_list(&self.skipped)
-        ));
-        out.push_str("}\n");
-        out
+        let round = |round: &ChurnRound| {
+            Json::obj([
+                ("round", round.round.into()),
+                ("dead_links", round.dead_links.into()),
+                ("degraded_delivery", round.degraded.delivery_rate().into()),
+                ("degraded_delivered", round.degraded.delivered.into()),
+                ("degraded_link_down", round.degraded.link_down.into()),
+                ("degraded_hop_limit", round.degraded.hop_limit.into()),
+                (
+                    "degraded_wrong_delivery",
+                    round.degraded.wrong_delivery.into(),
+                ),
+                ("degraded_max_stretch", round.degraded_max_stretch.into()),
+                ("repair_full_rebuild", round.repair.full_rebuild.into()),
+                (
+                    "repair_vertices_touched",
+                    round.repair.vertices_touched.into(),
+                ),
+                (
+                    "repair_landmarks_rebuilt",
+                    round.repair.landmarks_rebuilt.into(),
+                ),
+                ("repair_secs", round.repair.seconds.into()),
+                ("recovered_delivery", round.recovered.delivery_rate().into()),
+                ("recovered_max_stretch", round.recovered_max_stretch.into()),
+            ])
+        };
+        let resilience = |r: &ResilienceResult| {
+            Json::obj([
+                ("graph", r.graph_label.as_str().into()),
+                ("workload_spec", r.workload_spec.as_str().into()),
+                ("scheme", r.scheme_spec.as_str().into()),
+                ("churn", r.churn_spec.as_str().into()),
+                ("halted", r.halted.as_deref().into()),
+                ("rounds", r.rounds.iter().map(round).collect()),
+            ])
+        };
+        let strings = |items: &[String]| items.iter().map(String::as_str).collect();
+        Json::obj([
+            ("scenario", self.scenario.as_str().into()),
+            ("results", self.results.iter().map(result).collect()),
+            (
+                "resilience",
+                self.resilience.iter().map(resilience).collect(),
+            ),
+            ("errors", strings(&self.errors)),
+            ("skipped", strings(&self.skipped)),
+        ])
     }
 }
 
@@ -1523,7 +1479,7 @@ mod tests {
         assert_eq!(table_row.within_guarantee, Some(true));
         let rendered = rep.to_table().to_plain();
         assert!(rendered.contains("table"));
-        let json = rep.to_json();
+        let json = rep.to_json().to_string();
         assert!(json.contains("\"scenario\": \"mini\""));
         assert!(json.contains("\"within_guarantee\": true"));
     }
@@ -1657,7 +1613,7 @@ mod tests {
             );
         }
         // The JSON rows stay distinguishable through the spec field.
-        let json = rep.to_json();
+        let json = rep.to_json().to_string();
         for k in ks {
             assert!(json.contains(&format!("\"spec\": \"landmark?k={k}\"")));
         }
@@ -1781,9 +1737,12 @@ mod tests {
             row.report.stretch.avg_stretch.to_bits()
         );
         // The note lands in both renderings.
-        let json = sampled.to_json();
+        let json = sampled.to_json().to_string();
         assert!(json.contains("\"stretch_mode\": \"sampled?pairs=2048&seed=11\""));
-        assert!(exact.to_json().contains("\"stretch_mode\": \"exact\""));
+        assert!(exact
+            .to_json()
+            .to_string()
+            .contains("\"stretch_mode\": \"exact\""));
         assert!(sampled.to_table().to_plain().contains("sampled?pairs=2048"));
     }
 

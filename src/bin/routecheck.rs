@@ -293,7 +293,7 @@ fn main() -> ExitCode {
         let json = soundness.to_json();
         if json_to_stdout {
             println!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
+        } else if let Err(e) = std::fs::write(path, format!("{json}\n")) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         } else {
