@@ -7,16 +7,23 @@
 //! scenario, next to the bytes a dense `n²` distance matrix would have
 //! needed.  The snapshot includes one `n = 131072` sharded point — a graph
 //! on which the dense pipeline cannot run at all (the matrix alone is
-//! 64 GiB).
+//! 64 GiB) — and the exact all-pairs sweep of the Theorem 1 instance at
+//! `n = 2048` under shortest-path tables and landmark routing.  Every entry
+//! records whether the engine took the memoized all-pairs path
+//! (`memoized`): the all-pairs entries must, the sampled and list-plan
+//! entries must not.
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use analysis::report::Json;
+use constraints::theorem1::build_worst_case_instance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphkit::{generators, Graph};
-use routemodel::{TableRouting, TieBreak};
-use routeschemes::{CompactScheme, EcubeScheme, SchemeInstance, SpanningTreeScheme};
+use routemodel::{RoutingFunction, TableRouting, TieBreak};
+use routeschemes::{
+    CompactScheme, EcubeScheme, GraphHints, SchemeInstance, SchemeKind, SpanningTreeScheme,
+};
 use routing_bench::{quick_criterion, write_snapshot};
 use std::time::Instant;
 use trafficlab::{run_workload, stretch_factor_blocked, EngineConfig, WorkloadSpec};
@@ -68,23 +75,23 @@ fn bench_blocked_stretch(c: &mut Criterion) {
 
 /// Runs `workload` through the engine and returns its snapshot entry,
 /// echoed to the console.
-fn run_entry(
+fn run_entry<R: RoutingFunction + Sync + ?Sized>(
     name: &str,
     g: &Graph,
-    inst: &SchemeInstance,
+    r: &R,
     workload: &WorkloadSpec,
     cfg: &EngineConfig,
 ) -> Json {
     let plan = workload.compile(g.num_nodes());
     let t0 = Instant::now();
-    let rep = run_workload(g, inst.routing.as_ref(), &plan, cfg).expect("workload runs");
+    let rep = run_workload(g, r, &plan, cfg).expect("workload runs");
     let secs = t0.elapsed().as_secs_f64();
     let n = g.num_nodes();
     let msgs_per_sec = rep.routed_messages as f64 / secs.max(1e-9);
     let dense_matrix_bytes = 4 * (n as u64).pow(2);
     println!(
-        "snapshot: {name:<22} n={n:<7} msgs={:<8} {msgs_per_sec:>9.0} msgs/s  peak {:>12} B  (dense matrix would be {dense_matrix_bytes} B)",
-        rep.routed_messages, rep.peak_tracked_bytes
+        "snapshot: {name:<34} n={n:<7} msgs={:<8} {msgs_per_sec:>9.0} msgs/s  peak {:>12} B  memoized {}  (dense matrix would be {dense_matrix_bytes} B)",
+        rep.routed_messages, rep.peak_tracked_bytes, rep.memoized
     );
     Json::obj([
         ("name", name.into()),
@@ -96,6 +103,7 @@ fn run_entry(
         ("dense_matrix_bytes", dense_matrix_bytes.into()),
         ("narrow_blocks", rep.narrow_blocks.into()),
         ("blocks", rep.blocks.into()),
+        ("memoized", rep.memoized.into()),
     ])
 }
 
@@ -110,7 +118,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         entries.push(run_entry(
             "uniform-20k-tree",
             &g,
-            &inst,
+            inst.routing.as_ref(),
             &WorkloadSpec::Uniform {
                 messages: 20_000,
                 seed: 1,
@@ -126,7 +134,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         entries.push(run_entry(
             "uniform-1m-tree",
             &g,
-            &inst,
+            inst.routing.as_ref(),
             &WorkloadSpec::Uniform {
                 messages: 1_000_000,
                 seed: 7,
@@ -144,7 +152,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         entries.push(run_entry(
             "bisection-200k-ecube",
             &g,
-            &inst,
+            inst.routing.as_ref(),
             &WorkloadSpec::Bisection {
                 messages: 200_000,
                 seed: 5,
@@ -154,7 +162,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         entries.push(run_entry(
             "worstperm-64r-ecube",
             &g,
-            &inst,
+            inst.routing.as_ref(),
             &WorkloadSpec::WorstPerm {
                 rounds: 64,
                 seed: 13,
@@ -170,7 +178,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         entries.push(run_entry(
             "sharded-130k-sampled",
             &g,
-            &inst,
+            inst.routing.as_ref(),
             &WorkloadSpec::SampledSources {
                 sources: 64,
                 dests_per_source: 64,
@@ -181,6 +189,38 @@ fn bench_snapshot(_c: &mut Criterion) {
                 block_rows: 1,
                 track_congestion: false,
             },
+        ));
+    }
+
+    // The exact all-pairs sweep of an audit: the Theorem 1 worst-case
+    // instance under shortest-path tables and under landmark routing, both
+    // resolved by the memoized destination-major path.
+    {
+        let (cg, _) = build_worst_case_instance(2048, 0.5, 1);
+        let g = &cg.graph;
+        let cfg = EngineConfig {
+            threads: 0,
+            block_rows: 0,
+            track_congestion: false,
+        };
+        let table = TableRouting::shortest_paths(g, TieBreak::Seeded(1));
+        entries.push(run_entry(
+            "all-pairs-theorem1-2048-table",
+            g,
+            &table,
+            &WorkloadSpec::AllPairs,
+            &cfg,
+        ));
+        let landmark = SchemeKind::Landmark
+            .default_spec()
+            .build(g, &GraphHints::none())
+            .expect("landmark builds on the connected Theorem 1 instance");
+        entries.push(run_entry(
+            "all-pairs-theorem1-2048-landmark",
+            g,
+            landmark.routing.as_ref(),
+            &WorkloadSpec::AllPairs,
+            &cfg,
         ));
     }
 

@@ -9,22 +9,33 @@
 //!
 //! * **Canonical headers.**  Every registry scheme attaches a header that
 //!   depends only on the destination and never rewrites it, so the state is
-//!   just the current vertex.  The sweep memoizes classifications per vertex
-//!   with epoch-stamped arrays — each vertex is walked at most once per
-//!   destination, `O(n)` walk steps per destination, zero allocations once
-//!   the scratch is warm.  The reachability BFS (`O(n + m)`) that tells an
-//!   [`SourceClass::Unreachable`] pair from a broken one runs only for a
-//!   destination where some source fails to prove; on a sound scheme no BFS
-//!   runs at all.
+//!   just the current vertex.  The sweep memoizes, per vertex, the class of
+//!   its chain and its hop count `len(v) = 1 + len(next(v))`, with
+//!   epoch-stamped arrays — each vertex is walked at most once per
+//!   destination, one `port` call per vertex, zero allocations once the
+//!   scratch is warm.  A chain that ends in a delivery at `d` visits each
+//!   vertex at most once, so it has at most `n − 1` hops.  The reachability
+//!   BFS (`O(n + m)`) that tells an [`SourceClass::Unreachable`] pair from a
+//!   broken one runs only for a destination where some source fails to
+//!   prove; on a sound scheme no BFS runs at all.
 //! * **Exotic headers.**  A walk whose header deviates from the canonical one
 //!   (source-dependent init or a rewriting `H`) falls back to explicit
 //!   `(vertex, header)` states with repeat detection, bounded by the hop
 //!   budget and the scheme's
 //!   [`RoutingFunction::declared_header_words`] bound; exceeding either is a
-//!   [`SourceClass::HeaderOverflow`].
+//!   [`SourceClass::HeaderOverflow`].  Such a chain keeps its class but no
+//!   hop count.
+//!
+//! The memo walk has two consumers.  [`check_routing`] turns each
+//! destination's classes into soundness counts through
+//! [`Checker::check_dest`].  The `trafficlab` engine's all-pairs sweep calls
+//! [`Checker::walk_dest`] and reads each source's class and hop count back
+//! through [`Checker::chain`] — one `port` call per vertex instead of one
+//! per hop — and the arc loads of the chains through
+//! [`Checker::arc_loads`].
 
 use graphkit::traversal::bfs_distances_into;
-use graphkit::{par, BfsScratch, Dist, GraphView, NodeId, INFINITY};
+use graphkit::{par, BfsScratch, Dist, GraphView, NodeId, Port, INFINITY};
 use routemodel::{default_hop_limit, Action, Header, RoutingFunction};
 
 /// The statically determined fate of one `(source, dest)` pair.
@@ -51,6 +62,13 @@ pub enum SourceClass {
 
 /// Marker in the per-vertex memo while a walk is on the stack.
 const IN_PROGRESS: u8 = u8::MAX;
+
+/// Hop count memoized for a chain that leaves the canonical header: its
+/// class is exact, its length is not kept.
+const NO_HOPS: u32 = u32::MAX;
+
+/// Flag on a source's result when its own header is not the canonical one.
+const EXOTIC_SOURCE: u8 = 0x80;
 
 impl SourceClass {
     /// All classes, in declaration order — the order every report and JSON
@@ -172,14 +190,19 @@ pub struct DestReport {
 /// Reusable per-worker scratch of the sweep: epoch-stamped memo arrays, the
 /// walk stack, the reachability BFS state and two header slots.  After the
 /// first destination on a given graph size every buffer is warm and
-/// [`Checker::check_dest`] performs zero allocations for canonical-header
-/// schemes (enforced by the workspace allocation-discipline test).
+/// [`Checker::check_dest`] and [`Checker::walk_dest`] perform zero
+/// allocations for canonical-header schemes (enforced by the workspace
+/// allocation-discipline test).
 pub struct Checker {
     /// Epoch stamp per vertex; `stamp[v] == epoch` gates `class[v]`.
     stamp: Vec<u32>,
     /// Memoized class per vertex under the canonical header.
     class: Vec<u8>,
-    /// Final class per source of the current destination.
+    /// Memoized hops from each vertex's canonical state to the end of its
+    /// chain ([`NO_HOPS`] when the chain leaves the canonical header).
+    hops: Vec<u32>,
+    /// Class per source of the current destination, flagged
+    /// [`EXOTIC_SOURCE`] when the source's own header is not canonical.
     result: Vec<u8>,
     /// Canonical-state vertices of the walk in progress.
     path: Vec<u32>,
@@ -194,6 +217,14 @@ pub struct Checker {
     /// Explicit states of an exotic (non-canonical-header) walk.
     exotic: Vec<(u32, Header)>,
     epoch: u32,
+    /// Whether a walk of the current destination asked for a port
+    /// `>= degree`.
+    port_out_of_range: bool,
+    /// [`Checker::arc_loads`] scratch: sources whose chain crosses each
+    /// vertex, and the proven vertices bucketed by hop count.
+    load: Vec<u32>,
+    order: Vec<u32>,
+    bucket: Vec<u32>,
 }
 
 impl Default for Checker {
@@ -208,6 +239,7 @@ impl Checker {
         Checker {
             stamp: Vec::new(),
             class: Vec::new(),
+            hops: Vec::new(),
             result: Vec::new(),
             path: Vec::new(),
             dist: Vec::new(),
@@ -216,15 +248,29 @@ impl Checker {
             hbuf: Header::to_dest(0),
             exotic: Vec::new(),
             epoch: 0,
+            port_out_of_range: false,
+            load: Vec::new(),
+            order: Vec::new(),
+            bucket: Vec::new(),
         }
+    }
+
+    /// Heap bytes a warm checker holds for memoized walks on `n` vertices:
+    /// the per-vertex memo (stamp, class, hops, result) and a walk stack of
+    /// at most `n` canonical states, plus the [`Checker::arc_loads`] scratch
+    /// when `loads` is set.  A function of `n` alone, so it does not depend
+    /// on which destinations a worker drew.
+    pub fn walk_bytes(n: usize, loads: bool) -> u64 {
+        let per_vertex = 4 + 1 + 4 + 1 + 4 + if loads { 4 + 4 + 4 } else { 0 };
+        (per_vertex * n) as u64
     }
 
     fn ensure_capacity(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.class.resize(n, 0);
+            self.hops.resize(n, 0);
             self.result.resize(n, 0);
-            self.dist.resize(n, 0);
         }
         if self.epoch == u32::MAX {
             self.stamp.iter_mut().for_each(|s| *s = 0);
@@ -243,44 +289,32 @@ impl Checker {
         d: NodeId,
     ) -> DestReport {
         let n = view.num_nodes();
-        self.ensure_capacity(n);
+        self.begin_dest(view, r, d);
         let mut dist_known = false;
-        // Canonical header: the init of the lowest non-destination source.
-        // Purely a memoization key — correctness never depends on how many
-        // walks share it.
-        let s0 = if d == 0 { usize::from(n > 1) } else { 0 };
-        r.init_into(s0, d, &mut self.h0);
         let mut counts = ClassCounts::default();
         let mut first_broken = None;
         for s in 0..n {
             if s == d {
                 continue;
             }
-            r.init_into(s, d, &mut self.hbuf);
-            let memoized =
-                self.hbuf == self.h0 && self.stamp[s] == self.epoch && self.class[s] != IN_PROGRESS;
-            let c = if memoized {
-                SourceClass::from_u8(self.class[s])
-            } else {
-                self.walk(view, r, d, s)
-            };
+            let c = self.resolve(view, r, d, s);
             // A pair with no live path is nobody's fault: no routing function
             // can deliver it.  A proven pair needs no BFS: walks only cross
             // live arcs, so it has a live path.
-            let c = if c == SourceClass::Proven {
-                c
-            } else {
+            if c != SourceClass::Proven {
                 if !dist_known {
+                    if self.dist.len() < n {
+                        self.dist.resize(n, 0);
+                    }
                     bfs_distances_into(view, d, &mut self.bfs, &mut self.dist[..n]);
                     dist_known = true;
                 }
                 if self.dist[s] == INFINITY {
-                    SourceClass::Unreachable
-                } else {
-                    c
+                    self.result[s] =
+                        (self.result[s] & EXOTIC_SOURCE) | SourceClass::Unreachable as u8;
                 }
-            };
-            self.result[s] = c as u8;
+            }
+            let c = self.class_of(s);
             counts.add(c);
             if first_broken.is_none() && c.is_broken() {
                 first_broken = Some((s, c));
@@ -292,39 +326,196 @@ impl Checker {
         }
     }
 
-    /// The class of source `s` for the destination of the last
-    /// [`Checker::check_dest`] call.
-    pub fn class_of(&self, s: NodeId) -> SourceClass {
-        SourceClass::from_u8(self.result[s])
+    /// Walks every source's chain toward `d`, in source order, memoizing
+    /// each canonical state's class and hop count — the walk behind
+    /// [`Checker::check_dest`], without its reachability pass (a source with
+    /// no live path keeps the class its chain ends in).  Read the results
+    /// back with [`Checker::chain`], [`Checker::class_of`] and
+    /// [`Checker::arc_loads`].
+    pub fn walk_dest<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        d: NodeId,
+    ) {
+        self.begin_dest(view, r, d);
+        for s in 0..view.num_nodes() {
+            if s != d {
+                self.resolve(view, r, d, s);
+            }
+        }
     }
 
-    /// Walks one source's state chain to resolution and memoizes every
-    /// canonical state on the walk.
-    fn walk<R: RoutingFunction + ?Sized>(
+    /// Starts a destination: a fresh memo epoch and its canonical header.
+    fn begin_dest<R: RoutingFunction + ?Sized>(&mut self, view: GraphView<'_>, r: &R, d: NodeId) {
+        let n = view.num_nodes();
+        self.ensure_capacity(n);
+        self.port_out_of_range = false;
+        // Canonical header: the init of the lowest non-destination source.
+        // Purely a memoization key — correctness never depends on how many
+        // walks share it.
+        let s0 = if d == 0 { usize::from(n > 1) } else { 0 };
+        r.init_into(s0, d, &mut self.h0);
+    }
+
+    /// Source `s`'s class toward `d`, from the memo or a walk, recorded in
+    /// its result slot with the flag of a non-canonical own header.
+    #[inline]
+    fn resolve<R: RoutingFunction + ?Sized>(
         &mut self,
         view: GraphView<'_>,
         r: &R,
         d: NodeId,
         s: NodeId,
     ) -> SourceClass {
+        r.init_into(s, d, &mut self.hbuf);
+        let canonical = self.hbuf == self.h0;
+        let c = if canonical && self.stamp[s] == self.epoch && self.class[s] != IN_PROGRESS {
+            SourceClass::from_u8(self.class[s])
+        } else {
+            self.walk(view, r, d, s, canonical)
+        };
+        self.result[s] = if canonical {
+            c as u8
+        } else {
+            c as u8 | EXOTIC_SOURCE
+        };
+        c
+    }
+
+    /// The class of source `s` for the destination of the last
+    /// [`Checker::check_dest`] or [`Checker::walk_dest`] call.
+    pub fn class_of(&self, s: NodeId) -> SourceClass {
+        SourceClass::from_u8(self.result[s] & !EXOTIC_SOURCE)
+    }
+
+    /// Source `s`'s chain toward the last walked destination, when every
+    /// state on it carries the canonical header: its class (one of
+    /// [`SourceClass::Proven`], [`SourceClass::Livelock`],
+    /// [`SourceClass::DeadPort`] or [`SourceClass::WrongDelivery`], before
+    /// any reachability remap) and its hop count, which is the route length
+    /// of a proven chain.  `None` when the source's header or a later state
+    /// is not canonical; such a pair must be walked on its own.
+    #[inline]
+    pub fn chain(&self, s: NodeId) -> Option<(SourceClass, u32)> {
+        let hops = self.hops[s];
+        (self.result[s] & EXOTIC_SOURCE == 0 && hops != NO_HOPS)
+            .then(|| (SourceClass::from_u8(self.class[s]), hops))
+    }
+
+    /// Whether some walk of the last walked destination asked for a port
+    /// `>= degree` — a routing-model violation, which the routing loop
+    /// reports as an error rather than a dropped message.
+    pub fn port_out_of_range(&self) -> bool {
+        self.port_out_of_range
+    }
+
+    /// Arc loads of the last walked destination `d`'s canonical chains:
+    /// calls `add(v, port, load)` once per arc `(v, next(v))` crossed by a
+    /// proven chain [`Checker::chain`] returns, `load` being the number of
+    /// such sources whose route crosses it.  The proven chains form an
+    /// in-forest rooted at `d`; one pass over its vertices in decreasing hop
+    /// count hands each vertex's load on to its successor, re-asking the
+    /// routing function for each vertex's port.
+    pub fn arc_loads<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        d: NodeId,
+        mut add: impl FnMut(NodeId, Port, u64),
+    ) {
+        let n = view.num_nodes();
+        self.load.clear();
+        self.load.resize(n, 0);
+        // Counting sort of the proven canonical states by hop count (at most
+        // `n − 1`): `bucket[h + 1]` counts, then starts, hop count `h`.
+        self.bucket.clear();
+        self.bucket.resize(n + 1, 0);
+        for v in 0..n {
+            if self.in_forest(v) {
+                self.bucket[self.hops[v] as usize + 1] += 1;
+                // Every vertex but `d` is a source; one whose own header is
+                // not canonical routes itself outside this forest.
+                self.load[v] = u32::from(v != d && self.result[v] & EXOTIC_SOURCE == 0);
+            }
+        }
+        for h in 1..self.bucket.len() {
+            self.bucket[h] += self.bucket[h - 1];
+        }
+        self.order.clear();
+        self.order.resize(self.bucket[n] as usize, 0);
+        for v in 0..n {
+            if self.in_forest(v) {
+                let slot = &mut self.bucket[self.hops[v] as usize];
+                self.order[*slot as usize] = v as u32;
+                *slot += 1;
+            }
+        }
+        // Decreasing hop count: every vertex's load is final before it is
+        // passed on; the hop-0 vertex is `d` itself.
+        for &v in self.order.iter().rev() {
+            let v = v as usize;
+            if self.hops[v] == 0 {
+                break;
+            }
+            let load = self.load[v];
+            let Action::Forward(p) = r.port(v, &self.h0) else {
+                unreachable!("a proven chain forwards until it reaches d");
+            };
+            let next = view
+                .live_target(v, p)
+                .expect("a proven chain crosses live arcs only");
+            add(v, p, u64::from(load));
+            self.load[next] += load;
+        }
+    }
+
+    /// Whether `v`'s canonical state is memoized as a proven chain with a
+    /// hop count for the current destination.
+    #[inline]
+    fn in_forest(&self, v: NodeId) -> bool {
+        self.stamp[v] == self.epoch
+            && self.class[v] == SourceClass::Proven as u8
+            && self.hops[v] != NO_HOPS
+    }
+
+    /// Walks one source's state chain to resolution and memoizes every
+    /// canonical state on the walk: its class and, when every state of the
+    /// walk was canonical, its hop count.  The walking header must hold
+    /// `I(s, d)` already, and `canonical` say whether it equals the
+    /// canonical one.
+    fn walk<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        d: NodeId,
+        s: NodeId,
+        mut canonical: bool,
+    ) -> SourceClass {
         self.path.clear();
         self.exotic.clear();
-        r.init_into(s, d, &mut self.hbuf);
         let mut v = s;
-        let mut canonical = self.hbuf == self.h0;
+        // Whether every state so far was canonical, and the hops from the
+        // last pushed state to the end of the chain.
+        let mut pure = canonical;
+        let mut tail = 0u32;
         let budget = default_hop_limit(view.num_nodes());
         let class = loop {
             if canonical {
                 if self.stamp[v] == self.epoch {
                     break match self.class[v] {
                         IN_PROGRESS => SourceClass::Livelock,
-                        c => SourceClass::from_u8(c),
+                        c => {
+                            tail = self.hops[v].saturating_add(1);
+                            SourceClass::from_u8(c)
+                        }
                     };
                 }
                 self.stamp[v] = self.epoch;
                 self.class[v] = IN_PROGRESS;
                 self.path.push(v as u32);
             } else {
+                pure = false;
                 if self.hbuf.data.len() > r.declared_header_words() {
                     break SourceClass::HeaderOverflow;
                 }
@@ -350,6 +541,7 @@ impl Checker {
                 }
                 Action::Forward(p) => {
                     if p >= view.degree(v) {
+                        self.port_out_of_range = true;
                         break SourceClass::DeadPort;
                     }
                     let Some(next) = view.live_target(v, p) else {
@@ -362,9 +554,17 @@ impl Checker {
             }
         };
         // Back-propagate: every canonical state on the walk shares the fate
-        // (the chain from each of them is a suffix of this one).
-        for &x in &self.path {
+        // (the chain from each of them is a suffix of this one), and on a
+        // pure walk `len(path[i]) = tail + (k − 1 − i)`.
+        let k = self.path.len();
+        let pure = pure && tail != NO_HOPS;
+        for (i, &x) in self.path.iter().enumerate() {
             self.class[x as usize] = class as u8;
+            self.hops[x as usize] = if pure {
+                tail + (k - 1 - i) as u32
+            } else {
+                NO_HOPS
+            };
         }
         class
     }

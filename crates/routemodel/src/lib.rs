@@ -22,9 +22,10 @@
 //!   a routing error: loop, wrong delivery, dead end) for one pair;
 //! * [`stretch`] computes the **stretch factor**
 //!   `s(R, G) = max_{x≠y} d_R(x, y) / d_G(x, y)` — one sequential reference
-//!   over a dense distance matrix here, and a public [`StretchAccumulator`]
-//!   so the `trafficlab` engine, which measures every parallel and sampled
-//!   stretch, reproduces the reference bit-for-bit without an `n²` matrix;
+//!   over a dense distance matrix here, and a public, order-free
+//!   [`StretchAccumulator`] so the `trafficlab` engine, which measures every
+//!   parallel and sampled stretch in whatever pair order it walks,
+//!   reproduces the reference bit-for-bit without an `n²` matrix;
 //! * [`memory`] measures the **memory requirement** `MEM_G(R, x)` of each
 //!   router under explicit encodings (the paper uses Kolmogorov complexity,
 //!   which our concrete encoders upper-bound and our counting arguments lower

@@ -9,34 +9,50 @@
 //! 2. blocks are the work items of [`graphkit::par::map_fold_ordered`],
 //!    drawn by workers from one shared cursor; every worker owns one
 //!    [`BfsScratch`], one reusable [`DistanceBlock`] of block-local BFS rows
-//!    and its own integer counters, and routes each block's messages through
+//!    and its own counters, and routes each block's messages through
 //!    [`routemodel::walk`] with one [`Header`] and (only when congestion is
 //!    tracked) one [`RouteTrace`] per block — the inner loop performs **zero
 //!    allocations per message**, and peak memory is
 //!    `O(workers · block_rows · n)` instead of the dense matrix's `n²`;
-//! 3. stretch is accumulated into **one [`StretchAccumulator`] per source**
-//!    and the primitive folds the blocks' per-source partials in source
-//!    order, so for the all-pairs workload the resulting [`StretchReport`]
-//!    is **bit-identical** to `routemodel::stretch_factor`, the sequential
-//!    reference over a dense [`DistanceMatrix`] — for every worker count and
-//!    block size (the property tests pin this).  This engine is the one
-//!    parallel and sampled stretch measurement of the workspace; the first
-//!    routing error and the per-block memory needs travel through the same
-//!    fold;
-//! 4. congestion counters, route-length histograms and outcome counts stay
-//!    in the worker and are merged by integer addition once the primitive
-//!    hands the workers back — order-insensitive, so the whole
-//!    [`WorkloadReport`] is deterministic.
+//! 3. an **all-pairs** plan goes destination-major instead.  Per block of
+//!    destinations one [`DistanceBlock`] gives `d(s, t) = d(t, s)` (the
+//!    graph is undirected), and per destination `routecheck`'s memoized
+//!    chain walk ([`Checker::walk_dest`]) resolves every source: with a
+//!    canonical header the routes toward one destination form a functional
+//!    graph, so each vertex's class and hop count (`len(v) = 1 +
+//!    len(next(v))`) cost one `port` call instead of one per hop.  A proven
+//!    chain has at most `n − 1` hops, below the hop limit, so it is a
+//!    delivery of exactly that length; a cycle is a hop-limit outcome; a
+//!    dead arc is a link-down drop.  Arc loads come from one pass over the
+//!    chains' in-forest in decreasing hop count ([`Checker::arc_loads`]).
+//!    A pair whose header is not canonical is routed by the per-message
+//!    loop; if any chain asks for a port out of range, the whole run is
+//!    redone by the per-message loop, which reports the earliest source's
+//!    [`RoutingError`] exactly.  [`WorkloadReport::memoized`] says which path
+//!    ran;
+//! 4. stretch, congestion counters, route-length histograms and outcome
+//!    counts stay in the worker and are merged once the primitive hands the
+//!    workers back — integer addition and the order-free
+//!    [`StretchAccumulator`] merge, so the whole [`WorkloadReport`] is
+//!    deterministic for every worker count and block size, whichever path
+//!    ran.  For the all-pairs workload the [`StretchReport`] is
+//!    **bit-identical** to `routemodel::stretch_factor`, the sequential
+//!    reference over a dense [`DistanceMatrix`], by construction (the
+//!    property and differential tests pin this).  This engine is the one
+//!    parallel and sampled stretch measurement of the workspace.
 //!
 //! [`DistanceMatrix`]: graphkit::DistanceMatrix
 
 use crate::metrics::{CongestionCounters, CongestionReport, LengthHistogram};
 use crate::workload::{SourceDests, WorkloadPlan};
-use graphkit::{par, BfsScratch, Dist, DistanceBlock, GraphView, INFINITY};
+use graphkit::{par, BfsScratch, Dist, DistanceBlock, GraphView, NodeId, INFINITY};
+use routecheck::{Checker, SourceClass};
 use routemodel::{
     default_hop_limit, walk, DeliveryOutcome, Header, RouteTrace, RoutingError, RoutingFunction,
     StretchAccumulator, StretchReport,
 };
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Tuning knobs of the executor.  The defaults are right for tests and
@@ -152,7 +168,8 @@ impl OutcomeCounts {
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     /// Stretch over the delivered messages (for the all-pairs workload:
-    /// bit-identical to the sequential `stretch_factor` reference).
+    /// bit-identical to the sequential `stretch_factor` reference, whichever
+    /// path ran).
     pub stretch: StretchReport,
     /// Messages actually routed and delivered.
     pub routed_messages: u64,
@@ -171,11 +188,16 @@ pub struct WorkloadReport {
     /// Peak-memory proxy: bytes of the workload plan plus, per worker, the
     /// largest block's distance rows, BFS buffers
     /// ([`BfsScratch::block_bytes`]: masks and vertex lists), routing header
-    /// and trace buffers, and the metric counters.  Any worker may draw
+    /// and trace buffers, the memoized path's chain memo
+    /// ([`Checker::walk_bytes`]), and the metric counters.  Any worker may draw
     /// the largest block, so each is charged for it; the figure depends on
     /// the worker count but not on which worker drew which block.  This is
     /// what replaces the dense matrix's `4 n²` bytes.
     pub peak_tracked_bytes: u64,
+    /// Whether the run took the memoized all-pairs sweep (destination-major
+    /// chain walks) rather than routing message by message.  Observability
+    /// only: both paths measure the same report.
+    pub memoized: bool,
     /// Wall-clock seconds the engine spent on this run (block BFS plus
     /// routing), measured inside [`run_workload`] so every report row
     /// carries its own throughput.
@@ -208,6 +230,7 @@ impl PartialEq for WorkloadReport {
             && self.blocks == other.blocks
             && self.narrow_blocks == other.narrow_blocks
             && self.peak_tracked_bytes == other.peak_tracked_bytes
+            && self.memoized == other.memoized
     }
 }
 
@@ -222,26 +245,107 @@ struct Block {
     rows: usize,
 }
 
-/// One worker's scratch and its order-insensitive integer counters.
+/// One worker's scratch and its order-insensitive counters.
 struct Worker {
     bfs: BfsScratch,
     rows: DistanceBlock,
+    /// Memoized chain walks (all-pairs path only; empty otherwise).
+    checker: Checker,
+    counters: Counters,
+    narrow_blocks: usize,
+}
+
+/// What a worker measured over the messages it resolved.
+struct Counters {
+    stretch: StretchAccumulator,
     congestion: Option<CongestionCounters>,
     lengths: LengthHistogram,
     outcomes: OutcomeCounts,
     skipped: u64,
-    narrow_blocks: usize,
+}
+
+impl Worker {
+    fn new(view: GraphView<'_>, cfg: &EngineConfig) -> Self {
+        Worker {
+            bfs: BfsScratch::with_capacity(view.num_nodes()),
+            rows: DistanceBlock::new(),
+            checker: Checker::new(),
+            counters: Counters {
+                stretch: StretchAccumulator::new(),
+                congestion: cfg
+                    .track_congestion
+                    .then(|| CongestionCounters::for_graph(view.graph())),
+                lengths: LengthHistogram::new(),
+                outcomes: OutcomeCounts::default(),
+                skipped: 0,
+            },
+            narrow_blocks: 0,
+        }
+    }
+
+    /// Fills the worker's distance block with the BFS rows of vertices
+    /// `lo .. lo + rows`.
+    fn distances(&mut self, view: GraphView<'_>, lo: usize, rows: usize) {
+        self.rows.recompute(view, lo, rows, &mut self.bfs);
+        if self.rows.is_narrow() {
+            self.narrow_blocks += 1;
+        }
+    }
+
+    /// Bytes a fresh worker needs for a block of `rows` BFS rows: its
+    /// distance rows (the narrow rows, plus the wide copy once the block
+    /// widened), BFS buffers, routing header and trace.
+    fn block_bytes(&self, n: usize, rows: usize, header: &Header, trace: &RouteTrace) -> u64 {
+        let cells = (rows * n) as u64;
+        let row_bytes = if self.rows.is_narrow() {
+            cells
+        } else {
+            cells * (1 + std::mem::size_of::<Dist>() as u64)
+        };
+        row_bytes + BfsScratch::block_bytes(n, rows) + header.bytes() + trace.bytes()
+    }
+}
+
+impl Counters {
+    /// Routes one message with the routing loop and counts its fate;
+    /// metrics cover delivered messages only.
+    #[allow(clippy::too_many_arguments)]
+    fn route<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        s: NodeId,
+        t: NodeId,
+        dist: Dist,
+        hop_limit: usize,
+        header: &mut Header,
+        trace: &mut RouteTrace,
+    ) -> Result<(), RoutingError> {
+        let tracked = self.congestion.is_some().then_some(&mut *trace);
+        let (outcome, hops) = walk(view, r, s, t, hop_limit, header, tracked)?;
+        self.outcomes.record(outcome);
+        // A dropped message has no meaningful length or stretch, and its
+        // partial trace would skew the congestion picture.
+        if outcome.is_delivered() {
+            self.stretch.record(s, t, hops as u32, dist);
+            self.lengths.record(hops);
+            if let Some(c) = &mut self.congestion {
+                for (&u, &p) in trace.path.iter().zip(&trace.ports) {
+                    c.add_load(u, p, 1);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What one block hands to the ordered fold.
 #[derive(Default)]
 struct BlockOut {
-    /// One stretch partial per source of the block, in rank order.
-    sources: Vec<StretchAccumulator>,
-    /// The routing-model violation that ended the block early, if any.
+    /// The routing-model violation that ended the block early, if any
+    /// (per-message path).
     error: Option<RoutingError>,
-    /// Bytes a fresh worker needs for this block: its distance rows, BFS
-    /// buffers, routing header and trace.
+    /// Bytes a fresh worker needs for this block.
     bytes: u64,
 }
 
@@ -265,8 +369,86 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     let view = g.into();
     let n = view.num_nodes();
     assert_eq!(plan.num_nodes(), n, "plan compiled for a different graph");
-    let hop_limit = default_hop_limit(n);
     let t0 = Instant::now();
+    let run = if plan.is_all_pairs() {
+        match sweep_memoized(view, r, cfg) {
+            Some(run) => run,
+            None => route_messages(view, r, plan, cfg)?,
+        }
+    } else {
+        route_messages(view, r, plan, cfg)?
+    };
+    Ok(run.into_report(view, plan, cfg, t0))
+}
+
+/// The workers and block tally of one finished run.
+struct Run {
+    workers: Vec<Worker>,
+    blocks: usize,
+    /// Largest [`BlockOut::bytes`] of the run.
+    block_bytes: u64,
+    memoized: bool,
+}
+
+impl Run {
+    /// Merges the workers' counters (integer addition and the order-free
+    /// stretch merge, so the report does not depend on which worker drew
+    /// which block).
+    fn into_report(
+        self,
+        view: GraphView<'_>,
+        plan: &WorkloadPlan,
+        cfg: &EngineConfig,
+        t0: Instant,
+    ) -> WorkloadReport {
+        let mut stretch = StretchAccumulator::new();
+        let mut congestion = cfg
+            .track_congestion
+            .then(|| CongestionCounters::for_graph(view.graph()));
+        let mut lengths = LengthHistogram::new();
+        let mut outcomes = OutcomeCounts::default();
+        let mut skipped = 0u64;
+        let mut narrow_blocks = 0usize;
+        for w in &self.workers {
+            let c = &w.counters;
+            stretch.merge(&c.stretch);
+            if let (Some(total_c), Some(worker_c)) = (&mut congestion, &c.congestion) {
+                total_c.merge(worker_c);
+            }
+            lengths.merge(&c.lengths);
+            outcomes.merge(&c.outcomes);
+            skipped += c.skipped;
+            narrow_blocks += w.narrow_blocks;
+        }
+        let per_worker = self.block_bytes
+            + congestion.as_ref().map_or(0, |c| c.bytes())
+            + 8 * lengths.counts().len() as u64;
+        WorkloadReport {
+            stretch: stretch.into_report(),
+            routed_messages: outcomes.delivered,
+            outcomes,
+            skipped_unreachable: skipped,
+            congestion: congestion.map(|c| c.summarize()),
+            lengths,
+            blocks: self.blocks,
+            narrow_blocks,
+            peak_tracked_bytes: plan.bytes() + self.workers.len() as u64 * per_worker,
+            memoized: self.memoized,
+            run_secs: t0.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+/// The per-message path: every planned message routed through
+/// [`routemodel::walk`], source block by source block.
+fn route_messages<R: RoutingFunction + Sync + ?Sized>(
+    view: GraphView<'_>,
+    r: &R,
+    plan: &WorkloadPlan,
+    cfg: &EngineConfig,
+) -> Result<Run, RoutingError> {
+    let n = view.num_nodes();
+    let hop_limit = default_hop_limit(n);
 
     // Sources that send at least one message, ascending.
     let active: Vec<u32> = (0..n as u32)
@@ -298,32 +480,18 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
         }
     }
 
-    // Ordered fold of the per-source stretch partials — the step that makes
-    // the report bit-identical to the sequential reference.
-    let mut total = StretchAccumulator::new();
+    // Blocks fold in source order, so the first error is the earliest
+    // source's.
     let mut first_error = None;
     let mut block_bytes = 0u64;
     let workers = par::map_fold_ordered(
         blocks.len(),
         cfg.effective_threads(n),
-        || Worker {
-            bfs: BfsScratch::with_capacity(n),
-            rows: DistanceBlock::new(),
-            congestion: cfg
-                .track_congestion
-                .then(|| CongestionCounters::for_graph(view.graph())),
-            lengths: LengthHistogram::new(),
-            outcomes: OutcomeCounts::default(),
-            skipped: 0,
-            narrow_blocks: 0,
-        },
-        |w, i, out| run_block(view, r, plan, &active, blocks[i], hop_limit, w, out),
-        |_, out| {
+        || Worker::new(view, cfg),
+        |w, i, out| route_block(view, r, plan, &active, blocks[i], hop_limit, w, out),
+        |_, out: &mut BlockOut| {
             block_bytes = block_bytes.max(out.bytes);
             if first_error.is_none() {
-                for acc in &out.sources {
-                    total.merge_after(acc);
-                }
                 first_error = out.error.take();
             }
         },
@@ -331,46 +499,19 @@ pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     if let Some(e) = first_error {
         return Err(e);
     }
-
-    let mut congestion = cfg
-        .track_congestion
-        .then(|| CongestionCounters::for_graph(view.graph()));
-    let mut lengths = LengthHistogram::new();
-    let mut outcomes = OutcomeCounts::default();
-    let mut skipped = 0u64;
-    let mut narrow_blocks = 0usize;
-    for w in &workers {
-        if let (Some(total_c), Some(worker_c)) = (&mut congestion, &w.congestion) {
-            total_c.merge(worker_c);
-        }
-        lengths.merge(&w.lengths);
-        outcomes.merge(&w.outcomes);
-        skipped += w.skipped;
-        narrow_blocks += w.narrow_blocks;
-    }
-    let per_worker = block_bytes
-        + congestion.as_ref().map_or(0, |c| c.bytes())
-        + 8 * lengths.counts().len() as u64;
-
-    Ok(WorkloadReport {
-        stretch: total.into_report(),
-        routed_messages: outcomes.delivered,
-        outcomes,
-        skipped_unreachable: skipped,
-        congestion: congestion.map(|c| c.summarize()),
-        lengths,
+    Ok(Run {
+        workers,
         blocks: blocks.len(),
-        narrow_blocks,
-        peak_tracked_bytes: plan.bytes() + workers.len() as u64 * per_worker,
-        run_secs: t0.elapsed().as_secs_f64(),
+        block_bytes,
+        memoized: false,
     })
 }
 
 /// Routes one block of sources on worker `w`: BFS rows into the worker's
-/// block buffer, one stretch partial per source into `out` (stopping at the
+/// block buffer, each message through the routing loop (stopping at the
 /// first routing-model violation), counters into the worker.
 #[allow(clippy::too_many_arguments)]
-fn run_block<R: RoutingFunction + Sync + ?Sized>(
+fn route_block<R: RoutingFunction + Sync + ?Sized>(
     view: GraphView<'_>,
     r: &R,
     plan: &WorkloadPlan,
@@ -381,48 +522,25 @@ fn run_block<R: RoutingFunction + Sync + ?Sized>(
     out: &mut BlockOut,
 ) {
     let n = view.num_nodes();
-    let rows = &mut w.rows;
-    rows.recompute(view, b.src_lo, b.rows, &mut w.bfs);
-    if rows.is_narrow() {
-        w.narrow_blocks += 1;
-    }
+    w.distances(view, b.src_lo, b.rows);
     // Fresh per block, so their capacities depend on this block alone.
     let mut header = Header::to_dest(0);
     let mut trace = RouteTrace::new();
-    out.sources.clear();
     out.error = None;
     for rank in b.rank_lo..b.rank_hi {
         let s = active[rank] as usize;
-        let row = rows.row(s);
-        let mut acc = StretchAccumulator::new();
-        // Destinations are routed in plan order, skipping the pairs the
-        // reference skips at the same positions, so the order-sensitive
-        // f64 stretch fold matches it bit for bit.
+        let row = w.rows.row(s);
+        let counters = &mut w.counters;
         let mut route_one = |t: usize| -> Result<(), RoutingError> {
             if t == s {
                 return Ok(());
             }
             let dist = row.dist(t);
             if dist == INFINITY {
-                w.skipped += 1;
+                counters.skipped += 1;
                 return Ok(());
             }
-            let tracked = w.congestion.is_some().then_some(&mut trace);
-            let (outcome, hops) = walk(view, r, s, t, hop_limit, &mut header, tracked)?;
-            w.outcomes.record(outcome);
-            // Metrics cover delivered messages only: a dropped message has
-            // no meaningful length or stretch, and its partial trace would
-            // skew the congestion picture.
-            if outcome.is_delivered() {
-                acc.record(s, t, hops as u32, dist);
-                w.lengths.record(hops);
-                if let Some(c) = &mut w.congestion {
-                    for (&u, &p) in trace.path.iter().zip(&trace.ports) {
-                        c.record_hop(u, p);
-                    }
-                }
-            }
-            Ok(())
+            counters.route(view, r, s, t, dist, hop_limit, &mut header, &mut trace)
         };
         let result = match plan.dests(s) {
             SourceDests::AllOthers => (0..n).try_for_each(&mut route_one),
@@ -432,24 +550,118 @@ fn run_block<R: RoutingFunction + Sync + ?Sized>(
             out.error = Some(e);
             break;
         }
-        out.sources.push(acc);
     }
-    // What a fresh block buffer holds: the narrow rows, plus the wide copy
-    // once the block widened.
-    let cells = (b.rows * n) as u64;
-    let row_bytes = if rows.is_narrow() {
-        cells
-    } else {
-        cells * (1 + std::mem::size_of::<Dist>() as u64)
-    };
-    out.bytes = row_bytes + BfsScratch::block_bytes(n, b.rows) + header.bytes() + trace.bytes();
+    out.bytes = w.block_bytes(n, b.rows, &header, &trace);
+}
+
+/// The memoized all-pairs path: destination-major, one [`DistanceBlock`]
+/// per block of destinations (`d(s, t) = d(t, s)` on an undirected graph)
+/// and one memoized chain walk ([`Checker::walk_dest`]) per destination.
+/// `None` when some chain asked for a port out of range: the caller then
+/// redoes the run message by message, which reports the earliest source's
+/// error exactly.
+fn sweep_memoized<R: RoutingFunction + Sync + ?Sized>(
+    view: GraphView<'_>,
+    r: &R,
+    cfg: &EngineConfig,
+) -> Option<Run> {
+    let n = view.num_nodes();
+    let hop_limit = default_hop_limit(n);
+    let block_rows = cfg.effective_block_rows();
+    let blocks = n.div_ceil(block_rows);
+    // Set by the first block that meets a port out of range; later blocks
+    // skip their work, since the run is redone message by message.
+    let bad_port = AtomicBool::new(false);
+    let mut block_bytes = 0u64;
+    let workers = par::map_fold_ordered(
+        blocks,
+        cfg.effective_threads(n),
+        || Worker::new(view, cfg),
+        |w, i, out| {
+            if !bad_port.load(Ordering::Relaxed) {
+                let lo = i * block_rows;
+                let dests = lo..n.min(lo + block_rows);
+                sweep_block(view, r, dests, hop_limit, w, out, &bad_port);
+            }
+        },
+        |_, out: &mut BlockOut| block_bytes = block_bytes.max(out.bytes),
+    );
+    (!bad_port.into_inner()).then_some(Run {
+        workers,
+        blocks,
+        block_bytes,
+        memoized: true,
+    })
+}
+
+/// Resolves every source toward each destination of `dests` on worker
+/// `w`: canonical chains from the memo (class and hop count), any other
+/// pair through the routing loop, arc loads from the chains' in-forest.
+/// Stops at, and flags in `bad_port`, a port out of range.
+fn sweep_block<R: RoutingFunction + Sync + ?Sized>(
+    view: GraphView<'_>,
+    r: &R,
+    dests: Range<usize>,
+    hop_limit: usize,
+    w: &mut Worker,
+    out: &mut BlockOut,
+    bad_port: &AtomicBool,
+) {
+    let n = view.num_nodes();
+    w.distances(view, dests.start, dests.len());
+    let mut header = Header::to_dest(0);
+    let mut trace = RouteTrace::new();
+    for t in dests.clone() {
+        let checker = &mut w.checker;
+        checker.walk_dest(view, r, t);
+        if checker.port_out_of_range() {
+            bad_port.store(true, Ordering::Relaxed);
+            return;
+        }
+        let row = w.rows.row(t);
+        let c = &mut w.counters;
+        for s in 0..n {
+            if s == t {
+                continue;
+            }
+            let dist = row.dist(s);
+            if dist == INFINITY {
+                c.skipped += 1;
+                continue;
+            }
+            match checker.chain(s) {
+                Some((SourceClass::Proven, hops)) => {
+                    c.outcomes.delivered += 1;
+                    c.stretch.record(s, t, hops, dist);
+                    c.lengths.record(hops as usize);
+                }
+                Some((SourceClass::Livelock, _)) => c.outcomes.hop_limit += 1,
+                Some((SourceClass::DeadPort, _)) => c.outcomes.link_down += 1,
+                Some((SourceClass::WrongDelivery, _)) => c.outcomes.wrong_delivery += 1,
+                Some((class, _)) => unreachable!("a canonical chain never ends {class:?}"),
+                None => {
+                    let routed = c.route(view, r, s, t, dist, hop_limit, &mut header, &mut trace);
+                    if routed.is_err() {
+                        bad_port.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                }
+            }
+        }
+        if let Some(cong) = &mut c.congestion {
+            checker.arc_loads(view, r, t, |v, p, load| cong.add_load(v, p, load));
+        }
+    }
+    out.bytes = w.block_bytes(n, dests.len(), &header, &trace)
+        + Checker::walk_bytes(n, w.counters.congestion.is_some());
 }
 
 /// Convenience wrapper: the exact stretch factor over **all pairs**, computed
 /// block-by-block without ever materializing the dense distance matrix.
 ///
-/// Bit-identical to `routemodel::stretch_factor` for every `threads` and
-/// `block_rows` value; peak memory `O(threads · block_rows · n)`.
+/// Runs the memoized all-pairs sweep.  Bit-identical to
+/// `routemodel::stretch_factor` for every `threads` and `block_rows` value;
+/// peak memory `O(threads · block_rows · n)`.
 pub fn stretch_factor_blocked<'a, R: RoutingFunction + Sync + ?Sized>(
     g: impl Into<GraphView<'a>>,
     r: &R,
@@ -512,10 +724,27 @@ mod tests {
         let r = table_routing(&g);
         let dm = DistanceMatrix::all_pairs_sequential(&g);
         let dense = stretch_factor(&g, &dm, &r).unwrap();
+        let plan = WorkloadSpec::AllPairs.compile(72);
+        let mut base: Option<WorkloadReport> = None;
         for threads in [1usize, 2, 3, 7] {
-            for block_rows in [1usize, 5, 16, 100] {
+            for block_rows in [1usize, 5, 16, 64, 100] {
                 let blocked = stretch_factor_blocked(&g, &r, threads, block_rows).unwrap();
                 assert_reports_bit_identical(&blocked, &dense);
+                // The memoized path with congestion: the same whole report at
+                // every worker count and block size (bytes and block counts
+                // aside, which follow the configuration).
+                let cfg = EngineConfig {
+                    threads,
+                    block_rows,
+                    track_congestion: true,
+                };
+                let rep = run_workload(&g, &r, &plan, &cfg).unwrap();
+                assert!(rep.memoized);
+                let base = base.get_or_insert_with(|| rep.clone());
+                assert_reports_bit_identical(&rep.stretch, &base.stretch);
+                assert_eq!(rep.congestion, base.congestion);
+                assert_eq!(rep.lengths, base.lengths);
+                assert_eq!(rep.outcomes, base.outcomes);
             }
         }
     }

@@ -11,9 +11,11 @@
 //! at a few thousand nodes; `trafficlab` instead streams the evaluation in
 //! bounded per-block memory (in the delay/space spirit of enumeration
 //! complexity): source nodes are sharded into blocks, every worker computes
-//! the block's BFS rows (narrow `u8` rows where they fit), routes the
-//! block's messages with zero per-message allocations, and per-source
-//! stretch partials are folded in source order — so the all-pairs report is
+//! the block's BFS rows (narrow `u8` rows where they fit) and routes the
+//! block's messages with zero per-message allocations; the all-pairs
+//! workload goes destination-major, resolving every source toward one
+//! destination from memoized chain walks in `O(n)` `port` calls.  Stretch
+//! is summed by an order-free accumulator, so the all-pairs report is
 //! **bit-identical** to `routemodel::stretch_factor`, the sequential
 //! reference, while peak memory stays `O(workers · block_rows · n)`.
 //!

@@ -36,10 +36,10 @@ impl CongestionCounters {
         }
     }
 
-    /// Records one hop out of `u` through port `p`.
+    /// Records `load` hops out of `u` through port `p`.
     #[inline]
-    pub fn record_hop(&mut self, u: NodeId, p: Port) {
-        self.load[(self.offsets[u] + p as u64) as usize] += 1;
+    pub fn add_load(&mut self, u: NodeId, p: Port, load: u64) {
+        self.load[(self.offsets[u] + p as u64) as usize] += load;
     }
 
     /// Adds another worker's counters into this one.
@@ -217,9 +217,9 @@ mod tests {
     fn congestion_counts_and_summary() {
         let g = generators::path(4); // arcs: 0-1, 1-0, 1-2, 2-1, 2-3, 3-2
         let mut c = CongestionCounters::for_graph(&g);
-        c.record_hop(0, 0);
-        c.record_hop(0, 0);
-        c.record_hop(1, 1);
+        c.add_load(0, 0, 1);
+        c.add_load(0, 0, 1);
+        c.add_load(1, 1, 1);
         let rep = c.summarize();
         assert_eq!(rep.arcs, 6);
         assert_eq!(rep.loaded_arcs, 2);
@@ -235,9 +235,9 @@ mod tests {
         let g = generators::cycle(5);
         let mut a = CongestionCounters::for_graph(&g);
         let mut b = CongestionCounters::for_graph(&g);
-        a.record_hop(2, 0);
-        b.record_hop(2, 0);
-        b.record_hop(4, 1);
+        a.add_load(2, 0, 1);
+        b.add_load(2, 0, 1);
+        b.add_load(4, 1, 1);
         a.merge(&b);
         assert_eq!(a.arc_load(2, 0), 2);
         assert_eq!(a.arc_load(4, 1), 1);

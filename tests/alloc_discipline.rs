@@ -3,8 +3,9 @@
 //! The routing kernel and the static checker both promise *warm* hot loops
 //! that never touch the heap: `routemodel::walk` rewrites one reused header
 //! in place (and, when a trace is asked for, one reused `RouteTrace`), and
-//! `Checker::check_dest` reuses its epoch-stamped arrays across
-//! destinations, and `DistanceBlock::recompute` reuses its row buffers and
+//! `Checker::check_dest` and `Checker::walk_dest` (the length-carrying
+//! memo walk of the engine's all-pairs sweep, with its arc-load pass) reuse
+//! their epoch-stamped arrays across destinations, and `DistanceBlock::recompute` reuses its row buffers and
 //! the bit-parallel BFS masks of its `BfsScratch` across blocks, as does
 //! `bfs_block_into` over explicit source lists.  Those promises are load-bearing — the throughput
 //! and sweep numbers in CI assume them — so this test counts every
@@ -128,6 +129,42 @@ fn warm_hot_loops_do_not_allocate() {
         0,
         "warm check_dest allocated {sweep_allocs} times across {} \
          destinations; the sweep must be allocation-free per destination",
+        n - 8
+    );
+
+    // --- Checker::walk_dest, the length-carrying memo walk of the engine's
+    // all-pairs sweep: zero allocations per destination once warm, reading
+    // every source's class and hop count and the chains' arc loads --------
+    let memo = |checker: &mut Checker, dests: std::ops::Range<usize>, sink: &mut u64| {
+        let mut delivered = 0u64;
+        for d in dests {
+            checker.walk_dest(view, r, d);
+            for s in (0..n).filter(|&s| s != d) {
+                if let Some((routecheck::SourceClass::Proven, hops)) = checker.chain(s) {
+                    delivered += 1;
+                    *sink += u64::from(hops);
+                }
+            }
+            checker.arc_loads(view, r, d, |v, p, load| *sink += (v + p) as u64 * load);
+        }
+        delivered
+    };
+    let mut checker = Checker::new();
+    memo(&mut checker, 0..8, &mut sink);
+    let before = allocations();
+    let delivered = memo(&mut checker, 8..n, &mut sink);
+    let memo_allocs = allocations() - before;
+    assert_eq!(
+        delivered,
+        (n as u64 - 8) * (n as u64 - 1),
+        "every chain must resolve from the memo"
+    );
+    assert_eq!(
+        memo_allocs,
+        0,
+        "warm walk_dest + chain + arc_loads allocated {memo_allocs} times \
+         across {} destinations; the memoized sweep must be allocation-free \
+         per destination",
         n - 8
     );
 

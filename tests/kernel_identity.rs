@@ -3,7 +3,7 @@
 //! `routemodel::walk` encodes each header once into a reused buffer and
 //! rewrites it in place (`init_into` / `next_header_into`), and records the
 //! path only when a trace is asked for.  Everything an engine folds from it
-//! — outcome counts, the order-sensitive f64 stretch accumulation, per-arc
+//! — outcome counts, route lengths and the stretch summed from them, per-arc
 //! congestion counters — must be indistinguishable from a replay of the
 //! definition with the allocating `init` / `next_header` pair: a fresh
 //! header `I(u, v)`, then `h' = H(x, h)` materialized at every hop.  This
@@ -42,8 +42,8 @@ fn registry_instances() -> Vec<(String, Graph, SchemeInstance)> {
 }
 
 /// The full observable record of routing one source's messages: the ordered
-/// `(dest, hops, outcome)` events (whose ordered lengths determine every f64
-/// stretch fold bit-for-bit), a stretch fold over them, and the sorted hop
+/// `(dest, hops, outcome)` events (whose lengths determine every stretch
+/// report bit-for-bit), a stretch fold over them, and the sorted hop
 /// multiset of the delivered messages (which determines every congestion
 /// counter).
 #[derive(Debug, PartialEq)]
