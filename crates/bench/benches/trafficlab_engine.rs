@@ -11,7 +11,10 @@
 //! `n = 2048` under shortest-path tables and landmark routing.  Every entry
 //! records whether the engine took the memoized all-pairs path
 //! (`memoized`): the all-pairs entries must, the sampled and list-plan
-//! entries must not.
+//! entries must not.  Two `check-theorem1-2048-*` entries time the static
+//! proof (`routecheck::check_routing`) of the same two instances and record
+//! the pairs it proved.  `column_bytes` is the part of a memoized entry's
+//! `peak_tracked_bytes` that holds the sweep's port columns.
 
 // Bench targets report to the console by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -19,7 +22,8 @@
 use analysis::report::Json;
 use constraints::theorem1::build_worst_case_instance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphkit::{generators, Graph};
+use graphkit::{generators, par, Graph, GraphView};
+use routecheck::{check_routing, Checker};
 use routemodel::{RoutingFunction, TableRouting, TieBreak};
 use routeschemes::{
     CompactScheme, EcubeScheme, GraphHints, SchemeInstance, SchemeKind, SpanningTreeScheme,
@@ -89,6 +93,16 @@ fn run_entry<R: RoutingFunction + Sync + ?Sized>(
     let n = g.num_nodes();
     let msgs_per_sec = rep.routed_messages as f64 / secs.max(1e-9);
     let dense_matrix_bytes = 4 * (n as u64).pow(2);
+    let workers = if cfg.threads == 0 {
+        par::default_threads(n)
+    } else {
+        cfg.threads
+    };
+    let column_bytes = if rep.memoized {
+        workers as u64 * Checker::column_bytes(n)
+    } else {
+        0
+    };
     println!(
         "snapshot: {name:<34} n={n:<7} msgs={:<8} {msgs_per_sec:>9.0} msgs/s  peak {:>12} B  memoized {}  (dense matrix would be {dense_matrix_bytes} B)",
         rep.routed_messages, rep.peak_tracked_bytes, rep.memoized
@@ -104,6 +118,32 @@ fn run_entry<R: RoutingFunction + Sync + ?Sized>(
         ("narrow_blocks", rep.narrow_blocks.into()),
         ("blocks", rep.blocks.into()),
         ("memoized", rep.memoized.into()),
+        // The share of `peak_tracked_bytes` that is the memoized sweep's
+        // port columns, one chunk per worker.
+        ("column_bytes", column_bytes.into()),
+    ])
+}
+
+/// Times the static all-pairs proof of `r` on `g` and returns its snapshot
+/// entry, echoed to the console.
+fn check_entry<R: RoutingFunction + Sync + ?Sized>(name: &str, g: &Graph, r: &R) -> Json {
+    let n = g.num_nodes();
+    let t0 = Instant::now();
+    let rep = check_routing(GraphView::full(g), r, par::default_threads(n));
+    let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "snapshot: {name:<34} n={n:<7} proven={:<8} broken={} in {:.1} ms",
+        rep.counts.proven,
+        rep.counts.broken(),
+        secs * 1e3
+    );
+    Json::obj([
+        ("name", name.into()),
+        ("n", n.into()),
+        ("secs", secs.into()),
+        ("pairs", rep.counts.total().into()),
+        ("proven", rep.counts.proven.into()),
+        ("broken", rep.counts.broken().into()),
     ])
 }
 
@@ -221,6 +261,12 @@ fn bench_snapshot(_c: &mut Criterion) {
             landmark.routing.as_ref(),
             &WorkloadSpec::AllPairs,
             &cfg,
+        ));
+        entries.push(check_entry("check-theorem1-2048-table", g, &table));
+        entries.push(check_entry(
+            "check-theorem1-2048-landmark",
+            g,
+            landmark.routing.as_ref(),
         ));
     }
 

@@ -12,12 +12,18 @@
 //!   just the current vertex.  The sweep memoizes, per vertex, the class of
 //!   its chain and its hop count `len(v) = 1 + len(next(v))`, with
 //!   epoch-stamped arrays — each vertex is walked at most once per
-//!   destination, one `port` call per vertex, zero allocations once the
-//!   scratch is warm.  A chain that ends in a delivery at `d` visits each
-//!   vertex at most once, so it has at most `n − 1` hops.  The reachability
-//!   BFS (`O(n + m)`) that tells an [`SourceClass::Unreachable`] pair from a
-//!   broken one runs only for a destination where some source fails to
-//!   prove; on a sound scheme no BFS runs at all.
+//!   destination, zero allocations once the scratch is warm.  The walks
+//!   read each vertex's next hop from a port column: one
+//!   [`RoutingFunction::port_columns`] call per chunk of up to 16
+//!   consecutive destinations fills `P(v, h_d)` for every vertex `v`, so a
+//!   scheme whose tables answer a block of destinations at once (the
+//!   landmark scheme's cluster lists) does so, and every other scheme pays
+//!   one statically dispatched `port` call per vertex.  A chain that ends
+//!   in a delivery at `d` visits each vertex at most once, so it has at
+//!   most `n − 1` hops.  The reachability BFS (`O(n + m)`) that tells an
+//!   [`SourceClass::Unreachable`] pair from a broken one runs only for a
+//!   destination where some source fails to prove; on a sound scheme no
+//!   BFS runs at all.
 //! * **Exotic headers.**  A walk whose header deviates from the canonical one
 //!   (source-dependent init or a rewriting `H`) falls back to explicit
 //!   `(vertex, header)` states with repeat detection, bounded by the hop
@@ -26,17 +32,22 @@
 //!   [`SourceClass::HeaderOverflow`].  Such a chain keeps its class but no
 //!   hop count.
 //!
-//! The memo walk has two consumers.  [`check_routing`] turns each
-//! destination's classes into soundness counts through
-//! [`Checker::check_dest`].  The `trafficlab` engine's all-pairs sweep calls
-//! [`Checker::walk_dest`] and reads each source's class and hop count back
-//! through [`Checker::chain`] — one `port` call per vertex instead of one
-//! per hop — and the arc loads of the chains through
-//! [`Checker::arc_loads`].
+//! The memo walk has two consumers, both through [`Checker::walk_dests`],
+//! which loads the columns of a range of destinations chunk by chunk,
+//! walks each destination and hands it to a visitor.  [`check_routing`]
+//! turns each destination's classes into soundness counts.  The
+//! `trafficlab` engine's all-pairs sweep reads each source's class and hop
+//! count back through [`Checker::chain`] — one column entry per vertex
+//! instead of one `port` call per hop — and the arc loads of the chains
+//! through [`Checker::arc_loads`].  Columns live only inside the call that
+//! loads them; [`Checker::check_dest`] and [`Checker::walk_dest`] walk one
+//! destination the same way.
 
 use graphkit::traversal::bfs_distances_into;
 use graphkit::{par, BfsScratch, Dist, GraphView, NodeId, Port, INFINITY};
+use routemodel::function::decode_action;
 use routemodel::{default_hop_limit, Action, Header, RoutingFunction};
+use std::ops::{ControlFlow, Range};
 
 /// The statically determined fate of one `(source, dest)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +80,10 @@ const NO_HOPS: u32 = u32::MAX;
 
 /// Flag on a source's result when its own header is not the canonical one.
 const EXOTIC_SOURCE: u8 = 0x80;
+
+/// Destinations whose port columns [`Checker::walk_dests`] loads in one
+/// [`RoutingFunction::port_columns`] call.
+const COLUMN_CHUNK: usize = 16;
 
 impl SourceClass {
     /// All classes, in declaration order — the order every report and JSON
@@ -188,11 +203,11 @@ pub struct DestReport {
 }
 
 /// Reusable per-worker scratch of the sweep: epoch-stamped memo arrays, the
-/// walk stack, the reachability BFS state and two header slots.  After the
-/// first destination on a given graph size every buffer is warm and
-/// [`Checker::check_dest`] and [`Checker::walk_dest`] perform zero
-/// allocations for canonical-header schemes (enforced by the workspace
-/// allocation-discipline test).
+/// walk stack, the reachability BFS state, the port columns of one chunk of
+/// destinations and their canonical headers.  After the first destination
+/// on a given graph size every buffer is warm and [`Checker::walk_dests`]
+/// performs zero allocations for canonical-header schemes (enforced by the
+/// workspace allocation-discipline test).
 pub struct Checker {
     /// Epoch stamp per vertex; `stamp[v] == epoch` gates `class[v]`.
     stamp: Vec<u32>,
@@ -210,8 +225,16 @@ pub struct Checker {
     /// on its first non-proven source.
     dist: Vec<Dist>,
     bfs: BfsScratch,
-    /// Canonical header of the current destination.
-    h0: Header,
+    /// Canonical headers of the loaded chunk of destinations.
+    heads: Vec<Header>,
+    /// Port columns of the loaded chunk, [`COLUMN_CHUNK`]` · n` entries:
+    /// `cols[j·n + v]` encodes `P(v, heads[j])`.
+    cols: Vec<u32>,
+    /// Index of the current destination in the chunk.
+    cur: usize,
+    /// Whether `cols` holds the current destination's column — only inside
+    /// [`Checker::walk_dests`]'s visitor.
+    loaded: bool,
     /// The walking header.
     hbuf: Header,
     /// Explicit states of an exotic (non-canonical-header) walk.
@@ -244,7 +267,10 @@ impl Checker {
             path: Vec::new(),
             dist: Vec::new(),
             bfs: BfsScratch::new(),
-            h0: Header::to_dest(0),
+            heads: Vec::new(),
+            cols: Vec::new(),
+            cur: 0,
+            loaded: false,
             hbuf: Header::to_dest(0),
             exotic: Vec::new(),
             epoch: 0,
@@ -256,13 +282,20 @@ impl Checker {
     }
 
     /// Heap bytes a warm checker holds for memoized walks on `n` vertices:
-    /// the per-vertex memo (stamp, class, hops, result) and a walk stack of
-    /// at most `n` canonical states, plus the [`Checker::arc_loads`] scratch
+    /// the per-vertex memo (stamp, class, hops, result), a walk stack of at
+    /// most `n` canonical states and the port columns
+    /// ([`Checker::column_bytes`]), plus the [`Checker::arc_loads`] scratch
     /// when `loads` is set.  A function of `n` alone, so it does not depend
     /// on which destinations a worker drew.
     pub fn walk_bytes(n: usize, loads: bool) -> u64 {
         let per_vertex = 4 + 1 + 4 + 1 + 4 + if loads { 4 + 4 + 4 } else { 0 };
-        (per_vertex * n) as u64
+        (per_vertex * n) as u64 + Self::column_bytes(n)
+    }
+
+    /// Heap bytes of the port columns of one chunk of 16 destinations on
+    /// `n` vertices, `16·n·4`: the buffer [`Checker::walk_dests`] loads.
+    pub fn column_bytes(n: usize) -> u64 {
+        (COLUMN_CHUNK * n * 4) as u64
     }
 
     fn ensure_capacity(&mut self, n: usize) {
@@ -279,6 +312,64 @@ impl Checker {
         self.epoch += 1;
     }
 
+    /// Walks every source's chain toward each destination of `dests`, in
+    /// destination then source order, and calls `visit(self, d)` once
+    /// destination `d` is walked; [`Checker::chain`], [`Checker::class_of`],
+    /// [`Checker::port_out_of_range`] and [`Checker::arc_loads`] read its
+    /// results back there.  A `Break` from the visitor ends the sweep.
+    ///
+    /// The walks read every canonical state's next hop from a port column:
+    /// the columns of up to 16 destinations are loaded by one
+    /// [`RoutingFunction::port_columns`] call and dropped when the call
+    /// returns.  A state whose header is not canonical asks
+    /// [`RoutingFunction::port`].  A source with no live path keeps the
+    /// class its chain ends in; [`Checker::check_dest`] adds the
+    /// reachability pass.
+    pub fn walk_dests<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        dests: Range<NodeId>,
+        mut visit: impl FnMut(&mut Self, NodeId) -> ControlFlow<()>,
+    ) {
+        let n = view.num_nodes();
+        if self.cols.len() < COLUMN_CHUNK * n {
+            self.cols.resize(COLUMN_CHUNK * n, 0);
+        }
+        if self.heads.len() < COLUMN_CHUNK {
+            self.heads.resize_with(COLUMN_CHUNK, || Header::to_dest(0));
+        }
+        for lo in dests.clone().step_by(COLUMN_CHUNK) {
+            let chunk = lo..dests.end.min(lo + COLUMN_CHUNK);
+            for (h, d) in self.heads.iter_mut().zip(chunk.clone()) {
+                // Canonical header: the init of the lowest non-destination
+                // source.  Purely a memoization key — correctness never
+                // depends on how many walks share it.
+                let s0 = if d == 0 { usize::from(n > 1) } else { 0 };
+                r.init_into(s0, d, h);
+            }
+            r.port_columns(
+                &self.heads[..chunk.len()],
+                n,
+                &mut self.cols[..chunk.len() * n],
+            );
+            self.loaded = true;
+            let stopped = chunk.enumerate().any(|(j, d)| {
+                self.cur = j;
+                self.ensure_capacity(n);
+                self.port_out_of_range = false;
+                for s in (0..n).filter(|&s| s != d) {
+                    self.resolve(view, r, d, s);
+                }
+                visit(self, d).is_break()
+            });
+            self.loaded = false;
+            if stopped {
+                return;
+            }
+        }
+    }
+
     /// Classifies every source for one destination.  After the call,
     /// [`Checker::class_of`] reads back per-source classes (tests and
     /// counterexample reporting).
@@ -288,8 +379,31 @@ impl Checker {
         r: &R,
         d: NodeId,
     ) -> DestReport {
+        let mut report = None;
+        self.walk_dests(view, r, d..d + 1, |c, d| {
+            report = Some(c.dest_report(view, d));
+            ControlFlow::Continue(())
+        });
+        report.expect("one destination walked")
+    }
+
+    /// Walks every source's chain toward `d` — [`Checker::walk_dests`] for
+    /// one destination.  Read the results back with [`Checker::chain`] and
+    /// [`Checker::class_of`].
+    pub fn walk_dest<R: RoutingFunction + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        r: &R,
+        d: NodeId,
+    ) {
+        self.walk_dests(view, r, d..d + 1, |_, _| ControlFlow::Continue(()));
+    }
+
+    /// The reachability pass and per-class counts over the walked
+    /// destination `d`: a source that fails to prove and has no live path
+    /// becomes [`SourceClass::Unreachable`].
+    fn dest_report(&mut self, view: GraphView<'_>, d: NodeId) -> DestReport {
         let n = view.num_nodes();
-        self.begin_dest(view, r, d);
         let mut dist_known = false;
         let mut counts = ClassCounts::default();
         let mut first_broken = None;
@@ -297,11 +411,10 @@ impl Checker {
             if s == d {
                 continue;
             }
-            let c = self.resolve(view, r, d, s);
             // A pair with no live path is nobody's fault: no routing function
             // can deliver it.  A proven pair needs no BFS: walks only cross
             // live arcs, so it has a live path.
-            if c != SourceClass::Proven {
+            if self.class_of(s) != SourceClass::Proven {
                 if !dist_known {
                     if self.dist.len() < n {
                         self.dist.resize(n, 0);
@@ -326,38 +439,6 @@ impl Checker {
         }
     }
 
-    /// Walks every source's chain toward `d`, in source order, memoizing
-    /// each canonical state's class and hop count — the walk behind
-    /// [`Checker::check_dest`], without its reachability pass (a source with
-    /// no live path keeps the class its chain ends in).  Read the results
-    /// back with [`Checker::chain`], [`Checker::class_of`] and
-    /// [`Checker::arc_loads`].
-    pub fn walk_dest<R: RoutingFunction + ?Sized>(
-        &mut self,
-        view: GraphView<'_>,
-        r: &R,
-        d: NodeId,
-    ) {
-        self.begin_dest(view, r, d);
-        for s in 0..view.num_nodes() {
-            if s != d {
-                self.resolve(view, r, d, s);
-            }
-        }
-    }
-
-    /// Starts a destination: a fresh memo epoch and its canonical header.
-    fn begin_dest<R: RoutingFunction + ?Sized>(&mut self, view: GraphView<'_>, r: &R, d: NodeId) {
-        let n = view.num_nodes();
-        self.ensure_capacity(n);
-        self.port_out_of_range = false;
-        // Canonical header: the init of the lowest non-destination source.
-        // Purely a memoization key — correctness never depends on how many
-        // walks share it.
-        let s0 = if d == 0 { usize::from(n > 1) } else { 0 };
-        r.init_into(s0, d, &mut self.h0);
-    }
-
     /// Source `s`'s class toward `d`, from the memo or a walk, recorded in
     /// its result slot with the flag of a non-canonical own header.
     #[inline]
@@ -369,7 +450,7 @@ impl Checker {
         s: NodeId,
     ) -> SourceClass {
         r.init_into(s, d, &mut self.hbuf);
-        let canonical = self.hbuf == self.h0;
+        let canonical = self.hbuf == self.heads[self.cur];
         let c = if canonical && self.stamp[s] == self.epoch && self.class[s] != IN_PROGRESS {
             SourceClass::from_u8(self.class[s])
         } else {
@@ -383,8 +464,7 @@ impl Checker {
         c
     }
 
-    /// The class of source `s` for the destination of the last
-    /// [`Checker::check_dest`] or [`Checker::walk_dest`] call.
+    /// The class of source `s` for the last walked destination.
     pub fn class_of(&self, s: NodeId) -> SourceClass {
         SourceClass::from_u8(self.result[s] & !EXOTIC_SOURCE)
     }
@@ -410,20 +490,24 @@ impl Checker {
         self.port_out_of_range
     }
 
-    /// Arc loads of the last walked destination `d`'s canonical chains:
-    /// calls `add(v, port, load)` once per arc `(v, next(v))` crossed by a
-    /// proven chain [`Checker::chain`] returns, `load` being the number of
-    /// such sources whose route crosses it.  The proven chains form an
-    /// in-forest rooted at `d`; one pass over its vertices in decreasing hop
-    /// count hands each vertex's load on to its successor, re-asking the
-    /// routing function for each vertex's port.
-    pub fn arc_loads<R: RoutingFunction + ?Sized>(
+    /// Arc loads of the destination `d` being visited by
+    /// [`Checker::walk_dests`] (call it from the visitor, while `d`'s port
+    /// column is loaded): calls `add(v, port, load)` once per arc `(v,
+    /// next(v))` crossed by a proven chain [`Checker::chain`] returns,
+    /// `load` being the number of such sources whose route crosses it.  The
+    /// proven chains form an in-forest rooted at `d`; one pass over its
+    /// vertices in decreasing hop count hands each vertex's load on to its
+    /// successor, reading each vertex's port from the column.
+    pub fn arc_loads(
         &mut self,
         view: GraphView<'_>,
-        r: &R,
         d: NodeId,
         mut add: impl FnMut(NodeId, Port, u64),
     ) {
+        assert!(
+            self.loaded && self.heads[self.cur].dest == d,
+            "arc_loads reads the column of the destination walk_dests is visiting"
+        );
         let n = view.num_nodes();
         self.load.clear();
         self.load.resize(n, 0);
@@ -459,7 +543,7 @@ impl Checker {
                 break;
             }
             let load = self.load[v];
-            let Action::Forward(p) = r.port(v, &self.h0) else {
+            let Action::Forward(p) = decode_action(self.cols[self.cur * n + v]) else {
                 unreachable!("a proven chain forwards until it reaches d");
             };
             let next = view
@@ -531,7 +615,12 @@ impl Checker {
                 }
                 self.exotic.push((v as u32, self.hbuf.clone()));
             }
-            match r.port(v, &self.hbuf) {
+            let action = if canonical {
+                decode_action(self.cols[self.cur * view.num_nodes() + v])
+            } else {
+                r.port(v, &self.hbuf)
+            };
+            match action {
                 Action::Deliver => {
                     break if v == d {
                         SourceClass::Proven
@@ -549,7 +638,7 @@ impl Checker {
                     };
                     r.next_header_into(v, &mut self.hbuf);
                     v = next;
-                    canonical = self.hbuf == self.h0;
+                    canonical = self.hbuf == self.heads[self.cur];
                 }
             }
         };
@@ -595,7 +684,8 @@ const DESTS_PER_ITEM: usize = 16;
 
 /// Sweeps every destination of the view on `threads` workers with
 /// per-worker [`Checker`] scratch, in [`graphkit::par::map_fold_ordered`]
-/// items of 16 consecutive destinations.  The fold is in
+/// items of 16 consecutive destinations, each one [`Checker::walk_dests`]
+/// call.  The fold is in
 /// destination order — per-destination summaries do not depend on the
 /// scheduling — so the report is bit-identical for every thread count.
 pub fn check_routing<R: RoutingFunction + Sync + ?Sized>(
@@ -613,8 +703,9 @@ pub fn check_routing<R: RoutingFunction + Sync + ?Sized>(
         |checker, item, (item_counts, item_cex): &mut (ClassCounts, Option<Counterexample>)| {
             *item_counts = ClassCounts::default();
             *item_cex = None;
-            for dest in item * DESTS_PER_ITEM..((item + 1) * DESTS_PER_ITEM).min(n) {
-                let rep = checker.check_dest(view, r, dest);
+            let dests = item * DESTS_PER_ITEM..((item + 1) * DESTS_PER_ITEM).min(n);
+            checker.walk_dests(view, r, dests, |checker, dest| {
+                let rep = checker.dest_report(view, dest);
                 item_counts.merge(&rep.counts);
                 if item_cex.is_none() {
                     *item_cex = rep.first_broken.map(|(source, class)| Counterexample {
@@ -623,7 +714,8 @@ pub fn check_routing<R: RoutingFunction + Sync + ?Sized>(
                         class,
                     });
                 }
-            }
+                ControlFlow::Continue(())
+            });
         },
         |_, (item_counts, item_cex)| {
             counts.merge(item_counts);

@@ -76,6 +76,63 @@ pub trait RoutingFunction {
     fn declared_header_words(&self) -> usize {
         8
     }
+
+    /// The port function over whole columns: writes `P(v, headers[j])` for
+    /// every `v < n` into `out[j·n + v]`, encoded by [`encode_action`]
+    /// (`u32::MAX` for deliver, a port clamped to `u32::MAX − 1`, which is
+    /// still out of range at every vertex).  `out` holds at least
+    /// `headers.len() · n` entries.
+    ///
+    /// The default is [`port_columns_pointwise`], one `port` call per
+    /// entry.  Schemes whose tables answer a whole block of destinations in
+    /// one pass override it; overrides must write exactly what the default
+    /// writes.
+    fn port_columns(&self, headers: &[Header], n: usize, out: &mut [u32]) {
+        port_columns_pointwise(self, headers, n, out);
+    }
+}
+
+/// Encoded deliver decision of [`RoutingFunction::port_columns`].
+pub const DELIVER_CODE: u32 = u32::MAX;
+
+/// The [`RoutingFunction::port_columns`] code of one decision: `u32::MAX`
+/// for deliver, the port otherwise, clamped to `u32::MAX − 1`.
+#[inline]
+pub fn encode_action(a: Action) -> u32 {
+    match a {
+        Action::Deliver => DELIVER_CODE,
+        Action::Forward(p) => p.min(DELIVER_CODE as usize - 1) as u32,
+    }
+}
+
+/// The decision behind a [`RoutingFunction::port_columns`] code.  A clamped
+/// port decodes to `u32::MAX − 1`, out of range like the port it stands for.
+#[inline]
+pub fn decode_action(code: u32) -> Action {
+    if code == DELIVER_CODE {
+        Action::Deliver
+    } else {
+        Action::Forward(code as Port)
+    }
+}
+
+/// [`RoutingFunction::port_columns`] by one `port` call per `(header,
+/// vertex)` entry: the provided default, and the fallback of overrides for
+/// header sets their fast path does not cover.
+pub fn port_columns_pointwise<R: RoutingFunction + ?Sized>(
+    r: &R,
+    headers: &[Header],
+    n: usize,
+    out: &mut [u32],
+) {
+    if n == 0 {
+        return;
+    }
+    for (h, col) in headers.iter().zip(out.chunks_exact_mut(n)) {
+        for (v, slot) in col.iter_mut().enumerate() {
+            *slot = encode_action(r.port(v, h));
+        }
+    }
 }
 
 /// A routing function defined by closures; convenient in tests and in the

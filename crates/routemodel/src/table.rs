@@ -29,7 +29,9 @@
 //! only the memory accounting reads it.
 
 use crate::cell::{clamped_port, Cell, Width};
-use crate::function::{Action, RoutingFunction};
+use crate::function::{
+    encode_action, port_columns_pointwise, Action, RoutingFunction, DELIVER_CODE,
+};
 use crate::header::Header;
 use crate::memory::{MemoryReport, PortMap};
 use graphkit::{BfsScratch, Dist, DistanceBlock, DistanceMatrix, Graph, NodeId, Port, INFINITY};
@@ -407,6 +409,26 @@ impl RoutingFunction for TableRouting {
 
     // Identity header: a hop rewrites nothing.
     fn next_header_into(&self, _node: NodeId, _header: &mut Header) {}
+
+    /// The table is destination-major: each column is a copy of one
+    /// destination's row of cells.
+    fn port_columns(&self, headers: &[Header], n: usize, out: &mut [u32]) {
+        if n != self.n || headers.iter().any(|h| h.dest >= n) {
+            return port_columns_pointwise(self, headers, n, out);
+        }
+        for (h, col) in headers.iter().zip(out.chunks_exact_mut(n)) {
+            let d = h.dest;
+            with_ports!(&self.ports, t => {
+                for (slot, &c) in col.iter_mut().zip(&t[d * n..(d + 1) * n]) {
+                    *slot = match port_of(c) {
+                        Some(p) => encode_action(Action::Forward(p)),
+                        None => DELIVER_CODE,
+                    };
+                }
+            });
+            col[d] = DELIVER_CODE;
+        }
+    }
 
     fn name(&self) -> &str {
         &self.name

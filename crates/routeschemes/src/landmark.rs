@@ -145,6 +145,7 @@ use graphkit::{
 };
 use routemodel::cell::{clamped_port, Cell, Width};
 use routemodel::coding::bits_for_values;
+use routemodel::function::{encode_action, port_columns_pointwise, DELIVER_CODE};
 use routemodel::{Action, Header, MemoryReport, RoutingFunction};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -1765,6 +1766,59 @@ impl LandmarkRouting {
         (vertices_touched, landmarks_rebuilt)
     }
 
+    /// [`RoutingFunction::port_columns`] for the destinations `lo ..
+    /// lo + headers.len()` (at most [`COLUMN_BLOCK`]), router by router,
+    /// with [`RoutingFunction::port`]'s precedence: deliver at the
+    /// destination, then the cluster entry, then the toward port of the
+    /// header's landmark (deliver when the header carries none, or one that
+    /// is not a landmark, or at the landmark itself).
+    fn block_columns<C: Cell>(
+        &self,
+        t: &Tables<C>,
+        lo: usize,
+        headers: &[Header],
+        out: &mut [u32],
+    ) {
+        let n = self.home.len();
+        let k = self.landmarks.len();
+        let hi = lo + headers.len();
+        let mut toward = [usize::MAX; COLUMN_BLOCK];
+        for (slot, h) in toward.iter_mut().zip(headers) {
+            if let Some(&home) = h.data.first() {
+                if let Ok(i) = self.landmarks.binary_search(&(home as usize)) {
+                    *slot = i;
+                }
+            }
+        }
+        let toward = &toward[..headers.len()];
+        for w in 0..n {
+            let row = &t.toward_landmark[w * k..(w + 1) * k];
+            for (j, &i) in toward.iter().enumerate() {
+                out[j * n + w] = match row.get(i) {
+                    Some(&p) if p != C::NONE => encode_action(Action::Forward(p.get() as Port)),
+                    _ => DELIVER_CODE,
+                };
+            }
+            let (s, e) = (
+                self.direct_offsets[w] as usize,
+                self.direct_offsets[w + 1] as usize,
+            );
+            let slice = &self.direct_targets[s..e];
+            let first = slice.partition_point(|&x| (x as usize) < lo);
+            for (off, &x) in slice[first..].iter().enumerate() {
+                let x = x as usize;
+                if x >= hi {
+                    break;
+                }
+                let p = t.direct_ports[s + first + off].get() as Port;
+                out[(x - lo) * n + w] = encode_action(Action::Forward(p));
+            }
+            if (lo..hi).contains(&w) {
+                out[(w - lo) * n + w] = DELIVER_CODE;
+            }
+        }
+    }
+
     /// The landmark set used by the scheme.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
@@ -2005,6 +2059,10 @@ fn cluster_find(z: u32, tg: &[u32], gw: &[(u32, u32, Dist)]) -> Option<usize> {
     }
 }
 
+/// Destinations per pass of [`LandmarkRouting::port_columns`]' router
+/// sweep: the landmark index of each is kept on the stack.
+const COLUMN_BLOCK: usize = 16;
+
 /// CSR offsets of a list sorted by router, given its routers in order: the
 /// entries of router `w` sit at `at[w]..at[w + 1]`.
 fn router_offsets(n: usize, routers: impl Iterator<Item = u32>) -> Vec<u32> {
@@ -2073,6 +2131,24 @@ impl RoutingFunction for LandmarkRouting {
         header.dest = dest;
         header.data.clear();
         header.data.push(self.home[dest] as u64);
+    }
+
+    /// Columns of consecutive destinations by the router: one pass over
+    /// each router's sorted cluster slice fills every entry whose target is
+    /// in the block, and the rest read the router's toward row, the
+    /// landmark index looked up once per destination.  Headers whose
+    /// destinations are not consecutive take the per-vertex loop.
+    fn port_columns(&self, headers: &[Header], n: usize, out: &mut [u32]) {
+        let lo = headers.first().map_or(0, |h| h.dest);
+        let consecutive = headers.iter().enumerate().all(|(j, h)| h.dest == lo + j);
+        if !consecutive || n != self.home.len() {
+            return port_columns_pointwise(self, headers, n, out);
+        }
+        for (c, block) in headers.chunks(COLUMN_BLOCK).enumerate() {
+            let at = c * COLUMN_BLOCK;
+            let out = &mut out[at * n..(at + block.len()) * n];
+            with_tables!(&self.cells, t => self.block_columns(t, lo + at, block, out));
+        }
     }
 
     // The home landmark rides unchanged for the whole route.

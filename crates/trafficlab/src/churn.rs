@@ -24,11 +24,10 @@
 //!
 //! [`DeliveryOutcome`]: routemodel::DeliveryOutcome
 
-use crate::engine::{run_workload, EngineConfig, OutcomeCounts};
+use crate::engine::{run_workload, EngineConfig, EngineError, OutcomeCounts};
 use crate::workload::WorkloadPlan;
 use graphkit::traversal::is_connected;
 use graphkit::{FailureSet, Graph, GraphView};
-use routemodel::RoutingError;
 use routeschemes::{BuildError, RepairStats, SchemeInstance};
 use speclang::{
     push_nonzero_seed, render_spec, render_vocabulary, split_spec, ParamDoc, ParsedParams, SpecCtx,
@@ -164,8 +163,9 @@ pub struct ChurnRun {
 pub enum ChurnError {
     /// The scheme has no repair strategy — a benign skip, not a failure.
     Unsupported(BuildError),
-    /// A routing-model violation mid-round — the scheme is broken.
-    Routing { round: usize, error: RoutingError },
+    /// The engine failed mid-round: a routing-model violation (the scheme
+    /// is broken) or a plan compiled for another graph.
+    Routing { round: usize, error: EngineError },
     /// Repair itself failed for a repairable scheme.
     Repair { round: usize, error: BuildError },
 }

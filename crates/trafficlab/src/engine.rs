@@ -16,14 +16,15 @@
 //!    `O(workers · block_rows · n)` instead of the dense matrix's `n²`;
 //! 3. an **all-pairs** plan goes destination-major instead.  Per block of
 //!    destinations one [`DistanceBlock`] gives `d(s, t) = d(t, s)` (the
-//!    graph is undirected), and per destination `routecheck`'s memoized
-//!    chain walk ([`Checker::walk_dest`]) resolves every source: with a
-//!    canonical header the routes toward one destination form a functional
-//!    graph, so each vertex's class and hop count (`len(v) = 1 +
-//!    len(next(v))`) cost one `port` call instead of one per hop.  A proven
-//!    chain has at most `n − 1` hops, below the hop limit, so it is a
-//!    delivery of exactly that length; a cycle is a hop-limit outcome; a
-//!    dead arc is a link-down drop.  Arc loads come from one pass over the
+//!    graph is undirected), and `routecheck`'s memoized chain walk
+//!    ([`Checker::walk_dests`]) resolves every source of each destination:
+//!    with a canonical header the routes toward one destination form a
+//!    functional graph, so each vertex's class and hop count (`len(v) = 1 +
+//!    len(next(v))`) cost one entry of the destination's port column
+//!    (loaded by one `port_columns` call per chunk of destinations) instead
+//!    of one `port` call per hop.  A proven chain has at most `n − 1` hops,
+//!    below the hop limit, so it is a delivery of exactly that length; a
+//!    cycle is a hop-limit outcome; a dead arc is a link-down drop.  Arc loads come from one pass over the
 //!    chains' in-forest in decreasing hop count ([`Checker::arc_loads`]).
 //!    A pair whose header is not canonical is routed by the per-message
 //!    loop; if any chain asks for a port out of range, the whole run is
@@ -51,7 +52,7 @@ use routemodel::{
     default_hop_limit, walk, DeliveryOutcome, Header, RouteTrace, RoutingError, RoutingFunction,
     StretchAccumulator, StretchReport,
 };
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -339,6 +340,44 @@ impl Counters {
     }
 }
 
+/// Why [`run_workload`] measured nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineError {
+    /// The plan was compiled for a graph with a different vertex count.
+    PlanMismatch {
+        /// Vertex count the plan was compiled for.
+        plan_nodes: usize,
+        /// Vertex count of the graph being run.
+        graph_nodes: usize,
+    },
+    /// A routing-model violation ([`RoutingError::PortOutOfRange`]), the
+    /// earliest source's.
+    Routing(RoutingError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::PlanMismatch {
+                plan_nodes,
+                graph_nodes,
+            } => write!(
+                f,
+                "plan compiled for {plan_nodes} nodes, graph has {graph_nodes}"
+            ),
+            EngineError::Routing(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<RoutingError> for EngineError {
+    fn from(e: RoutingError) -> Self {
+        EngineError::Routing(e)
+    }
+}
+
 /// What one block hands to the ordered fold.
 #[derive(Default)]
 struct BlockOut {
@@ -353,22 +392,29 @@ struct BlockOut {
 /// [`Graph`](graphkit::Graph) or a degraded [`GraphView`] with dead links
 /// masked out.
 ///
-/// The only hard failure is a routing-*model* violation
-/// ([`RoutingError::PortOutOfRange`]), reported for the earliest source that
-/// hit one; messages that loop, drop on a dead link or surface at the wrong
-/// vertex are bucketed per outcome in [`WorkloadReport::outcomes`], and
-/// stretch/length/congestion metrics cover the delivered messages only.
-/// Unreachable destinations (under the view's distances) are skipped and
-/// counted, matching the paper's restriction to connected graphs.
+/// The hard failures are a plan compiled for another vertex count
+/// ([`EngineError::PlanMismatch`], checked before any work) and a
+/// routing-*model* violation ([`RoutingError::PortOutOfRange`]), reported
+/// for the earliest source that hit one; messages that loop, drop on a
+/// dead link or surface at the wrong vertex are bucketed per outcome in
+/// [`WorkloadReport::outcomes`], and stretch/length/congestion metrics
+/// cover the delivered messages only.  Unreachable destinations (under the
+/// view's distances) are skipped and counted, matching the paper's
+/// restriction to connected graphs.
 pub fn run_workload<'a, R: RoutingFunction + Sync + ?Sized>(
     g: impl Into<GraphView<'a>>,
     r: &R,
     plan: &WorkloadPlan,
     cfg: &EngineConfig,
-) -> Result<WorkloadReport, RoutingError> {
+) -> Result<WorkloadReport, EngineError> {
     let view = g.into();
     let n = view.num_nodes();
-    assert_eq!(plan.num_nodes(), n, "plan compiled for a different graph");
+    if plan.num_nodes() != n {
+        return Err(EngineError::PlanMismatch {
+            plan_nodes: plan.num_nodes(),
+            graph_nodes: n,
+        });
+    }
     let t0 = Instant::now();
     let run = if plan.is_all_pairs() {
         match sweep_memoized(view, r, cfg) {
@@ -556,7 +602,8 @@ fn route_block<R: RoutingFunction + Sync + ?Sized>(
 
 /// The memoized all-pairs path: destination-major, one [`DistanceBlock`]
 /// per block of destinations (`d(s, t) = d(t, s)` on an undirected graph)
-/// and one memoized chain walk ([`Checker::walk_dest`]) per destination.
+/// and one memoized chain walk per destination, the whole block in one
+/// [`Checker::walk_dests`] call.
 /// `None` when some chain asked for a port out of range: the caller then
 /// redoes the run message by message, which reports the earliest source's
 /// error exactly.
@@ -595,9 +642,10 @@ fn sweep_memoized<R: RoutingFunction + Sync + ?Sized>(
 }
 
 /// Resolves every source toward each destination of `dests` on worker
-/// `w`: canonical chains from the memo (class and hop count), any other
-/// pair through the routing loop, arc loads from the chains' in-forest.
-/// Stops at, and flags in `bad_port`, a port out of range.
+/// `w`, through one [`Checker::walk_dests`] call: canonical chains from the
+/// memo (class and hop count), any other pair through the routing loop, arc
+/// loads from the chains' in-forest.  Stops at, and flags in `bad_port`, a
+/// port out of range.
 fn sweep_block<R: RoutingFunction + Sync + ?Sized>(
     view: GraphView<'_>,
     r: &R,
@@ -611,15 +659,13 @@ fn sweep_block<R: RoutingFunction + Sync + ?Sized>(
     w.distances(view, dests.start, dests.len());
     let mut header = Header::to_dest(0);
     let mut trace = RouteTrace::new();
-    for t in dests.clone() {
-        let checker = &mut w.checker;
-        checker.walk_dest(view, r, t);
+    let (rows, c) = (&w.rows, &mut w.counters);
+    w.checker.walk_dests(view, r, dests.clone(), |checker, t| {
         if checker.port_out_of_range() {
             bad_port.store(true, Ordering::Relaxed);
-            return;
+            return ControlFlow::Break(());
         }
-        let row = w.rows.row(t);
-        let c = &mut w.counters;
+        let row = rows.row(t);
         for s in 0..n {
             if s == t {
                 continue;
@@ -643,14 +689,18 @@ fn sweep_block<R: RoutingFunction + Sync + ?Sized>(
                     let routed = c.route(view, r, s, t, dist, hop_limit, &mut header, &mut trace);
                     if routed.is_err() {
                         bad_port.store(true, Ordering::Relaxed);
-                        return;
+                        return ControlFlow::Break(());
                     }
                 }
             }
         }
         if let Some(cong) = &mut c.congestion {
-            checker.arc_loads(view, r, t, |v, p, load| cong.add_load(v, p, load));
+            checker.arc_loads(view, t, |v, p, load| cong.add_load(v, p, load));
         }
+        ControlFlow::Continue(())
+    });
+    if bad_port.load(Ordering::Relaxed) {
+        return;
     }
     out.bytes = w.block_bytes(n, dests.len(), &header, &trace)
         + Checker::walk_bytes(n, w.counters.congestion.is_some());
@@ -667,7 +717,7 @@ pub fn stretch_factor_blocked<'a, R: RoutingFunction + Sync + ?Sized>(
     r: &R,
     threads: usize,
     block_rows: usize,
-) -> Result<StretchReport, RoutingError> {
+) -> Result<StretchReport, EngineError> {
     let g = g.into();
     let plan = crate::workload::WorkloadSpec::AllPairs.compile(g.num_nodes());
     let cfg = EngineConfig {
@@ -907,7 +957,34 @@ mod tests {
         let dense = stretch_factor(&g, &dm, &r).unwrap_err();
         for threads in [1usize, 4] {
             let blocked = stretch_factor_blocked(&g, &r, threads, 3).unwrap_err();
-            assert_eq!(blocked, dense, "threads={threads}");
+            assert_eq!(
+                blocked,
+                EngineError::Routing(dense.clone()),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_plan_for_another_graph_is_a_typed_error() {
+        let g = generators::cycle(8);
+        let r = table_routing(&g);
+        for spec in [
+            WorkloadSpec::AllPairs,
+            WorkloadSpec::Uniform {
+                messages: 10,
+                seed: 1,
+            },
+        ] {
+            let err = run_workload(&g, &r, &spec.compile(9), &EngineConfig::default()).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::PlanMismatch {
+                    plan_nodes: 9,
+                    graph_nodes: 8
+                }
+            );
+            assert_eq!(err.to_string(), "plan compiled for 9 nodes, graph has 8");
         }
     }
 

@@ -54,7 +54,7 @@ pub mod workload;
 pub use analysis::report::Json;
 pub use churn::{run_churn, ChurnError, ChurnRound, ChurnRun, ChurnSpec};
 pub use engine::{
-    run_workload, stretch_factor_blocked, EngineConfig, OutcomeCounts, WorkloadReport,
+    run_workload, stretch_factor_blocked, EngineConfig, EngineError, OutcomeCounts, WorkloadReport,
 };
 pub use files::ScenarioFileError;
 pub use metrics::{CongestionCounters, CongestionReport, LengthHistogram};

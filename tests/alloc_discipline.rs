@@ -3,9 +3,11 @@
 //! The routing kernel and the static checker both promise *warm* hot loops
 //! that never touch the heap: `routemodel::walk` rewrites one reused header
 //! in place (and, when a trace is asked for, one reused `RouteTrace`), and
-//! `Checker::check_dest` and `Checker::walk_dest` (the length-carrying
-//! memo walk of the engine's all-pairs sweep, with its arc-load pass) reuse
-//! their epoch-stamped arrays across destinations, and `DistanceBlock::recompute` reuses its row buffers and
+//! `Checker::check_dest` and `Checker::walk_dests` (the block walk of the
+//! engine's all-pairs sweep: one `port_columns` load per chunk of
+//! destinations, the length-carrying memo walk, its arc-load pass) reuse
+//! their epoch-stamped arrays and column buffer across destinations, and
+//! `DistanceBlock::recompute` reuses its row buffers and
 //! the bit-parallel BFS masks of its `BfsScratch` across blocks, as does
 //! `bfs_block_into` over explicit source lists.  Those promises are load-bearing — the throughput
 //! and sweep numbers in CI assume them — so this test counts every
@@ -17,6 +19,7 @@
 //! running test would bleed its allocations into our deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphkit::traversal::bfs_block_into;
@@ -132,41 +135,51 @@ fn warm_hot_loops_do_not_allocate() {
         n - 8
     );
 
-    // --- Checker::walk_dest, the length-carrying memo walk of the engine's
-    // all-pairs sweep: zero allocations per destination once warm, reading
-    // every source's class and hop count and the chains' arc loads --------
-    let memo = |checker: &mut Checker, dests: std::ops::Range<usize>, sink: &mut u64| {
-        let mut delivered = 0u64;
-        for d in dests {
-            checker.walk_dest(view, r, d);
-            for s in (0..n).filter(|&s| s != d) {
-                if let Some((routecheck::SourceClass::Proven, hops)) = checker.chain(s) {
-                    delivered += 1;
-                    *sink += u64::from(hops);
+    // --- Checker::walk_dests, the block walk of the engine's all-pairs
+    // sweep: one column load per chunk of destinations, every source's
+    // class and hop count, and the chains' arc loads — zero allocations
+    // once warm, under the table scheme and under the landmark scheme,
+    // whose bulk column pass must not allocate either -------------------
+    let landmark = SchemeKind::Landmark
+        .default_spec()
+        .build(&g, &hints)
+        .expect("landmark scheme builds on a connected graph");
+    for r in [r, &*landmark.routing] {
+        let memo = |checker: &mut Checker, dests: std::ops::Range<usize>, sink: &mut u64| {
+            let mut delivered = 0u64;
+            checker.walk_dests(view, r, dests, |checker, d| {
+                for s in (0..n).filter(|&s| s != d) {
+                    if let Some((routecheck::SourceClass::Proven, hops)) = checker.chain(s) {
+                        delivered += 1;
+                        *sink += u64::from(hops);
+                    }
                 }
-            }
-            checker.arc_loads(view, r, d, |v, p, load| *sink += (v + p) as u64 * load);
-        }
-        delivered
-    };
-    let mut checker = Checker::new();
-    memo(&mut checker, 0..8, &mut sink);
-    let before = allocations();
-    let delivered = memo(&mut checker, 8..n, &mut sink);
-    let memo_allocs = allocations() - before;
-    assert_eq!(
-        delivered,
-        (n as u64 - 8) * (n as u64 - 1),
-        "every chain must resolve from the memo"
-    );
-    assert_eq!(
-        memo_allocs,
-        0,
-        "warm walk_dest + chain + arc_loads allocated {memo_allocs} times \
-         across {} destinations; the memoized sweep must be allocation-free \
-         per destination",
-        n - 8
-    );
+                checker.arc_loads(view, d, |v, p, load| *sink += (v + p) as u64 * load);
+                ControlFlow::Continue(())
+            });
+            delivered
+        };
+        let mut checker = Checker::new();
+        memo(&mut checker, 0..40, &mut sink);
+        let before = allocations();
+        let delivered = memo(&mut checker, 40..n, &mut sink);
+        let memo_allocs = allocations() - before;
+        assert_eq!(
+            delivered,
+            (n as u64 - 40) * (n as u64 - 1),
+            "{}: every chain must resolve from the memo",
+            r.name()
+        );
+        assert_eq!(
+            memo_allocs,
+            0,
+            "{}: warm walk_dests + chain + arc_loads allocated {memo_allocs} \
+             times across {} destinations; the memoized sweep must be \
+             allocation-free per destination",
+            r.name(),
+            n - 40
+        );
+    }
 
     // --- DistanceBlock::recompute: zero allocations per block once warm,
     // at every block size, and across narrow and wide blocks -------------
